@@ -44,7 +44,7 @@ from .generators import (
 )
 from .graphio import ParseError, emit_graph, parse_graph
 from .haxell import DEFAULT_BUDGET, build_state, candidate_transversals
-from .krivelevich import transversal_2nustar
+from .krivelevich import _transversal_from_lp
 from .planar import COMPLETE, reduce_and_certify
 
 parse = parse_graph  # canonical name for the text-format reader
@@ -144,7 +144,7 @@ def _cmd_lp(g: Multigraph, args: argparse.Namespace) -> dict:
 
 def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
     sol = lp_optimal(g)
-    cert = transversal_2nustar(g)
+    cert = _transversal_from_lp(g, sol)
     nustar = sol.value
     slack = 2 * nustar - cert.weight
     ok = cert.weight == 0 if nustar == 0 else dominates_sqrt(slack, nustar / 16)

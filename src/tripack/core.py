@@ -195,10 +195,6 @@ class Incidence:
                 acc[i].append(j)
         return tuple(tuple(r) for r in acc)
 
-    @cached_property
-    def edge_index(self) -> Mapping[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
 
 def incidence(g: Multigraph) -> Incidence:
     """Edge-triangle incidence of ``g``; every column has exactly three 1s."""

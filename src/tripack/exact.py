@@ -1,9 +1,10 @@
 """Exact optimizers for triangle packing and covering.
 
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
-branch and bound.  ``lp_optimal`` solves the fractional relaxation with a
-dense simplex over exact rationals (Bland's anti-cycling rule, so
-termination is guaranteed); the dual solution is read off the optimal
+branch and bound.  ``lp_optimal`` solves the fractional relaxation with an
+exact simplex on sparse integer rows, each row carrying one positive
+denominator and kept divided by its gcd.  Pivots follow Bland's rule, so
+termination is guaranteed; the dual solution is read off the optimal
 tableau, which makes the primal and dual values identical by construction.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     Edge,
@@ -61,6 +63,11 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     Rows are restricted to edges lying in at least one triangle (all other
     dual values are 0).  Entering and leaving variables follow Bland's
     rule over the canonical triangle-then-edge order.
+
+    Each row, the objective row included, is a sparse ``column -> int`` map
+    of numerators plus an integer right-hand side over one positive
+    denominator, divided by the gcd of all of them after every update.  A
+    ``column -> rows`` index limits a pivot to the rows it changes.
     """
     inc = incidence(g)
     tris = inc.triangles
@@ -71,82 +78,97 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     row_of = {orig: i for i, orig in enumerate(used_rows)}
     m = len(used_rows)
     nt = len(tris)
-    width = nt + m + 1
-    zero = Fraction(0)
-    one = Fraction(1)
 
-    rows: list[list[Fraction]] = []
-    for i, orig in enumerate(used_rows):
-        row = [zero] * width
-        row[nt + i] = one
-        row[-1] = Fraction(g.weight_map[inc.edges[orig]])
-        rows.append(row)
+    # Row m is the objective, obj[j] = z_j - c_j; optimal when no entry is
+    # negative.
+    rows: list[dict[int, int]] = [{nt + i: 1} for i in range(m)]
+    rows.append({j: -1 for j in range(nt)})
+    rhs = [g.weight_map[inc.edges[orig]] for orig in used_rows] + [0]
+    den = [1] * (m + 1)
+    col_rows: list[set[int]] = [{m} for _ in range(nt)] + [{i} for i in range(m)]
     for j, col in enumerate(inc.columns):
         for orig in col:
-            rows[row_of[orig]][j] = one
-
-    # obj[j] = z_j - c_j; optimal when all entries are nonnegative.
-    obj = [zero] * width
-    for j in range(nt):
-        obj[j] = -one
+            i = row_of[orig]
+            rows[i][j] = 1
+            col_rows[j].add(i)
 
     basis = [nt + i for i in range(m)]
 
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = min((j for j, v in rows[m].items() if v < 0), default=-1)
         if enter < 0:
             break
+        # Row denominators cancel in b_i / a_i, so ratios compare as
+        # cross-multiplied numerators.  The objective entry is negative, so
+        # the objective row never leaves.
         leave = -1
-        best_ratio: Fraction | None = None
-        for i in range(m):
+        piv = 0
+        for i in col_rows[enter]:
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave < 0:
+                    leave, piv = i, a
+                    continue
+                lhs = rhs[i] * piv
+                cur = rhs[leave] * a
+                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, piv = i, a
         if leave < 0:
             raise InvariantViolation("packing LP is unbounded")
         prow = rows[leave]
-        piv = prow[enter]
-        if piv != one:
-            inv = one / piv
-            for j in range(width):
-                if prow[j]:
-                    prow[j] *= inv
-        nz = [(j, prow[j]) for j in range(width) if prow[j]]
-        for i in range(m):
-            if i == leave:
-                continue
+        prhs = rhs[leave]
+
+        # row <- row * (piv/k) - prow * (f/k), k = gcd(piv, f): the entering
+        # column cancels and the denominator grows by piv/k.
+        for i in col_rows[enter] - {leave}:
             row = rows[i]
             f = row[enter]
-            if f:
-                for j, v in nz:
-                    row[j] -= f * v
-        f = obj[enter]
-        if f:
-            for j, v in nz:
-                obj[j] -= f * v
+            k = gcd(piv, f)
+            s, t = piv // k, f // k
+            r, d = rhs[i], den[i]
+            if s != 1:
+                row = {j: v * s for j, v in row.items()}
+                r *= s
+                d *= s
+            for j, p in prow.items():
+                if j in row:
+                    v = row[j] - t * p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        col_rows[j].discard(i)
+                else:
+                    row[j] = -t * p
+                    col_rows[j].add(i)
+            r -= t * prhs
+            if d != 1:
+                k = gcd(d, r, *row.values())
+                if k != 1:
+                    row = {j: v // k for j, v in row.items()}
+                    r //= k
+                    d //= k
+            rows[i], rhs[i], den[i] = row, r, d
+
+        # The pivot row divided by its pivot entry.
+        k = gcd(prhs, *prow.values())
+        if k != 1:
+            rows[leave] = {j: v // k for j, v in prow.items()}
+            rhs[leave] = prhs // k
+        den[leave] = piv // k
         basis[leave] = enter
 
     x: dict[Triangle, Fraction] = {}
     for i, b in enumerate(basis):
-        if b < nt and rows[i][-1] != 0:
-            x[tris[b]] = rows[i][-1]
+        if b < nt and rhs[i]:
+            x[tris[b]] = Fraction(rhs[i], den[i])
+    obj = rows[m]
     y: dict[Edge, Fraction] = {}
     for i, orig in enumerate(used_rows):
-        val = obj[nt + i]
-        if val != 0:
-            y[inc.edges[orig]] = val
-    return x, y, obj[-1]
+        val = obj.get(nt + i)
+        if val:
+            y[inc.edges[orig]] = Fraction(val, den[m])
+    return x, y, Fraction(rhs[m], den[m])
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:

@@ -191,13 +191,17 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     capacity-0 edges, which are returned at zero cost.  The size bound is
     compared exactly by squaring.
     """
+    return _transversal_from_lp(g, lp_optimal(g))
+
+
+def _transversal_from_lp(g: Multigraph, sol: LPSolution) -> TransversalCertificate:
+    """``transversal_2nustar`` built from an already solved LP optimum."""
     tris = enumerate_triangles(g)
     if not tris:
         return TransversalCertificate.from_edges(g, ())
 
-    sol = lp_optimal(g)
-    part, _ = classify(g, sol)
-    tight_tris = set(tight_sets(g, sol).tight_triangles)
+    part, tpart = classify(g, sol)
+    tight_tris = set(tpart.T1 + tpart.T2 + tpart.T3 + tpart.T4 + tpart.T5)
 
     h, slots = _conflict_graph_blowup(g, part.B, tight_tris)
     if enumerate_triangles(h):

@@ -1,15 +1,19 @@
 """Brute-force reference implementations and corpus builders for tests.
 
 Every oracle here is deliberately naive (full enumeration, no pruning) and
-shares no code with the solvers it checks.
+shares no code with the solvers it checks, apart from
+``reference_simplex_packing``: the dense ``Fraction`` tableau that the
+sparse integer simplex in ``tripack.exact`` replaced.  It reads the same
+``incidence`` and must take the same Bland pivots, so the two agree exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
-from tripack import Multigraph, enumerate_triangles
+from tripack import Edge, InvariantViolation, Multigraph, Triangle, enumerate_triangles, incidence
 
 
 def brute_max_cut(g: Multigraph) -> int:
@@ -122,3 +126,97 @@ def relabel(g: Multigraph, perm: list[int]) -> Multigraph:
     return Multigraph.from_edges(
         g.n, ((perm[u], perm[v], w) for u, v, w in g.edges)
     )
+
+
+def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
+    """Maximize the fractional packing; return (x, y, value) exactly.
+
+    Dense reference: every tableau entry is a ``Fraction``.  Rows are restricted to edges lying in at least one triangle (all other
+    dual values are 0).  Entering and leaving variables follow Bland's
+    rule over the canonical triangle-then-edge order.
+    """
+    inc = incidence(g)
+    tris = inc.triangles
+    if not tris:
+        return {}, {}, Fraction(0)
+
+    used_rows = sorted({i for col in inc.columns for i in col})
+    row_of = {orig: i for i, orig in enumerate(used_rows)}
+    m = len(used_rows)
+    nt = len(tris)
+    width = nt + m + 1
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    rows: list[list[Fraction]] = []
+    for i, orig in enumerate(used_rows):
+        row = [zero] * width
+        row[nt + i] = one
+        row[-1] = Fraction(g.weight_map[inc.edges[orig]])
+        rows.append(row)
+    for j, col in enumerate(inc.columns):
+        for orig in col:
+            rows[row_of[orig]][j] = one
+
+    # obj[j] = z_j - c_j; optimal when all entries are nonnegative.
+    obj = [zero] * width
+    for j in range(nt):
+        obj[j] = -one
+
+    basis = [nt + i for i in range(m)]
+
+    while True:
+        enter = -1
+        for j in range(width - 1):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio: Fraction | None = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise InvariantViolation("packing LP is unbounded")
+        prow = rows[leave]
+        piv = prow[enter]
+        if piv != one:
+            inv = one / piv
+            for j in range(width):
+                if prow[j]:
+                    prow[j] *= inv
+        nz = [(j, prow[j]) for j in range(width) if prow[j]]
+        for i in range(m):
+            if i == leave:
+                continue
+            row = rows[i]
+            f = row[enter]
+            if f:
+                for j, v in nz:
+                    row[j] -= f * v
+        f = obj[enter]
+        if f:
+            for j, v in nz:
+                obj[j] -= f * v
+        basis[leave] = enter
+
+    x: dict[Triangle, Fraction] = {}
+    for i, b in enumerate(basis):
+        if b < nt and rows[i][-1] != 0:
+            x[tris[b]] = rows[i][-1]
+    y: dict[Edge, Fraction] = {}
+    for i, orig in enumerate(used_rows):
+        val = obj[nt + i]
+        if val != 0:
+            y[inc.edges[orig]] = val
+    return x, y, obj[-1]

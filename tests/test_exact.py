@@ -15,10 +15,16 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
-from tripack.exact import LPSolution
-from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
+from tripack.exact import LPSolution, _simplex_packing
+from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel, gk_optimum
 
-from oracles import brute_nu, brute_tau, rand_connected_multigraph
+from oracles import (
+    brute_nu,
+    brute_tau,
+    rand_connected_multigraph,
+    rand_triangle_free,
+    reference_simplex_packing,
+)
 
 
 def doubled(g):
@@ -95,6 +101,39 @@ class TestLPOptimal:
         a, b = lp_optimal(g), lp_optimal(g)
         assert a.packing.triangle_values == b.packing.triangle_values
         assert a.transversal.edge_values == b.transversal.edge_values
+
+
+class TestSimplexAgainstReference:
+    """The sparse integer tableau takes the dense reference's pivots exactly."""
+
+    def test_atlas_with_capacities_0_to_3(self):
+        import networkx as nx
+
+        rng = random.Random(7)
+        for G in nx.graph_atlas_g():
+            if G.number_of_edges() < 3:
+                continue
+            g = Multigraph.from_edges(
+                G.number_of_nodes(), ((u, v, rng.randint(0, 3)) for u, v in G.edges())
+            )
+            if enumerate_triangles(g):
+                assert _simplex_packing(g) == reference_simplex_packing(g)
+
+    def test_random_multigraphs(self):
+        for seed in range(20):
+            g = rand_connected_multigraph(8, 12, 3, seed)
+            assert _simplex_packing(g) == reference_simplex_packing(g)
+
+    def test_gk(self):
+        for k in (1, 2):
+            g = gen_gk(k).graph
+            got = _simplex_packing(g)
+            assert got == reference_simplex_packing(g)
+            assert got[2] == gk_optimum(k)
+
+    def test_triangle_free(self):
+        g = rand_triangle_free(9, 3)
+        assert _simplex_packing(g) == reference_simplex_packing(g) == ({}, {}, 0)
 
 
 class TestTightSets:
