@@ -31,9 +31,8 @@ from .core import (
     PackingCertificate,
     TransversalCertificate,
     dominates_sqrt,
-    enumerate_triangles,
 )
-from .exact import lp_optimal, nu_exact, tau_exact
+from .exact import _nu_from_lp, lp_optimal, nu_exact, tau_exact
 from .generators import (
     gen_apex,
     gen_cycle,
@@ -46,8 +45,6 @@ from .graphio import ParseError, emit_graph, parse_graph
 from .haxell import DEFAULT_BUDGET, build_state, candidate_transversals
 from .krivelevich import _transversal_from_lp
 from .planar import COMPLETE, reduce_and_certify
-
-parse = parse_graph  # canonical name for the text-format reader
 
 
 def _rat(x: Fraction | int) -> str:
@@ -97,7 +94,7 @@ def _instance_json(g: Multigraph) -> dict:
         "vertices": g.n,
         "edges": len(g.edges),
         "total_weight": g.total_weight,
-        "triangles": len(enumerate_triangles(g)),
+        "triangles": len(g.triangles),
     }
 
 
@@ -257,7 +254,7 @@ def _cmd_chain(g: Multigraph, args: argparse.Namespace) -> dict:
         bounds.append(_bound("nustar >= nu", _rat(nustar), "unchecked", None))
         bounds.append(_bound("2 nu >= nustar", _rat(nustar), "unchecked", None))
     else:
-        nu, pc = nu_exact(g)
+        nu, pc = _nu_from_lp(g, sol)
         tau, tc = tau_exact(g)
         report["nu"] = nu
         report["tau"] = tau

@@ -62,9 +62,6 @@ class Triangle(NamedTuple):
         """The three unordered pairs, in canonical order."""
         return (self.a, self.b), (self.a, self.c), (self.b, self.c)
 
-    def has_edge(self, e: Edge) -> bool:
-        return e in self.edges
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -73,6 +70,9 @@ class Multigraph:
     ``edges`` holds one entry per unordered pair, sorted lexicographically,
     each as ``(u, v, w)`` with ``u < v`` and integer capacity ``w >= 0``.
     Instances are immutable; all mutating operations return new graphs.
+    Derived objects (``weight_map``, ``neighbor_map``, ``triangles``,
+    ``free_edges``) are computed on first access and cached on the
+    instance; they never enter equality or hashing.
     """
 
     n: int
@@ -115,6 +115,30 @@ class Multigraph:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(tuple(sorted(s)) for s in adj)
+
+    @cached_property
+    def triangles(self) -> tuple[Triangle, ...]:
+        """Every vertex triple whose three pairs are edges, sorted.
+
+        Capacity is irrelevant here: an edge of capacity 0 still supports
+        triangles.
+        """
+        adj = [set(ns) for ns in self.neighbor_map]
+        out: list[Triangle] = []
+        for u, v, _ in self.edges:
+            for c in sorted(adj[u] & adj[v]):
+                if c > v:
+                    out.append(Triangle(u, v, c))
+        return tuple(out)
+
+    @cached_property
+    def free_edges(self) -> tuple[Edge, ...]:
+        """The capacity-0 edges lying on a triangle, sorted.
+
+        They cost nothing in a transversal, so every cover may include them.
+        """
+        wmap = self.weight_map
+        return tuple(sorted({e for t in self.triangles for e in t.edges if wmap[e] == 0}))
 
     @property
     def total_weight(self) -> int:
@@ -159,18 +183,8 @@ class Multigraph:
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:
-    """All vertex triples whose three pairs are edges of ``g``.
-
-    Capacity is irrelevant here: an edge of capacity 0 still supports
-    triangles.  The result is sorted, hence deterministic.
-    """
-    adj = [set(ns) for ns in g.neighbor_map]
-    out: list[Triangle] = []
-    for u, v, _ in g.edges:
-        for c in sorted(adj[u] & adj[v]):
-            if c > v:
-                out.append(Triangle(u, v, c))
-    return out
+    """A fresh sorted list of the triangles of ``g`` (see ``Multigraph.triangles``)."""
+    return list(g.triangles)
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,7 @@ def incidence(g: Multigraph) -> Incidence:
     """Edge-triangle incidence of ``g``; every column has exactly three 1s."""
     edges = tuple((u, v) for u, v, _ in g.edges)
     index = {e: i for i, e in enumerate(edges)}
-    tris = tuple(enumerate_triangles(g))
+    tris = g.triangles
     columns = tuple(
         (index[t.edges[0]], index[t.edges[1]], index[t.edges[2]]) for t in tris
     )
@@ -271,7 +285,7 @@ def verify_transversal(g: Multigraph, c: TransversalCertificate) -> bool:
     for e in c.edges:
         if e not in g.weight_map:
             raise ValueError(f"unknown edge {e}")
-    return all(any(e in c.edges for e in t.edges) for t in enumerate_triangles(g))
+    return all(any(e in c.edges for e in t.edges) for t in g.triangles)
 
 
 def weight(g: Multigraph, edges: Iterable[Edge]) -> int:
@@ -356,7 +370,7 @@ def is_fractional_transversal(g: Multigraph, f: FractionalAssignment) -> bool:
     if any(y < 0 for y in f.edge_values.values()):
         return False
     one = Fraction(1)
-    for t in enumerate_triangles(g):
+    for t in g.triangles:
         if sum((f.edge_value(e) for e in t.edges), Fraction(0)) < one:
             return False
     return True

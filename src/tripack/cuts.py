@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InvariantViolation, Multigraph, enumerate_triangles
+from .core import InvariantViolation, Multigraph
 
 _Adj = dict[int, dict[int, int]]
 
@@ -50,7 +50,7 @@ def independent_set_triangle_free(h: Multigraph) -> tuple[int, ...]:
     its neighbors; since all degrees stay below ``sqrt(v)/2``, the greedy
     set is large enough.
     """
-    if enumerate_triangles(h):
+    if h.triangles:
         raise ValueError("input graph contains a triangle")
     v = h.n
     if v == 0:

@@ -23,7 +23,6 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
     incidence,
     is_fractional_packing,
     is_fractional_transversal,
@@ -216,7 +215,7 @@ def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
     one = Fraction(1)
     tight_tris = tuple(
         t
-        for t in enumerate_triangles(g)
+        for t in g.triangles
         if sum((s.transversal.edge_value(e) for e in t.edges), Fraction(0)) == one
     )
     tight_tri_set = set(tight_tris)
@@ -230,24 +229,26 @@ def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
     return TightSets(tight_edges=tight_edges, tight_triangles=tight_tris)
 
 
-def nu_exact(g: Multigraph, *, use_lp_bound: bool = True) -> tuple[int, PackingCertificate]:
+def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """Maximum integral triangle packing with a verified certificate.
 
     Branch and bound over triangle multiplicities in canonical order.  The
     subtree bound counts residual capacity on edges of still-usable
-    triangles (every packed triangle consumes three units); with
-    ``use_lp_bound`` the search also stops as soon as it matches the floor
-    of the LP optimum.  Deterministic: ties never replace the incumbent.
+    triangles (every packed triangle consumes three units), and the search
+    stops as soon as it matches the floor of the LP optimum.
+    Deterministic: ties never replace the incumbent.
     """
-    tris = enumerate_triangles(g)
-    if not tris:
+    if not g.triangles:
         return 0, PackingCertificate.empty()
+    return _nu_from_lp(g, lp_optimal(g))
+
+
+def _nu_from_lp(g: Multigraph, sol: LPSolution) -> tuple[int, PackingCertificate]:
+    """``nu_exact`` stopped by an already solved LP optimum of ``g``."""
+    tris = g.triangles
     tri_edges = [t.edges for t in tris]
     caps = dict(g.weight_map)
-
-    lp_floor: int | None = None
-    if use_lp_bound:
-        lp_floor = int(lp_optimal(g).value)
+    lp_floor = int(sol.value)
 
     best_count = -1
     best_mult: dict[Triangle, int] = {}
@@ -276,7 +277,7 @@ def nu_exact(g: Multigraph, *, use_lp_bound: bool = True) -> tuple[int, PackingC
             i += 1
         if i == len(tris):
             record(total)
-            return lp_floor is not None and best_count >= lp_floor
+            return best_count >= lp_floor
         if total + residual_bound(i) <= best_count:
             return False
         es = tri_edges[i]
@@ -308,17 +309,9 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     collects edge-disjoint uncovered triangles, each forcing at least its
     cheapest edge.  Deterministic: the first optimum found is kept.
     """
-    tris = enumerate_triangles(g)
-    if not tris:
-        return 0, TransversalCertificate.from_edges(g, ())
-
-    free_edges = sorted(
-        e
-        for e in {e for t in tris for e in t.edges}
-        if g.weight_map[e] == 0
-    )
+    free_edges = g.free_edges
     free_set = set(free_edges)
-    open_tris = [t for t in tris if not any(e in free_set for e in t.edges)]
+    open_tris = [t for t in g.triangles if not any(e in free_set for e in t.edges)]
     if not open_tris:
         cert = TransversalCertificate.from_edges(g, free_edges)
         if not verify_transversal(g, cert):
@@ -371,7 +364,7 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
 
     dfs(0, 0)
     assert best_set is not None
-    cert = TransversalCertificate.from_edges(g, list(best_set) + free_edges)
+    cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")
     return best_w, cert

@@ -23,7 +23,6 @@ from .core import (
     Multigraph,
     Rational,
     Triangle,
-    enumerate_triangles,
     norm_edge,
 )
 
@@ -173,7 +172,7 @@ def fractional_transversal_gka(k: int, a: Rational) -> FractionalAssignment:
 
 def gen_apex(h: Multigraph) -> Multigraph:
     """Join one new vertex to every vertex of a triangle-free graph."""
-    if enumerate_triangles(h):
+    if h.triangles:
         raise ValueError("host graph contains a triangle")
     apex = h.n
     items = list(h.edges) + [(i, apex, 1) for i in range(h.n)]

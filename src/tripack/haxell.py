@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetExceeded,
@@ -34,7 +34,6 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
     norm_edge,
     verify_transversal,
 )
@@ -153,7 +152,7 @@ def _slot_triangles(g: Multigraph, available: frozenset[SlotEdge]) -> list[SlotT
     for p in pools.values():
         p.sort()
     out: list[SlotTriangle] = []
-    for t in enumerate_triangles(g):
+    for t in g.triangles:
         e0, e1, e2 = t.edges
         if e0 in pools and e1 in pools and e2 in pools:
             for c0 in pools[e0]:
@@ -223,70 +222,6 @@ def _search_max_family(
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
     return best
-
-
-def max_independent_family(
-    g: Multigraph,
-    candidates: Iterable[Triangle],
-    constraint: Callable[[tuple[Triangle, ...]], bool] | None = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> TriangleFamily:
-    """Largest subfamily of ``candidates`` that is edge-disjoint counting
-    multiplicities, optionally subject to a family predicate.
-
-    Candidates are plain triangles; a family is feasible when each edge
-    class is used at most its capacity.  The result carries explicit slot
-    assignments (all zero on simple graphs).  Exact and deterministic.
-    """
-    cand = sorted(set(candidates))
-    for t in cand:
-        for e in t.edges:
-            if e not in g.weight_map:
-                raise ValueError(f"candidate {tuple(t)} is not a triangle of the graph")
-    bud = _Budget(budget)
-    caps = g.weight_map
-    best: list[Triangle] = []
-    chosen: list[Triangle] = []
-    usage: dict[Edge, int] = {}
-    n = len(cand)
-
-    def record() -> None:
-        nonlocal best
-        if len(chosen) > len(best) and (
-            constraint is None or constraint(tuple(chosen))
-        ):
-            best = list(chosen)
-
-    def dfs(i: int) -> None:
-        bud.spend()
-        if len(chosen) + (n - i) <= len(best):
-            return
-        if i == n:
-            record()
-            return
-        t = cand[i]
-        if all(usage.get(e, 0) < caps[e] for e in t.edges):
-            for e in t.edges:
-                usage[e] = usage.get(e, 0) + 1
-            chosen.append(t)
-            if constraint is None:
-                record()
-            dfs(i + 1)
-            chosen.pop()
-            for e in t.edges:
-                usage[e] -= 1
-        dfs(i + 1)
-
-    dfs(0)
-    counters: dict[Edge, int] = {}
-    members = []
-    for t in best:
-        slots = tuple(counters.get(e, 0) for e in t.edges)
-        for e in t.edges:
-            counters[e] = counters.get(e, 0) + 1
-        members.append(SlotTriangle(t, slots))
-    return TriangleFamily(tuple(members), host="G")
 
 
 def _btype(st: SlotTriangle, base: set[SlotEdge]) -> int:
@@ -618,28 +553,19 @@ class CandidateTransversal:
     size_bound: Rational
 
 
-def _zero_cover(g: Multigraph) -> TransversalCertificate:
-    tris = enumerate_triangles(g)
-    zeros = sorted(
-        e for e in {e for t in tris for e in t.edges} if g.weight_map[e] == 0
-    )
-    return TransversalCertificate.from_edges(g, zeros)
-
-
 def _certify(
     g: Multigraph,
     label: str,
     slots: set[SlotEdge],
     bound: Rational,
     all_tris: list[SlotTriangle],
-    zero_edges: list[Edge],
 ) -> CandidateTransversal:
     for st in all_tris:
         if not any(e in slots for e in st.slot_edges):
             raise InvariantViolation(f"candidate {label} misses a triangle")
     if len(slots) > bound:
         raise InvariantViolation(f"candidate {label} exceeds its size bound")
-    classes = sorted({(u, v) for u, v, _ in slots} | set(zero_edges))
+    classes = sorted({(u, v) for u, v, _ in slots} | set(g.free_edges))
     cert = TransversalCertificate.from_edges(g, classes)
     if not verify_transversal(g, cert):
         raise InvariantViolation(f"candidate {label} fails class-level checking")
@@ -652,18 +578,13 @@ def candidate_transversals(
     """The five constructed covers, each verified and within its bound."""
     nu = st.nu
     if nu == 0:
-        cert = _zero_cover(g)
+        cert = TransversalCertificate.from_edges(g, g.free_edges)
         return [
             CandidateTransversal(label, cert, 0, Fraction(0))
             for label in ("a", "b", "c", "d", "e")
         ]
     all_slots = frozenset(_all_slot_edges(g))
     all_tris = _slot_triangles(g, all_slots)
-    zero_edges = sorted(
-        e
-        for e in {e for t in enumerate_triangles(g) for e in t.edges}
-        if g.weight_map[e] == 0
-    )
     eb = st.b.slot_edges()
     eb1 = st.b1.slot_edges()
     eb2 = st.b2.slot_edges()
@@ -682,7 +603,7 @@ def candidate_transversals(
             raise InvariantViolation("anchor keeps more than two free rungs")
         ca.update(a.rungs)
     out.append(
-        _certify(g, "a", ca, (3 - Fraction(2, 3) * st.gamma) * nu, all_tris, zero_edges)
+        _certify(g, "a", ca, (3 - Fraction(2, 3) * st.gamma) * nu, all_tris)
     )
 
     # b: both side families plus the cheap half of the leftover packing edges.
@@ -702,7 +623,7 @@ def candidate_transversals(
             g, "b",
             cb,
             (Fraction(3, 2) + Fraction(5, 2) * st.gamma + 2 * st.beta) * nu,
-            all_tris, zero_edges,
+            all_tris,
         )
     )
 
@@ -713,7 +634,7 @@ def candidate_transversals(
             g, "c",
             cc,
             (3 * st.gamma + 3 * st.delta + 3 * st.alpha - st.beta) * nu,
-            all_tris, zero_edges,
+            all_tris,
         )
     )
 
@@ -729,7 +650,7 @@ def candidate_transversals(
             g, "d",
             cd,
             (3 * st.gamma + 3 * st.alpha - 2 * st.delta0) * nu,
-            all_tris, zero_edges,
+            all_tris,
         )
     )
 
@@ -754,7 +675,7 @@ def candidate_transversals(
             g, "e",
             ce,
             (3 - st.delta + 4 * st.eta + st.delta0) * nu,
-            all_tris, zero_edges,
+            all_tris,
         )
     )
     return out
@@ -770,8 +691,6 @@ def transversal_292(
     gamma`` holds, so the minimum is checked against that value exactly.
     """
     st = build_state(g, budget=budget)
-    if st.nu == 0:
-        return _zero_cover(g)
     cands = candidate_transversals(g, st)
     best = min(cands, key=lambda c: (c.slot_size, c.label))
     if best.slot_size > Fraction(73, 25) * st.nu:

@@ -32,7 +32,6 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
     verify_transversal,
 )
 from .cuts import cut_large, independent_set_triangle_free
@@ -196,15 +195,14 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
 
 def _transversal_from_lp(g: Multigraph, sol: LPSolution) -> TransversalCertificate:
     """``transversal_2nustar`` built from an already solved LP optimum."""
-    tris = enumerate_triangles(g)
-    if not tris:
+    if not g.triangles:
         return TransversalCertificate.from_edges(g, ())
 
     part, tpart = classify(g, sol)
     tight_tris = set(tpart.T1 + tpart.T2 + tpart.T3 + tpart.T4 + tpart.T5)
 
     h, slots = _conflict_graph_blowup(g, part.B, tight_tris)
-    if enumerate_triangles(h):
+    if h.triangles:
         raise InvariantViolation("conflict graph on half-value edges has a triangle")
     i_classes: set[Edge] = set()
     if slots:
@@ -224,10 +222,7 @@ def _transversal_from_lp(g: Multigraph, sol: LPSolution) -> TransversalCertifica
         crossing = {(u, v) for u, v, _ in cut.cut_edges}
         r_edges = [e for (u, v, _) in gp_items if (e := (u, v)) not in crossing]
 
-    zero_free = [
-        e for e in {e for t in tris for e in t.edges} if g.weight_map[e] == 0
-    ]
-    chosen = (set(part.B) - i_classes) | set(part.C) | set(r_edges) | set(zero_free)
+    chosen = (set(part.B) - i_classes) | set(part.C) | set(r_edges) | set(g.free_edges)
     cert = TransversalCertificate.from_edges(g, sorted(chosen))
     if not verify_transversal(g, cert):
         raise InvariantViolation("constructed edge set misses a triangle")

@@ -30,7 +30,6 @@ from .core import (
     PackingCertificate,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
     norm_edge,
     verify_packing,
     verify_transversal,
@@ -59,15 +58,9 @@ class ReductionStep:
     cycle: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
-    residual: Multigraph
-
-
 def _triangles_per_edge(g: Multigraph) -> dict[Edge, list[Triangle]]:
     per: dict[Edge, list[Triangle]] = {(u, v): [] for u, v, _ in g.edges}
-    for t in enumerate_triangles(g):
+    for t in g.triangles:
         for e in t.edges:
             per[e].append(t)
     return per
@@ -188,22 +181,8 @@ def _measure(g: Multigraph) -> int:
     return len(g.edges) + g.total_weight
 
 
-def reduce_trace(g: Multigraph) -> ReductionTrace:
-    """Apply rules until none fits; the measure strictly drops each step."""
-    steps: list[ReductionStep] = []
-    cur = g
-    while (step := find_reduction(cur)) is not None:
-        nxt = apply_step(cur, step)
-        if _measure(nxt) >= _measure(cur):
-            raise InvariantViolation("reduction step failed to shrink the measure")
-        steps.append(step)
-        cur = nxt
-    return ReductionTrace(tuple(steps), cur)
-
-
-def _minimalize(g: Multigraph, cover: set[Edge]) -> set[Edge]:
-    """Drop edges (lexicographic order) while coverage of ``g`` survives."""
-    tris = enumerate_triangles(g)
+def _minimalize(tris: tuple[Triangle, ...], cover: set[Edge]) -> set[Edge]:
+    """Drop edges (lexicographic order) while every triangle stays covered."""
     out = set(cover)
     for e in sorted(cover):
         trial = out - {e}
@@ -240,17 +219,16 @@ def _path_cover_spokes(
 
 
 def _extend(
-    g: Multigraph,
-    reduced: Multigraph,
+    tris: tuple[Triangle, ...],
     step: ReductionStep,
     packing: dict[Triangle, int],
     cover: set[Edge],
 ) -> tuple[dict[Triangle, int], set[Edge]]:
     """Lift certificates of the reduced instance through one step.
 
-    ``g`` is the graph before the step, ``reduced`` the graph after it.
-    Each branch re-establishes the weight accounting of its rule and
-    raises on violation instead of emitting an unsound certificate.
+    ``tris`` are the triangles of the graph before the step.  Each branch
+    re-establishes the weight accounting of its rule and raises on
+    violation instead of emitting an unsound certificate.
     """
     if step.kind == ZERO_EDGE:
         e = step.witness_edge
@@ -260,7 +238,7 @@ def _extend(
 
     if step.kind == SINGLE_TRIANGLE_EDGE:
         (t,) = step.triangles
-        new_cover = _minimalize(g, cover)
+        new_cover = _minimalize(tris, cover)
         touched = sum(e in new_cover for e in t.edges)
         if touched > 2:
             raise InvariantViolation("minimal cover keeps all three triangle edges")
@@ -272,7 +250,7 @@ def _extend(
         e = step.witness_edge
         assert e is not None
         t1, t2 = step.triangles
-        new_cover = _minimalize(g, cover)
+        new_cover = _minimalize(tris, cover)
         delta = 2 * (e in new_cover) + sum(
             x in new_cover for x in step.weight_deltas if x != e
         )
@@ -316,23 +294,25 @@ def reduce_and_certify(
     ``"incomplete"``: the certificates are still valid (the residual's
     triangles are covered by all their edges) but no ratio is claimed.
     """
-    levels: list[tuple[Multigraph, Multigraph, ReductionStep]] = []
+    # Each level keeps only the triangles the unwinding needs, so the
+    # intermediate graphs (and what they cache) are freed as the loop goes.
+    levels: list[tuple[tuple[Triangle, ...], ReductionStep]] = []
     cur = g
     while (step := find_reduction(cur)) is not None:
         nxt = apply_step(cur, step)
         if _measure(nxt) >= _measure(cur):
             raise InvariantViolation("reduction step failed to shrink the measure")
-        levels.append((cur, nxt, step))
+        levels.append((cur.triangles, step))
         cur = nxt
 
-    residual_tris = enumerate_triangles(cur)
+    residual_tris = cur.triangles
     complete = not residual_tris
     packing: dict[Triangle, int] = {}
     cover: set[Edge] = (
         set() if complete else {e for t in residual_tris for e in t.edges}
     )
-    for before, after, step in reversed(levels):
-        packing, cover = _extend(before, after, step, packing, cover)
+    for tris, step in reversed(levels):
+        packing, cover = _extend(tris, step, packing, cover)
 
     pc = PackingCertificate.from_map(packing)
     tc = TransversalCertificate.from_edges(g, cover)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tripack.exact
 from tripack import Multigraph, parse_graph, emit_graph
 from tripack.cli import main
 from tripack.generators import gen_complete, gen_gk, gen_random, gen_wheel
@@ -132,6 +133,24 @@ class TestCommands:
         report = json.loads(out)
         assert report["nu"] == 2 and report["tau"] == 4
         assert report["certificates"]["packing"]["value"] == 2
+
+    @pytest.mark.parametrize("command", ["lp", "kriv", "solve", "planar", "certify-chain"])
+    def test_one_lp_solve_per_command(self, capsys, monkeypatch, tmp_path, command):
+        g = parse_graph("p 5\ne 0 1 2\ne 0 2 1\ne 1 2 3\ne 1 3 1\ne 2 3 2\n"
+                        "e 0 4 1\ne 1 4 1\ne 3 4 2\n")
+        path = tmp_path / "g.graph"
+        path.write_text(emit_graph(g))
+        solved = []
+        real = tripack.exact._simplex_packing
+
+        def counting(h):
+            solved.append(h)
+            return real(h)
+
+        monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
+        code, _, _ = run_cli(capsys, [command, "--input", str(path)])
+        assert code == 0
+        assert solved.count(g) <= 1
 
     def test_generate_random_deterministic(self, capsys):
         args = ["generate", "--family", "random", "--n", "6", "--m", "9",

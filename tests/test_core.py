@@ -22,7 +22,7 @@ from tripack import (
 )
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
 
-from oracles import rand_connected_multigraph, relabel
+from oracles import atlas_with_triangle, rand_connected_multigraph, relabel
 
 
 def tri(a, b, c):
@@ -88,6 +88,39 @@ class TestEnumerateTriangles:
                 for t in enumerate_triangles(g)
             )
             assert enumerate_triangles(h) == expected
+
+
+class TestDerivedCache:
+    def test_triangles_computed_once(self):
+        g = gen_wheel(5)
+        assert g.triangles is g.triangles
+        assert g.free_edges is g.free_edges
+
+    def test_enumerate_returns_fresh_list(self):
+        g = gen_complete(4)
+        tris = enumerate_triangles(g)
+        tris.clear()
+        assert len(g.triangles) == 4
+        assert enumerate_triangles(g) == list(g.triangles)
+
+    def test_cache_does_not_affect_equality(self):
+        g = rand_connected_multigraph(7, 8, 3, 1)
+        assert g.triangles and g.weight_map and g.neighbor_map
+        fresh = Multigraph(g.n, g.edges)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert {g: 1}[fresh] == 1
+
+    def test_free_edges_brute_force(self):
+        rng = random.Random(3)
+        for base in atlas_with_triangle():
+            g = Multigraph(base.n, tuple((u, v, rng.randrange(3)) for u, v, _ in base.edges))
+            expected = [
+                (u, v)
+                for u, v, w in g.edges
+                if w == 0
+                and any(g.has_pair(u, x) and g.has_pair(v, x) for x in range(g.n) if x not in (u, v))
+            ]
+            assert list(g.free_edges) == expected
 
 
 class TestIncidence:

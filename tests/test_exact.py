@@ -51,10 +51,6 @@ class TestNuExact:
             assert cert.value == value
             assert verify_packing(g, cert)
 
-    def test_counting_bound_only(self):
-        g = gen_complete(5)
-        assert nu_exact(g, use_lp_bound=False) == nu_exact(g)
-
 
 class TestTauExact:
     def test_k4(self):

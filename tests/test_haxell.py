@@ -6,58 +6,54 @@ from tripack import (
     BudgetExceeded,
     Multigraph,
     Triangle,
-    enumerate_triangles,
+    nu_exact,
     tau_exact,
     verify_transversal,
 )
 from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
 from tripack.haxell import (
+    _all_slot_edges,
+    _Budget,
+    _search_max_family,
+    _slot_triangles,
     build_state,
     candidate_transversals,
-    max_independent_family,
     transversal_292,
 )
 
 
+def slot_triangles(g):
+    return _slot_triangles(g, frozenset(_all_slot_edges(g)))
+
+
+def max_family_size(items):
+    return len(_search_max_family(items, _Budget(1_000_000)))
+
+
 class TestMaxIndependentFamily:
+    """Maximum slot-disjoint families, as ``build_state`` searches them."""
+
     def test_k4_all_candidates(self):
-        g = gen_complete(4)
-        fam = max_independent_family(g, enumerate_triangles(g))
-        assert len(fam) == 1
+        assert max_family_size(slot_triangles(gen_complete(4))) == 1
 
     def test_w5(self):
-        g = gen_wheel(5)
-        fam = max_independent_family(g, enumerate_triangles(g))
-        assert len(fam) == 2
+        assert max_family_size(slot_triangles(gen_wheel(5))) == 2
 
     def test_k4_share_one_candidates(self):
-        g = gen_complete(4)
-        base = Triangle.of(0, 1, 2)
-        base_edges = set(base.edges)
+        base_edges = set(Triangle.of(0, 1, 2).edges)
         candidates = [
-            t
-            for t in enumerate_triangles(g)
-            if sum(e in base_edges for e in t.edges) == 1
+            st
+            for st in slot_triangles(gen_complete(4))
+            if sum(e in base_edges for e in st.tri.edges) == 1
         ]
         assert len(candidates) == 3
-        assert len(max_independent_family(g, candidates)) == 1
+        assert max_family_size(candidates) == 1
 
     def test_capacity_awareness(self):
         g = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
-        fam = max_independent_family(g, enumerate_triangles(g))
-        # one candidate triple, usable once per family membership
-        assert len(fam) == 1
-
-    def test_family_predicate(self):
-        g = gen_wheel(5)
-        tris = enumerate_triangles(g)
-        rim_only = lambda fam: all(t.a == 0 for t in fam)  # noqa: E731
-        fam = max_independent_family(g, tris, rim_only)
-        assert len(fam) == 2
-
-    def test_rejects_non_triangle(self):
-        with pytest.raises(ValueError):
-            max_independent_family(gen_cycle(5), [Triangle.of(0, 1, 2)])
+        # Slots count copies: two slot-disjoint copies of the one triple
+        # fit, which is the packing number of the doubled triangle.
+        assert max_family_size(slot_triangles(g)) == 2 == nu_exact(g)[0]
 
 
 class TestBuildState:
