@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .core import (
     BudgetExceeded,
@@ -99,7 +100,7 @@ def _instance_json(g: Multigraph) -> dict:
 
 
 def _read_graph(path: str) -> Multigraph:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_graph(text)
 
 

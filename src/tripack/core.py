@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: Exact rational number type used throughout the package.
 Rational = Fraction
@@ -34,6 +34,38 @@ class InvariantViolation(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive search exceeded its configured node budget."""
+
+
+class _Budget:
+    __slots__ = ("remaining",)
+
+    def __init__(self, limit: int):
+        self.remaining = limit
+
+    def spend(self) -> None:
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise BudgetExceeded("family search exceeded its node budget")
+
+
+def run_search(root: Iterator[Iterator], budget: _Budget | None = None) -> None:
+    """Depth-first search over generator nodes, on an explicit stack.
+
+    A node yields each child's generator where it would call itself, and
+    resumes once that child is exhausted; depth is bounded only by memory.
+    A budget pays one node for the root and one for each child.
+    """
+    if budget is not None:
+        budget.spend()
+    stack = [root]
+    while stack:
+        for child in stack[-1]:
+            if budget is not None:
+                budget.spend()
+            stack.append(child)
+            break
+        else:
+            stack.pop()
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -193,21 +225,12 @@ class Incidence:
 
     Rows are indexed by ``edges`` (canonical order), columns by
     ``triangles`` (canonical order).  ``columns[j]`` lists the three row
-    indices of triangle ``j``; ``rows[i]`` lists the column indices of the
-    triangles through edge ``i``.
+    indices of triangle ``j``.
     """
 
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
     columns: tuple[tuple[int, int, int], ...]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        acc: list[list[int]] = [[] for _ in self.edges]
-        for j, col in enumerate(self.columns):
-            for i in col:
-                acc[i].append(j)
-        return tuple(tuple(r) for r in acc)
 
 
 def incidence(g: Multigraph) -> Incidence:

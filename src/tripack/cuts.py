@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .core import InvariantViolation, Multigraph
+from .core import InvariantViolation, Multigraph, run_search
 
 _Adj = dict[int, dict[int, int]]
 
@@ -129,70 +130,77 @@ def _place_apart(x: int, x_adj: dict[int, int], shore: set[int]) -> set[int]:
     return shore | {x}
 
 
-def _cut_connected_rec(vertices: list[int], adj: _Adj) -> set[int]:
+def _cut_connected_shore(vertices: list[int], adj: _Adj) -> set[int]:
     """Shore of a cut of size >= e/2 + (v-1)/4 in a connected multigraph.
 
-    When an odd-degree vertex exists the recursion actually achieves
-    ``e/2 + v/4``; both guarantees are verified on every return.
+    When an odd-degree vertex exists the construction actually achieves
+    ``e/2 + v/4``; both guarantees are verified for every subproblem.
     """
-    v = len(vertices)
-    e = sum(sum(adj[x].values()) for x in vertices) // 2
-    if v == 1:
-        return set()
-    if v == 2:
-        return {vertices[0]}
+    results: list[set[int]] = []  # each subproblem's shore, popped by its parent
 
-    degrees = {x: sum(adj[x].values()) for x in vertices}
-    odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
+    def solve(vertices: list[int], adj: _Adj) -> Iterator:
+        v = len(vertices)
+        e = sum(sum(adj[x].values()) for x in vertices) // 2
+        if v <= 2:
+            results.append({vertices[0]} if v == 2 else set())
+            return
 
-    def solve_without(x: int, want_odd_component: bool) -> set[int]:
-        rest = [y for y in vertices if y != x]
-        rest_adj = _sub_adj(rest, adj)
-        comps = _components(rest, rest_adj)
-        if len(comps) == 1:
-            shore = _cut_connected_rec(rest, rest_adj)
-            return _place_apart(x, adj[x], shore)
-        pick = None
-        if want_odd_component:
-            for comp in comps:
-                if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
-                    pick = comp
-                    break
-            if pick is None:
-                raise InvariantViolation("odd-degree vertex with no odd component")
+        degrees = {x: sum(adj[x].values()) for x in vertices}
+        odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
+
+        def solve_without(x: int, want_odd_component: bool) -> Iterator:
+            rest = [y for y in vertices if y != x]
+            rest_adj = _sub_adj(rest, adj)
+            comps = _components(rest, rest_adj)
+            if len(comps) == 1:
+                yield solve(rest, rest_adj)
+                return _place_apart(x, adj[x], results.pop())
+            pick = None
+            if want_odd_component:
+                for comp in comps:
+                    if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
+                        pick = comp
+                        break
+                if pick is None:
+                    raise InvariantViolation("odd-degree vertex with no odd component")
+            else:
+                pick = comps[0]
+            side_a = sorted(pick + [x])
+            side_b = sorted(y for y in vertices if y not in pick)
+            yield solve(side_a, _sub_adj(side_a, adj))
+            yield solve(side_b, _sub_adj(side_b, adj))
+            shore_a, shore_b = results.pop(-2), results.pop()
+            if (x in shore_a) != (x in shore_b):
+                shore_b = set(side_b) - shore_b
+            return shore_a | shore_b
+
+        if odd:
+            shore = yield from solve_without(odd[0], want_odd_component=True)
+            bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
         else:
-            pick = comps[0]
-        side_a = sorted(pick + [x])
-        side_b = sorted(y for y in vertices if y not in pick)
-        shore_a = _cut_connected_rec(side_a, _sub_adj(side_a, adj))
-        shore_b = _cut_connected_rec(side_b, _sub_adj(side_b, adj))
-        if (x in shore_a) != (x in shore_b):
-            shore_b = set(side_b) - shore_b
-        return shore_a | shore_b
-
-    if odd:
-        shore = solve_without(odd[0], want_odd_component=True)
-        bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
-    else:
-        odd_pair = None
-        for x in vertices:
-            for y in sorted(adj[x]):
-                if y > x and adj[x][y] % 2 == 1:
-                    odd_pair = (x, y)
+            odd_pair = None
+            for x in vertices:
+                for y in sorted(adj[x]):
+                    if y > x and adj[x][y] % 2 == 1:
+                        odd_pair = (x, y)
+                        break
+                if odd_pair:
                     break
-            if odd_pair:
-                break
-        if odd_pair is None:
-            halved = {
-                x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
-            }
-            shore = _cut_connected_rec(vertices, halved)
-        else:
-            shore = solve_without(odd_pair[0], want_odd_component=False)
-        bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
-    if 4 * _cut_size(shore, vertices, adj) < bound_num:
-        raise InvariantViolation("recursive cut missed its guaranteed size")
-    return shore
+            if odd_pair is None:
+                halved = {
+                    x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
+                }
+                yield solve(vertices, halved)
+                shore = results.pop()
+            else:
+                shore = yield from solve_without(odd_pair[0], want_odd_component=False)
+            bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
+        if 4 * _cut_size(shore, vertices, adj) < bound_num:
+            raise InvariantViolation("recursive cut missed its guaranteed size")
+        results.append(shore)
+
+    run_search(solve(vertices, adj))
+    return results.pop()
 
 
 def cut_connected(g: Multigraph) -> EdgeCut:
@@ -209,7 +217,7 @@ def cut_connected(g: Multigraph) -> EdgeCut:
     e = sum(w for _, _, w in g.edges)
     if e < 1:
         raise ValueError("input multigraph has no edges")
-    shore = _cut_connected_rec(vertices, adj)
+    shore = _cut_connected_shore(vertices, adj)
     cut = EdgeCut.from_shore(g, frozenset(shore))
     if Fraction(cut.size) < Fraction(e, 2) + Fraction(g.n - 1, 4):
         raise InvariantViolation("cut below the connected-graph guarantee")
@@ -299,7 +307,7 @@ def cut_large(g: Multigraph) -> EdgeCut:
             continue
         v_c = len(comp)
         if v_c * v_c >= 4 * e_c:
-            shore |= _cut_connected_rec(comp, sub)
+            shore |= _cut_connected_shore(comp, sub)
         else:
             shore |= _balanced_shore(comp, sub)
     cut = EdgeCut.from_shore(g, frozenset(shore))

@@ -1,11 +1,12 @@
 """Exact optimizers for triangle packing and covering.
 
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
-branch and bound.  ``lp_optimal`` solves the fractional relaxation with an
-exact simplex on sparse integer rows, each row carrying one positive
-denominator and kept divided by its gcd.  Pivots follow Bland's rule, so
-termination is guaranteed; the dual solution is read off the optimal
-tableau, which makes the primal and dual values identical by construction.
+branch and bound on ``core.run_search``, whose explicit stack bounds the
+depth only by memory; they take no node budget.  ``lp_optimal`` solves the
+fractional relaxation with an exact simplex on sparse integer rows, each
+row carrying one positive denominator, kept divided by its gcd.  Pivots
+follow Bland's rule, so termination is guaranteed; the dual solution is
+read off the optimal tableau, so primal and dual values are identical.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 from .core import (
     Edge,
@@ -26,6 +28,7 @@ from .core import (
     incidence,
     is_fractional_packing,
     is_fractional_transversal,
+    run_search,
     verify_packing,
     verify_transversal,
 )
@@ -262,39 +265,35 @@ def _nu_from_lp(g: Multigraph, sol: LPSolution) -> tuple[int, PackingCertificate
                 usable.update(es)
         return sum(caps[e] for e in usable) // 3
 
-    def record(total: int) -> None:
+    def dfs(i: int, total: int) -> Iterator:
         nonlocal best_count, best_mult
-        if total > best_count:
-            best_count = total
-            best_mult = {tris[j]: counts[j] for j in range(len(tris)) if counts[j]}
-
-    def dfs(i: int, total: int) -> bool:
-        # Returns True when the proven global optimum was reached.
         while i < len(tris):
             es = tri_edges[i]
             if caps[es[0]] > 0 and caps[es[1]] > 0 and caps[es[2]] > 0:
                 break
             i += 1
         if i == len(tris):
-            record(total)
-            return best_count >= lp_floor
-        if total + residual_bound(i) <= best_count:
-            return False
+            if total > best_count:
+                best_count = total
+                best_mult = {tris[j]: counts[j] for j in range(len(tris)) if counts[j]}
+            return
+        # Without an incumbent (best_count < 0) no bound can prune.
+        if best_count >= 0 and total + residual_bound(i) <= best_count:
+            return
         es = tri_edges[i]
         m_max = min(caps[es[0]], caps[es[1]], caps[es[2]])
         for m in range(m_max, -1, -1):
             for e in es:
                 caps[e] -= m
             counts[i] = m
-            done = dfs(i + 1, total + m)
+            yield dfs(i + 1, total + m)
             counts[i] = 0
             for e in es:
                 caps[e] += m
-            if done:
-                return True
-        return False
+            if best_count >= lp_floor:
+                return
 
-    dfs(0, 0)
+    run_search(dfs(0, 0))
     cert = PackingCertificate.from_map(best_mult)
     if cert.value != best_count or not verify_packing(g, cert):
         raise InvariantViolation("packing certificate failed verification")
@@ -307,17 +306,12 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     Edges of capacity 0 are taken for free.  The search branches on the
     three edges of the first uncovered triangle; the lower bound greedily
     collects edge-disjoint uncovered triangles, each forcing at least its
-    cheapest edge.  Deterministic: the first optimum found is kept.
+    cheapest edge, and the search stops once it meets the root's bound.
+    Deterministic: the first optimum found is kept.
     """
     free_edges = g.free_edges
     free_set = set(free_edges)
     open_tris = [t for t in g.triangles if not any(e in free_set for e in t.edges)]
-    if not open_tris:
-        cert = TransversalCertificate.from_edges(g, free_edges)
-        if not verify_transversal(g, cert):
-            raise InvariantViolation("transversal certificate failed verification")
-        return 0, cert
-
     tri_edges = [t.edges for t in open_tris]
     ntri = len(open_tris)
     all_mask = (1 << ntri) - 1
@@ -331,10 +325,11 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     best_w = sum(wmap[e] for e in cover_mask) + 1
     best_set: list[Edge] | None = None
 
-    def lower_bound(mask: int) -> int:
+    def lower_bound(mask: int, start: int) -> int:
+        # Every triangle before ``start`` is covered.
         lb = 0
         used_edges: set[Edge] = set()
-        for j in range(ntri):
+        for j in range(start, ntri):
             if mask & (1 << j):
                 continue
             es = tri_edges[j]
@@ -343,26 +338,29 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
                 used_edges.update(es)
         return lb
 
+    root_lb = lower_bound(0, 0)
     chosen: list[Edge] = []
 
-    def dfs(mask: int, wsum: int) -> None:
+    def dfs(mask: int, wsum: int, j: int) -> Iterator:
         nonlocal best_w, best_set
         if mask == all_mask:
             if wsum < best_w:
                 best_w = wsum
                 best_set = list(chosen)
             return
-        if wsum + lower_bound(mask) >= best_w:
+        # Before the first leaf, wsum + lb is below the sentinel best_w.
+        if best_set is not None and wsum + lower_bound(mask, j) >= best_w:
             return
-        j = 0
         while mask & (1 << j):
             j += 1
         for e in tri_edges[j]:
             chosen.append(e)
-            dfs(mask | cover_mask[e], wsum + wmap[e])
+            yield dfs(mask | cover_mask[e], wsum + wmap[e], j)
             chosen.pop()
+            if best_w == root_lb:
+                return
 
-    dfs(0, 0)
+    run_search(dfs(0, 0, 0))
     assert best_set is not None
     cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):

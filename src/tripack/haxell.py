@@ -4,9 +4,9 @@ Everything here works on the expanded multigraph: an edge of capacity
 ``w`` contributes ``w`` distinguishable parallel copies ("slots"), and a
 triangle is a choice of one slot per side.  Families of triangles are
 independent when pairwise slot-disjoint, which is exactly edge-disjointness
-counting multiplicity.  All family maximizations are exact exhaustive
-searches guarded by a node budget; the guaranteed bounds need true maxima,
-so running out of budget is an error, never a silent heuristic.
+counting multiplicity.  Every family maximization is an exact search on
+``core.run_search`` under a node budget; the bounds need true maxima, so
+running out of budget is an error, never a silent heuristic.
 
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetExceeded,
+    _Budget,
     Edge,
     InvariantViolation,
     Multigraph,
@@ -35,6 +36,7 @@ from .core import (
     TransversalCertificate,
     Triangle,
     norm_edge,
+    run_search,
     verify_transversal,
 )
 from .cuts import cut_large
@@ -128,18 +130,6 @@ class HaxellState:
     gprime_slots: frozenset[SlotEdge] = field(repr=False, default=frozenset())
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise BudgetExceeded("family search exceeded its node budget")
-
-
 def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
     return [(u, v, j) for u, v, w in g.edges for j in range(w)]
 
@@ -195,9 +185,8 @@ def _search_max_family(
             best_size = len(chosen)
             best = list(chosen)
 
-    def dfs(i: int) -> None:
+    def dfs(i: int) -> Iterator:
         nonlocal chosen_gain
-        budget.spend()
         if len(chosen) + (n - i) <= best_size:
             return
         if gains is not None and chosen_gain + suffix_gain[i] < target:
@@ -212,13 +201,13 @@ def _search_max_family(
             chosen_gain += gains[i] if gains is not None else 0
             if gains is None:
                 leaf()
-            dfs(i + 1)
+            yield dfs(i + 1)
             chosen_gain -= gains[i] if gains is not None else 0
             chosen.pop()
             used.difference_update(es)
-        dfs(i + 1)
+        yield dfs(i + 1)
 
-    dfs(0)
+    run_search(dfs(0), budget)
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
     return best
@@ -296,9 +285,8 @@ def _max_i_family(
     taken_f: set[SlotEdge] = set()
     member_edges: set[SlotEdge] = set()
 
-    def dfs(i: int) -> None:
+    def dfs(i: int) -> Iterator:
         nonlocal best, best_f
-        budget.spend()
         if len(chosen) + (n - i) <= len(best):
             return
         if i == n:
@@ -318,14 +306,14 @@ def _max_i_family(
                 if len(chosen) > len(best):
                     best = list(chosen)
                     best_f = dict(fmap)
-                dfs(i + 1)
+                yield dfs(i + 1)
                 del fmap[a.t]
                 chosen.pop()
                 member_edges.difference_update(own)
                 taken_f.difference_update((f1, f2))
-        dfs(i + 1)
+        yield dfs(i + 1)
 
-    dfs(0)
+    run_search(dfs(0), budget)
     return [members[i] for i in best], best_f
 
 

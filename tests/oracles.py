@@ -104,6 +104,18 @@ def rand_triangle_free(n: int, seed: int) -> Multigraph:
         edges.discard(t.edges[rng.randrange(3)])
 
 
+def triangle_union(count: int) -> Multigraph:
+    """``count`` vertex-disjoint unit triangles: nu = tau = ``count``.
+
+    Exact searches go one level deeper per triangle, so 1100 triangles go
+    past Python's default recursion limit of 1000.
+    """
+    return Multigraph.from_edges(
+        3 * count,
+        ((3 * i + u, 3 * i + v, 1) for i in range(count) for u, v in ((0, 1), (0, 2), (1, 2))),
+    )
+
+
 def atlas_with_triangle() -> list[Multigraph]:
     """All simple graphs on at most 6 vertices that contain a triangle."""
     import networkx as nx

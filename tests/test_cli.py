@@ -8,7 +8,7 @@ from tripack.cli import main
 from tripack.generators import gen_complete, gen_gk, gen_random, gen_wheel
 from tripack.graphio import ParseError
 
-from oracles import rand_connected_multigraph
+from oracles import rand_connected_multigraph, triangle_union
 
 
 class TestParse:
@@ -133,6 +133,14 @@ class TestCommands:
         report = json.loads(out)
         assert report["nu"] == 2 and report["tau"] == 4
         assert report["certificates"]["packing"]["value"] == 2
+
+    def test_solve_1100_disjoint_triangles(self, capsys, tmp_path):
+        path = tmp_path / "u1100.graph"
+        path.write_text(emit_graph(triangle_union(1100)))
+        code, out, _ = run_cli(capsys, ["solve", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["nu"] == 1100 and report["tau"] == 1100
 
     @pytest.mark.parametrize("command", ["lp", "kriv", "solve", "planar", "certify-chain"])
     def test_one_lp_solve_per_command(self, capsys, monkeypatch, tmp_path, command):

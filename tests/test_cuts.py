@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,3 +120,11 @@ class TestCutLarge:
     def test_deterministic(self):
         g = rand_connected_multigraph(8, 9, 3, 21)
         assert cut_large(g) == cut_large(g)
+
+    def test_path_deeper_than_recursion_limit(self):
+        # Each level of the connected-cut construction removes one path end.
+        n = sys.getrecursionlimit() + 100
+        g = Multigraph.from_edges(n, ((i, i + 1, 1) for i in range(n - 1)))
+        cut = cut_large(g)
+        e = n - 1
+        assert dominates_sqrt(Fraction(cut.size) - Fraction(e, 2), Fraction(e, 16))

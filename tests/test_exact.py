@@ -24,6 +24,7 @@ from oracles import (
     rand_connected_multigraph,
     rand_triangle_free,
     reference_simplex_packing,
+    triangle_union,
 )
 
 
@@ -51,6 +52,12 @@ class TestNuExact:
             assert cert.value == value
             assert verify_packing(g, cert)
 
+    def test_1100_disjoint_triangles(self):
+        g = triangle_union(1100)
+        nu, cert = nu_exact(g)
+        assert nu == 1100 == cert.value
+        assert verify_packing(g, cert)
+
 
 class TestTauExact:
     def test_k4(self):
@@ -73,6 +80,12 @@ class TestTauExact:
             value, cert = tau_exact(g)
             assert cert.weight == value
             assert verify_transversal(g, cert)
+
+    def test_1100_disjoint_triangles(self):
+        g = triangle_union(1100)
+        tau, cert = tau_exact(g)
+        assert tau == 1100 == cert.weight
+        assert verify_transversal(g, cert)
 
 
 class TestLPOptimal:

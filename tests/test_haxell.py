@@ -10,16 +10,18 @@ from tripack import (
     tau_exact,
     verify_transversal,
 )
+from tripack.core import _Budget
 from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
 from tripack.haxell import (
     _all_slot_edges,
-    _Budget,
     _search_max_family,
     _slot_triangles,
     build_state,
     candidate_transversals,
     transversal_292,
 )
+
+from oracles import triangle_union
 
 
 def slot_triangles(g):
@@ -55,6 +57,9 @@ class TestMaxIndependentFamily:
         # fit, which is the packing number of the doubled triangle.
         assert max_family_size(slot_triangles(g)) == 2 == nu_exact(g)[0]
 
+    def test_1100_disjoint_triangles(self):
+        assert max_family_size(slot_triangles(triangle_union(1100))) == 1100
+
 
 class TestBuildState:
     def test_triangle_free(self):
@@ -86,6 +91,20 @@ class TestBuildState:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             build_state(gen_complete(6), budget=10)
+
+    @pytest.mark.parametrize("g, nodes", [
+        (gen_complete(4), 11),
+        (gen_random(9, 18, 2, 0), 1976),
+        (gen_random(8, 14, 2, 2), 801),
+    ])
+    def test_budget_counts_every_search_node(self, g, nodes):
+        # The root and each child of every family search cost one node.
+        build_state(g, budget=nodes)
+        with pytest.raises(BudgetExceeded):
+            build_state(g, budget=nodes - 1)
+
+    def test_1100_disjoint_triangles(self):
+        assert build_state(triangle_union(1100)).nu == 1100
 
 
 class TestCandidates:
