@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .exact import LPSolution
 
 #: Exact rational number type used throughout the package.
 Rational = Fraction
@@ -101,10 +104,10 @@ class Multigraph:
 
     ``edges`` holds one entry per unordered pair, sorted lexicographically,
     each as ``(u, v, w)`` with ``u < v`` and integer capacity ``w >= 0``.
-    Instances are immutable; all mutating operations return new graphs.
-    Derived objects (``weight_map``, ``neighbor_map``, ``triangles``,
-    ``free_edges``) are computed on first access and cached on the
-    instance; they never enter equality or hashing.
+    Instances are immutable.  Derived objects (``weight_map``,
+    ``neighbor_map``, ``triangles``, ``free_edges``, ``lp``) are computed
+    on first access and cached on the instance; they never enter equality
+    or hashing.
     """
 
     n: int
@@ -172,6 +175,14 @@ class Multigraph:
         wmap = self.weight_map
         return tuple(sorted({e for t in self.triangles for e in t.edges if wmap[e] == 0}))
 
+    @cached_property
+    def lp(self) -> "LPSolution":
+        """The exact LP optimum ``exact.lp_optimal(self)``, which every solver reads."""
+        # Imported on use because ``exact`` imports this module.
+        from .exact import lp_optimal
+
+        return lp_optimal(self)
+
     @property
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
@@ -188,30 +199,6 @@ class Multigraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.neighbor_map[v]
-
-    def with_weight(self, u: int, v: int, w: int) -> "Multigraph":
-        """A copy with the capacity of one existing edge replaced."""
-        e = norm_edge(u, v)
-        if e not in self.weight_map:
-            raise ValueError(f"unknown edge {e}")
-        return Multigraph(
-            self.n,
-            tuple((a, b, w if (a, b) == e else c) for a, b, c in self.edges),
-        )
-
-    def delete_edge(self, u: int, v: int) -> "Multigraph":
-        e = norm_edge(u, v)
-        if e not in self.weight_map:
-            raise ValueError(f"unknown edge {e}")
-        return Multigraph(
-            self.n, tuple(t for t in self.edges if (t[0], t[1]) != e)
-        )
-
-    def delete_vertex(self, v: int) -> "Multigraph":
-        """Remove all edges incident to ``v``; vertex ids are preserved."""
-        return Multigraph(
-            self.n, tuple(t for t in self.edges if v not in (t[0], t[1]))
-        )
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:

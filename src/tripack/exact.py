@@ -178,7 +178,8 @@ def lp_optimal(g: Multigraph) -> LPSolution:
 
     The LP is always feasible and bounded (the zero packing and the all-1
     transversal are feasible), so this never fails.  The result is
-    deterministic for a given graph.
+    deterministic for a given graph.  Each call solves afresh; solvers read
+    the cached ``Multigraph.lp`` instead.
     """
     x, y, value = _simplex_packing(g)
     packing = FractionalAssignment.on_triangles(g, x)
@@ -238,20 +239,15 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     Branch and bound over triangle multiplicities in canonical order.  The
     subtree bound counts residual capacity on edges of still-usable
     triangles (every packed triangle consumes three units), and the search
-    stops as soon as it matches the floor of the LP optimum.
+    stops as soon as it matches the floor of the LP optimum ``g.lp``.
     Deterministic: ties never replace the incumbent.
     """
     if not g.triangles:
         return 0, PackingCertificate.empty()
-    return _nu_from_lp(g, lp_optimal(g))
-
-
-def _nu_from_lp(g: Multigraph, sol: LPSolution) -> tuple[int, PackingCertificate]:
-    """``nu_exact`` stopped by an already solved LP optimum of ``g``."""
     tris = g.triangles
     tri_edges = [t.edges for t in tris]
     caps = dict(g.weight_map)
-    lp_floor = int(sol.value)
+    lp_floor = int(g.lp.value)
 
     best_count = -1
     best_mult: dict[Triangle, int] = {}

@@ -69,17 +69,12 @@ class SlotTriangle(NamedTuple):
 
 @dataclass(frozen=True)
 class TriangleFamily:
-    """An edge-disjoint family of (slot) triangles in a named host graph."""
+    """An edge-disjoint family of slot triangles."""
 
     members: tuple[SlotTriangle, ...]
-    host: str = "G"
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def triangles(self) -> tuple[Triangle, ...]:
-        return tuple(st.tri for st in self.members)
 
     def slot_edges(self) -> set[SlotEdge]:
         return {e for st in self.members for e in st.slot_edges}
@@ -127,7 +122,8 @@ class HaxellState:
     eta: Rational
     eta_prime: Rational
     delta0: Rational
-    gprime_slots: frozenset[SlotEdge] = field(repr=False, default=frozenset())
+    # Every triangle of the slot graph, sorted; each candidate must meet all.
+    slot_triangles: tuple[SlotTriangle, ...] = field(repr=False)
 
 
 def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
@@ -329,17 +325,17 @@ def _slot_tri_from_edges(e1: SlotEdge, e2: SlotEdge, e3: SlotEdge) -> SlotTriang
 
 
 def _empty_state(g: Multigraph) -> HaxellState:
-    empty = TriangleFamily((), host="G")
-    empty_p = TriangleFamily((), host="G'")
+    # nu = 0: every triangle has a capacity-0 edge, so no slot triangle exists.
+    empty = TriangleFamily(())
     zero = Fraction(0)
     return HaxellState(
         graph=g, nu=0,
-        b=empty, b1=empty, b2=empty_p, b_prime=empty_p, b1_prime=empty_p,
-        i_family=empty_p, i_prime=empty_p, k_family=empty_p,
+        b=empty, b1=empty, b2=empty, b_prime=empty, b1_prime=empty,
+        i_family=empty, i_prime=empty, k_family=empty,
         fmap={}, anchors_b1=(), anchors_b1_prime=(),
         gamma=zero, beta=zero, alpha=zero, delta=zero,
         eta=zero, eta_prime=zero, delta0=zero,
-        gprime_slots=frozenset(),
+        slot_triangles=(),
     )
 
 
@@ -509,14 +505,14 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     return HaxellState(
         graph=g,
         nu=nu,
-        b=TriangleFamily(tuple(b_members), host="G"),
-        b1=TriangleFamily(tuple(b1_members), host="G"),
-        b2=TriangleFamily(tuple(b2_members), host="G'"),
-        b_prime=TriangleFamily(tuple(bp_members), host="G'"),
-        b1_prime=TriangleFamily(tuple(b1p_members), host="G'"),
-        i_family=TriangleFamily(tuple(a.t for a in i_anchors), host="G'"),
-        i_prime=TriangleFamily(tuple(a.t for a in i_prime_anchors), host="G'"),
-        k_family=TriangleFamily(tuple(a.t for a in k_anchors), host="G'"),
+        b=TriangleFamily(tuple(b_members)),
+        b1=TriangleFamily(tuple(b1_members)),
+        b2=TriangleFamily(tuple(b2_members)),
+        b_prime=TriangleFamily(tuple(bp_members)),
+        b1_prime=TriangleFamily(tuple(b1p_members)),
+        i_family=TriangleFamily(tuple(a.t for a in i_anchors)),
+        i_prime=TriangleFamily(tuple(a.t for a in i_prime_anchors)),
+        k_family=TriangleFamily(tuple(a.t for a in k_anchors)),
         fmap=dict(fmap),
         anchors_b1=anchors_b1,
         anchors_b1_prime=b1p_anchors,
@@ -527,7 +523,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
         eta=eta,
         eta_prime=eta_prime,
         delta0=delta0,
-        gprime_slots=gp_slots,
+        slot_triangles=tuple(all_tris),
     )
 
 
@@ -546,7 +542,7 @@ def _certify(
     label: str,
     slots: set[SlotEdge],
     bound: Rational,
-    all_tris: list[SlotTriangle],
+    all_tris: Sequence[SlotTriangle],
 ) -> CandidateTransversal:
     for st in all_tris:
         if not any(e in slots for e in st.slot_edges):
@@ -565,14 +561,7 @@ def candidate_transversals(
 ) -> list[CandidateTransversal]:
     """The five constructed covers, each verified and within its bound."""
     nu = st.nu
-    if nu == 0:
-        cert = TransversalCertificate.from_edges(g, g.free_edges)
-        return [
-            CandidateTransversal(label, cert, 0, Fraction(0))
-            for label in ("a", "b", "c", "d", "e")
-        ]
-    all_slots = frozenset(_all_slot_edges(g))
-    all_tris = _slot_triangles(g, all_slots)
+    all_tris = st.slot_triangles
     eb = st.b.slot_edges()
     eb1 = st.b1.slot_edges()
     eb2 = st.b2.slot_edges()

@@ -35,7 +35,8 @@ from .core import (
     verify_transversal,
 )
 from .cuts import cut_large, independent_set_triangle_free
-from .exact import LPSolution, lp_optimal, tight_sets
+# lp_optimal is unused, but perfbench's tracer tests look it up in this module.
+from .exact import LPSolution, lp_optimal, tight_sets  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -185,19 +186,16 @@ def _conflict_graph_blowup(
 def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     """A verified transversal of weight at most ``2*nustar - sqrt(nustar)/4``.
 
-    Returns the empty certificate on triangle-free input.  When the
-    fractional optimum is 0 but triangles exist, they all ride on
-    capacity-0 edges, which are returned at zero cost.  The size bound is
-    compared exactly by squaring.
+    Built from the LP optimum ``g.lp``.  Returns the empty certificate on
+    triangle-free input, without solving the LP.  When the fractional
+    optimum is 0 but triangles exist, they all ride on capacity-0 edges,
+    which are returned at zero cost.  The size bound is compared exactly by
+    squaring.
     """
-    return _transversal_from_lp(g, lp_optimal(g))
-
-
-def _transversal_from_lp(g: Multigraph, sol: LPSolution) -> TransversalCertificate:
-    """``transversal_2nustar`` built from an already solved LP optimum."""
     if not g.triangles:
         return TransversalCertificate.from_edges(g, ())
 
+    sol = g.lp
     part, tpart = classify(g, sol)
     tight_tris = set(tpart.T1 + tpart.T2 + tpart.T3 + tpart.T4 + tpart.T5)
 

@@ -53,8 +53,6 @@ class ReductionStep:
     witness_vertex: int | None = None
     triangles: tuple[Triangle, ...] = ()
     weight_deltas: Mapping[Edge, int] = field(default_factory=dict)
-    removed_edge: Edge | None = None
-    removed_vertex: int | None = None
     cycle: tuple[int, ...] = ()
 
 
@@ -107,7 +105,6 @@ def find_reduction(g: Multigraph) -> ReductionStep | None:
                 kind=ZERO_EDGE,
                 witness_edge=(u, v),
                 triangles=tuple(per[(u, v)]),
-                removed_edge=(u, v),
             )
 
     wmap = g.weight_map
@@ -157,24 +154,28 @@ def find_reduction(g: Multigraph) -> ReductionStep | None:
             witness_vertex=v,
             triangles=tris,
             weight_deltas={e: 1 for e in matched},
-            removed_vertex=v,
             cycle=cycle,
         )
     return None
 
 
 def apply_step(g: Multigraph, step: ReductionStep) -> Multigraph:
-    out = g
-    for e, d in sorted(step.weight_deltas.items()):
-        w = out.weight_map[e] - d
+    """The graph after ``step``, built in one pass over ``g.edges``.
+
+    Capacities drop by the step's deltas; rule 1 deletes its witness edge
+    and rule 4 every edge at its witness vertex.  Vertex ids are kept.
+    """
+    deltas = step.weight_deltas
+    drop_edge = step.witness_edge if step.kind == ZERO_EDGE else None
+    drop_vertex = step.witness_vertex if step.kind == CYCLE_NEIGHBORHOOD else None
+    edges = []
+    for u, v, w in g.edges:
+        w -= deltas.get((u, v), 0)
         if w < 0:
-            raise InvariantViolation(f"step would drive edge {e} below 0")
-        out = out.with_weight(*e, w)
-    if step.removed_edge is not None:
-        out = out.delete_edge(*step.removed_edge)
-    if step.removed_vertex is not None:
-        out = out.delete_vertex(step.removed_vertex)
-    return out
+            raise InvariantViolation(f"step would drive edge {(u, v)} below 0")
+        if (u, v) != drop_edge and drop_vertex not in (u, v):
+            edges.append((u, v, w))
+    return Multigraph(g.n, tuple(edges))
 
 
 def _measure(g: Multigraph) -> int:

@@ -191,6 +191,27 @@ class TestCommands:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--family", "random", "--n", "6"], "--m"),
+            (["--family", "gk"], "--k"),
+            (["--family", "apex", "--host", "cycle"], "--n"),
+        ],
+    )
+    def test_generate_missing_flag_exits_2(self, capsys, args, flag):
+        code, out, err = run_cli(capsys, ["generate", *args])
+        assert code == 2 and out == ""
+        assert f"needs {flag}" in err
+
+    @pytest.mark.parametrize(
+        "args", [["solve", "--skip-exact"], ["lp", "--budget", "5"]]
+    )
+    def test_flag_of_another_command_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -56,11 +56,6 @@ class TestMultigraph:
         assert g.has_pair(0, 1)
         assert enumerate_triangles(g) == [tri(0, 1, 2)]
 
-    def test_delete_vertex_keeps_ids(self):
-        g = gen_complete(4).delete_vertex(0)
-        assert g.n == 4
-        assert all(0 not in (u, v) for u, v, _ in g.edges)
-
 
 class TestEnumerateTriangles:
     def test_k4(self):
@@ -95,6 +90,7 @@ class TestDerivedCache:
         g = gen_wheel(5)
         assert g.triangles is g.triangles
         assert g.free_edges is g.free_edges
+        assert g.lp is g.lp
 
     def test_enumerate_returns_fresh_list(self):
         g = gen_complete(4)
@@ -105,7 +101,7 @@ class TestDerivedCache:
 
     def test_cache_does_not_affect_equality(self):
         g = rand_connected_multigraph(7, 8, 3, 1)
-        assert g.triangles and g.weight_map and g.neighbor_map
+        assert g.triangles and g.weight_map and g.neighbor_map and g.lp
         fresh = Multigraph(g.n, g.edges)
         assert g == fresh and hash(g) == hash(fresh)
         assert {g: 1}[fresh] == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tripack.exact
 from tripack import (
     FractionalAssignment,
     Multigraph,
@@ -17,6 +18,7 @@ from tripack import (
 )
 from tripack.exact import LPSolution, _simplex_packing
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel, gk_optimum
+from tripack.krivelevich import transversal_2nustar
 
 from oracles import (
     brute_nu,
@@ -110,6 +112,23 @@ class TestLPOptimal:
         a, b = lp_optimal(g), lp_optimal(g)
         assert a.packing.triangle_values == b.packing.triangle_values
         assert a.transversal.edge_values == b.transversal.edge_values
+
+    def test_solvers_read_the_cached_optimum(self, monkeypatch):
+        g = gen_wheel(5)
+        sol = g.lp
+        solved = []
+        real = tripack.exact._simplex_packing
+
+        def counting(h):
+            solved.append(h)
+            return real(h)
+
+        monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
+        nu_exact(g)
+        transversal_2nustar(g)
+        assert solved == []
+        assert lp_optimal(g) == sol and solved == [g]
+        assert g.lp is sol
 
 
 class TestSimplexAgainstReference:

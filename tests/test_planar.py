@@ -1,4 +1,7 @@
+import pytest
+
 from tripack import (
+    InvariantViolation,
     Multigraph,
     nu_exact,
     tau_exact,
@@ -19,6 +22,7 @@ from tripack.planar import (
     INCOMPLETE,
     SINGLE_TRIANGLE_EDGE,
     ZERO_EDGE,
+    ReductionStep,
     apply_step,
     find_reduction,
     reduce_and_certify,
@@ -46,12 +50,14 @@ class TestFindReduction:
         g = Multigraph.from_edges(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])
         step = find_reduction(g)
         assert step is not None and step.kind == ZERO_EDGE
-        assert step.removed_edge == (0, 1)
+        assert step.witness_edge == (0, 1)
 
     def test_heavy_edge_rule(self):
         # K4 with one doubled edge: every edge lies in exactly two
         # triangles, so the first applicable rule is the heavy-edge one.
-        g = gen_complete(4).with_weight(0, 1, 2)
+        g = Multigraph.from_edges(
+            4, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
+        )
         step = find_reduction(g)
         assert step is not None and step.kind == "double_triangle_heavy_edge"
         assert step.witness_edge == (0, 1)
@@ -66,6 +72,25 @@ class TestFindReduction:
             cur = nxt
             steps += 1
         assert steps > 0 and not cur.triangles
+
+
+class TestApplyStep:
+    def test_cycle_step_deletes_vertex_keeps_ids(self):
+        g = gen_complete(4)
+        h = apply_step(g, find_reduction(g))
+        assert h.n == 4
+        assert all(0 not in (u, v) for u, v, _ in h.edges)
+
+    def test_delta_above_capacity_raises(self):
+        g = gen_complete(3)
+        step = ReductionStep(
+            kind=SINGLE_TRIANGLE_EDGE,
+            witness_edge=(0, 1),
+            triangles=tuple(g.triangles),
+            weight_deltas={(0, 1): 2},
+        )
+        with pytest.raises(InvariantViolation, match="below 0"):
+            apply_step(g, step)
 
 
 class TestReduceAndCertify:
