@@ -162,7 +162,7 @@ def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
 
 def _cmd_haxell(g: Multigraph, args: argparse.Namespace) -> dict:
     st = build_state(g, budget=args.budget)
-    cands = candidate_transversals(g, st)
+    cands = candidate_transversals(st)
     bounds = []
     for c in cands:
         bounds.append(
@@ -292,11 +292,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown apex host {args.host!r}")
         g = gen_apex(host)
     elif fam in ("complete", "cycle"):
-        g = gen_named(fam, n=args.n)
+        g = gen_named(fam, n=_flag(args, "n"))
     elif fam == "wheel":
         g = gen_named(fam, k=args.k if args.k is not None else args.n)
     elif fam == "stacked":
-        g = gen_named(fam, n=args.n, seed=args.seed)
+        g = gen_named(fam, n=_flag(args, "n"), seed=args.seed)
     elif fam in ("petersen", "octahedron"):
         g = gen_named(fam)
     else:

@@ -556,10 +556,9 @@ def _certify(
     return CandidateTransversal(label, cert, len(slots), bound)
 
 
-def candidate_transversals(
-    g: Multigraph, st: HaxellState
-) -> list[CandidateTransversal]:
-    """The five constructed covers, each verified and within its bound."""
+def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
+    """The five constructed covers of ``st.graph``, each verified and within its bound."""
+    g = st.graph
     nu = st.nu
     all_tris = st.slot_triangles
     eb = st.b.slot_edges()
@@ -668,7 +667,7 @@ def transversal_292(
     gamma`` holds, so the minimum is checked against that value exactly.
     """
     st = build_state(g, budget=budget)
-    cands = candidate_transversals(g, st)
+    cands = candidate_transversals(st)
     best = min(cands, key=lambda c: (c.slot_size, c.label))
     if best.slot_size > Fraction(73, 25) * st.nu:
         raise InvariantViolation("smallest candidate exceeds (3 - 2/25) nu")

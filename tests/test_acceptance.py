@@ -170,7 +170,7 @@ def test_criterion_8_haxell_construction():
     corpus = list(_atlas()) + [gen_complete(5), gen_complete(6), gen_wheel(5)]
     for g in corpus:
         st = build_state(g)
-        cands = candidate_transversals(g, st)
+        cands = candidate_transversals(st)
         tau, _ = tau_exact(g)
         for c in cands:
             assert Fraction(c.slot_size) <= c.size_bound

@@ -114,6 +114,16 @@ class TestCommands:
         assert report["status"] == "complete"
         assert "nu" not in report
 
+    def test_planar_skip_exact_400_disjoint_triangles(self, capsys, tmp_path):
+        path = tmp_path / "u400.graph"
+        path.write_text(emit_graph(triangle_union(400)))
+        code, out, _ = run_cli(capsys, ["planar", "--input", str(path), "--skip-exact"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "complete"
+        assert report["certificates"]["packing"]["value"] == 400
+        assert report["certificates"]["transversal"]["weight"] == 400
+
     def test_chain_skip_exact_unchecked(self, capsys, tmp_path):
         path = tmp_path / "k4.graph"
         path.write_text(emit_graph(gen_complete(4)))
@@ -197,6 +207,9 @@ class TestCommands:
             (["--family", "random", "--n", "6"], "--m"),
             (["--family", "gk"], "--k"),
             (["--family", "apex", "--host", "cycle"], "--n"),
+            (["--family", "complete"], "--n"),
+            (["--family", "cycle"], "--n"),
+            (["--family", "stacked", "--seed", "3"], "--n"),
         ],
     )
     def test_generate_missing_flag_exits_2(self, capsys, args, flag):

@@ -111,7 +111,7 @@ class TestCandidates:
     def test_k4_candidate_a(self):
         g = gen_complete(4)
         st = build_state(g)
-        cands = candidate_transversals(g, st)
+        cands = candidate_transversals(st)
         by_label = {c.label: c for c in cands}
         a = by_label["a"]
         assert a.slot_size <= Fraction(7, 3)  # hence at most 2 edges
@@ -119,24 +119,24 @@ class TestCandidates:
 
     def test_triangle_free_all_empty(self):
         g = gen_cycle(6)
-        cands = candidate_transversals(g, build_state(g))
+        cands = candidate_transversals(build_state(g))
         assert len(cands) == 5
         assert all(c.certificate.weight == 0 for c in cands)
 
     def test_w5_bounds(self):
         g = gen_wheel(5)
         st = build_state(g)
-        for c in candidate_transversals(g, st):
+        for c in candidate_transversals(st):
             assert Fraction(c.slot_size) <= c.size_bound
             assert verify_transversal(g, c.certificate)
-        best = min(c.slot_size for c in candidate_transversals(g, st))
+        best = min(c.slot_size for c in candidate_transversals(st))
         assert best <= 5
 
     def test_all_verify_on_sample(self):
         for g in [gen_complete(5), gen_complete(6), gen_wheel(6), gen_wheel(7)]:
             st = build_state(g)
             tau, _ = tau_exact(g)
-            for c in candidate_transversals(g, st):
+            for c in candidate_transversals(st):
                 assert Fraction(c.slot_size) <= c.size_bound
                 assert verify_transversal(g, c.certificate)
                 assert c.certificate.weight >= tau
