@@ -40,15 +40,18 @@ class BudgetExceeded(RuntimeError):
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int):
+        self.limit = limit
         self.remaining = limit
 
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExceeded("family search exceeded its node budget")
+            raise BudgetExceeded(
+                f"family search exceeded its node budget of {self.limit} nodes"
+            )
 
 
 def run_search(root: Iterator[Iterator], budget: _Budget | None = None) -> None:

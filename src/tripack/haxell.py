@@ -8,6 +8,17 @@ counting multiplicity.  Every family maximization is an exact search on
 ``core.run_search`` under a node budget; the bounds need true maxima, so
 running out of budget is an error, never a silent heuristic.
 
+A triangle whose sides have capacity ``w`` offers up to ``w**3`` slot
+triangles, and most of them are interchangeable.  So the family search
+never branches on single slot triangles: copies of one edge class that
+every item treats alike form an *orbit*, the items fall into *types* (a
+triangle, one orbit per side, a gain), and the search chooses how many
+triangles of each type to take within the orbits' copy counts.  Every
+family yields such counts and every such count vector is realized by
+distinct copies, so the maxima, and whether a family reaches a required
+gain, are exactly those of the slot-level problem; the budget counts these
+multiplicity nodes.  See ``_search_max_family``.
+
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
     (3 - 2g/3) nu,  (3/2 + 5g/2 + 2b) nu,  (3g + 3d + 3a - b) nu,
@@ -42,7 +53,10 @@ from .core import (
 from .cuts import cut_large
 from .exact import nu_exact
 
-#: Search-node allowance for one state build; suited to ~25 triangles.
+#: Search-node allowance for one state build.  Suited to about 50 triangles
+#: of capacity at most 2: ``gen_random(14, 46, 2, s)`` (46 and 56 triangles)
+#: needs at most 0.9M nodes for s = 0, 1, while ``gen_random(15, 52, 2, 0)``
+#: (53 triangles) exhausts it in the surplus search for ``b_prime``.
 DEFAULT_BUDGET = 20_000_000
 
 #: Largest anchored family for which switch variants are enumerated.
@@ -158,55 +172,117 @@ def _search_max_family(
     """Maximum-cardinality pairwise slot-disjoint subfamily of ``items``.
 
     With ``gains``/``target`` the family must additionally reach
-    ``sum(gains) >= target``; gains are per-item and additive because the
-    family's slot edges are disjoint.  Deterministic: depth-first in item
-    order, include branch first, strict improvement only.
+    ``sum(gains) >= target``; gains are per-item, nonnegative and additive
+    because the family's slot edges are disjoint.
+
+    The search runs over classes of interchangeable copies, not over
+    items.  Two copies of one edge class share an *orbit* when the items
+    through either give the same set of (triangle, other two slots,
+    gain), so swapping them maps ``items`` onto itself and keeps every
+    gain.  A *type* is a triangle, an orbit per side and a gain; applying
+    such swaps side by side shows that every choice of one copy per side
+    from a type's orbits is an item.  The search branches on how many
+    triangles of each type to take, largest multiplicity first, drawing on
+    each orbit's residual copies.  It prunes when the size so far plus the
+    sum, over the types not yet branched on, of their smallest residual
+    orbit cannot beat the best size, or when the gain so far plus the same
+    sum weighted by gain falls short of ``target``; a draw updates only the
+    later types that share one of its orbits.
+
+    Every family maps to a multiplicity vector within the orbit
+    capacities, and every such vector is realized by disjoint copies, so
+    the maximum size and whether ``target`` is reachable are exactly those
+    of the item-level problem; only which maximum family comes back may
+    differ.  The best vector is expanded lowest unused copy first per
+    orbit.  Deterministic: types in order of first appearance, strict
+    improvement only.  The budget pays one node per multiplicity node.
     """
-    n = len(items)
-    edges_of = [it.slot_edges for it in items]
-    suffix_gain = [0] * (n + 1)
-    if gains is not None:
-        for i in range(n - 1, -1, -1):
-            suffix_gain[i] = suffix_gain[i + 1] + gains[i]
+    gain_of = gains if gains is not None else [0] * len(items)
+    sides: dict[SlotEdge, set] = {}
+    for it, gain in zip(items, gain_of):
+        for side, e in enumerate(it.slot_edges):
+            others = it.slots[:side] + it.slots[side + 1:]
+            sides.setdefault(e, set()).add((it.tri, others, gain))
+    orbit_ids: dict[tuple, int] = {}
+    orbit_of: dict[SlotEdge, int] = {}
+    copies: list[list[int]] = []  # the copies of each orbit, ascending
+    for e in sorted(sides):
+        key = (e[:2], frozenset(sides[e]))
+        if key not in orbit_ids:
+            orbit_ids[key] = len(copies)
+            copies.append([])
+        orbit_of[e] = orbit_ids[key]
+        copies[orbit_of[e]].append(e[2])
+    types = list(dict.fromkeys(
+        (it.tri, tuple(orbit_of[e] for e in it.slot_edges), gain)
+        for it, gain in zip(items, gain_of)
+    ))
+    users: list[list[int]] = [[] for _ in copies]  # the types drawing on each orbit
+    for j, (_, orbits, _) in enumerate(types):
+        for o in orbits:
+            users[o].append(j)
+    # The later types sharing an orbit with each type: the only bounds a
+    # draw on that type can change.
+    later = [
+        sorted({k for o in orbits for k in users[o] if k > j})
+        for j, (_, orbits, _) in enumerate(types)
+    ]
+    caps = [len(c) for c in copies]
+    room = [min(caps[a], caps[b], caps[c]) for _, (a, b, c), _ in types]
+    # Both bounds, summed over the types not yet branched on.
+    rest = sum(room)
+    rest_gain = sum(r * g for r, (_, _, g) in zip(room, types))
+    n = len(types)
 
-    best: list[SlotTriangle] = []
+    def draw(j: int, m: int) -> None:
+        """Take ``m`` more triangles of type ``j`` (give back when negative)."""
+        nonlocal rest, rest_gain
+        for o in types[j][1]:
+            caps[o] -= m
+        for k in later[j]:
+            _, (a, b, c), g = types[k]
+            r = min(caps[a], caps[b], caps[c])
+            rest += r - room[k]
+            rest_gain += (r - room[k]) * g
+            room[k] = r
+
+    best: list[int] = []
     best_size = -1 if target > 0 else 0
-    used: set[SlotEdge] = set()
-    chosen: list[SlotTriangle] = []
-    chosen_gain = 0
+    counts = [0] * n
 
-    def leaf() -> None:
-        nonlocal best, best_size
-        if chosen_gain >= target and len(chosen) > best_size:
-            best_size = len(chosen)
-            best = list(chosen)
-
-    def dfs(i: int) -> Iterator:
-        nonlocal chosen_gain
-        if len(chosen) + (n - i) <= best_size:
+    def dfs(i: int, size: int, gain: int) -> Iterator:
+        nonlocal best, best_size, rest, rest_gain
+        if size + rest <= best_size or gain + rest_gain < target:
             return
-        if gains is not None and chosen_gain + suffix_gain[i] < target:
-            return
+        while i < n and room[i] == 0:
+            i += 1
         if i == n:
-            leaf()
+            best_size = size
+            best = list(counts)
             return
-        es = edges_of[i]
-        if not (es[0] in used or es[1] in used or es[2] in used):
-            used.update(es)
-            chosen.append(items[i])
-            chosen_gain += gains[i] if gains is not None else 0
-            if gains is None:
-                leaf()
-            yield dfs(i + 1)
-            chosen_gain -= gains[i] if gains is not None else 0
-            chosen.pop()
-            used.difference_update(es)
-        yield dfs(i + 1)
+        r, g = room[i], types[i][2]
+        rest -= r
+        rest_gain -= r * g
+        for m in range(r, -1, -1):
+            draw(i, m)
+            counts[i] = m
+            yield dfs(i + 1, size + m, gain + m * g)
+            counts[i] = 0
+            draw(i, -m)
+        rest += r
+        rest_gain += r * g
 
-    run_search(dfs(0), budget)
+    run_search(dfs(0, 0, 0), budget)
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
-    return best
+    taken = [0] * len(copies)
+    out: list[SlotTriangle] = []
+    for (tri, orbits, _), m in zip(types, best):
+        for _ in range(m):
+            out.append(SlotTriangle(tri, tuple(copies[o][taken[o]] for o in orbits)))  # type: ignore[arg-type]
+            for o in orbits:
+                taken[o] += 1
+    return sorted(out)
 
 
 def _btype(st: SlotTriangle, base: set[SlotEdge]) -> int:

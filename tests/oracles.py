@@ -1,7 +1,7 @@
 """Brute-force reference implementations and corpus builders for tests.
 
 Every oracle here is deliberately naive (full enumeration, no pruning) and
-shares no code with the solvers it checks, apart from two references
+shares no code with the solvers it checks, apart from three references
 that the faster kernels replaced and must agree with exactly:
 
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
@@ -12,6 +12,11 @@ that the faster kernels replaced and must agree with exactly:
   checks every triangle when it minimalizes a cover.  ``tripack.planar``
   replaced it with one incrementally updated working state and must take
   the same steps and return the same certificates.
+- ``reference_max_family``, the item-by-item depth-first search for a
+  maximum slot-disjoint family that ``tripack.haxell`` replaced with a
+  search over multiplicities of interchangeable copy classes.  It runs on
+  ``core.run_search`` without a budget, and the new search must find
+  families of the same size that reach the same target.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from tripack import (
     Edge,
@@ -30,7 +36,8 @@ from tripack import (
     enumerate_triangles,
     incidence,
 )
-from tripack.core import norm_edge
+from tripack.core import norm_edge, run_search
+from tripack.haxell import SlotEdge, SlotTriangle
 from tripack.planar import (
     CYCLE_NEIGHBORHOOD,
     DOUBLE_TRIANGLE_HEAVY_EDGE,
@@ -415,3 +422,61 @@ def reference_reduce_and_certify(
             packing[t] = packing.get(t, 0) + 1
     status = "complete" if complete else "incomplete"
     return PackingCertificate.from_map(packing), TransversalCertificate.from_edges(g, cover), status
+
+
+def reference_max_family(
+    items: Sequence[SlotTriangle],
+    *,
+    gains: Sequence[int] | None = None,
+    target: int = 0,
+) -> list[SlotTriangle]:
+    """Maximum slot-disjoint subfamily of ``items`` with ``sum(gains) >= target``.
+
+    Depth-first over the items in order, include branch first, pruned by
+    the count and the gain of the items left; no budget.
+    """
+    n = len(items)
+    edges_of = [it.slot_edges for it in items]
+    suffix_gain = [0] * (n + 1)
+    if gains is not None:
+        for i in range(n - 1, -1, -1):
+            suffix_gain[i] = suffix_gain[i + 1] + gains[i]
+
+    best: list[SlotTriangle] = []
+    best_size = -1 if target > 0 else 0
+    used: set[SlotEdge] = set()
+    chosen: list[SlotTriangle] = []
+    chosen_gain = 0
+
+    def leaf() -> None:
+        nonlocal best, best_size
+        if chosen_gain >= target and len(chosen) > best_size:
+            best_size = len(chosen)
+            best = list(chosen)
+
+    def dfs(i: int) -> Iterator:
+        nonlocal chosen_gain
+        if len(chosen) + (n - i) <= best_size:
+            return
+        if gains is not None and chosen_gain + suffix_gain[i] < target:
+            return
+        if i == n:
+            leaf()
+            return
+        es = edges_of[i]
+        if not (es[0] in used or es[1] in used or es[2] in used):
+            used.update(es)
+            chosen.append(items[i])
+            chosen_gain += gains[i] if gains is not None else 0
+            if gains is None:
+                leaf()
+            yield dfs(i + 1)
+            chosen_gain -= gains[i] if gains is not None else 0
+            chosen.pop()
+            used.difference_update(es)
+        yield dfs(i + 1)
+
+    run_search(dfs(0))
+    if target > 0 and best_size < 0:
+        raise InvariantViolation("no family reaches the required surplus")
+    return best

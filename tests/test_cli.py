@@ -1,9 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import tripack.exact
-from tripack import Multigraph, parse_graph, emit_graph
+from tripack import (
+    Multigraph,
+    TransversalCertificate,
+    emit_graph,
+    parse_graph,
+    verify_transversal,
+)
 from tripack.cli import main
 from tripack.generators import gen_complete, gen_gk, gen_random, gen_wheel
 from tripack.graphio import ParseError
@@ -199,7 +206,22 @@ class TestCommands:
         path.write_text(emit_graph(gen_complete(6)))
         code, _, err = run_cli(capsys, ["haxell", "--input", str(path), "--budget", "10"])
         assert code == 2
-        assert "budget" in err
+        assert "node budget of 10 nodes" in err
+
+    @pytest.mark.parametrize("n, m", [(11, 30), (12, 34)])
+    def test_haxell_parallel_copies_fit_the_budget(self, capsys, tmp_path, n, m):
+        g = gen_random(n, m, 2, 0)
+        path = tmp_path / "r.graph"
+        path.write_text(emit_graph(g))
+        code, out, _ = run_cli(capsys, ["haxell", "--input", str(path), "--budget", "1000000"])
+        assert code == 0
+        report = json.loads(out)
+        best = TransversalCertificate.from_edges(
+            g, (tuple(e) for e in report["certificates"]["best"]["edges"])
+        )
+        assert verify_transversal(g, best)
+        size = min(c["slot_size"] for c in report["certificates"]["candidates"])
+        assert size <= Fraction(73, 25) * report["nu"]
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tripack import (
     BudgetExceeded,
+    InvariantViolation,
     Multigraph,
     Triangle,
     nu_exact,
@@ -14,6 +16,8 @@ from tripack.core import _Budget
 from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
 from tripack.haxell import (
     _all_slot_edges,
+    _btype,
+    _expand_packing,
     _search_max_family,
     _slot_triangles,
     build_state,
@@ -21,7 +25,7 @@ from tripack.haxell import (
     transversal_292,
 )
 
-from oracles import triangle_union
+from oracles import atlas_with_triangle, reference_max_family, triangle_union
 
 
 def slot_triangles(g):
@@ -61,6 +65,66 @@ class TestMaxIndependentFamily:
         assert max_family_size(slot_triangles(triangle_union(1100))) == 1100
 
 
+def family_cases(g):
+    """Item lists as ``build_state`` searches them, with and without gains.
+
+    The share-one and share-two lists are taken against a maximum packing,
+    and the reduced graph drops the slots of the oracle's share-one family.
+    """
+    all_slots = frozenset(_all_slot_edges(g))
+    items = _slot_triangles(g, all_slots)
+    eb = {e for st in _expand_packing(nu_exact(g)[1].multiplicities) for e in st.slot_edges}
+    type1 = [st for st in items if _btype(st, eb) == 1]
+    eb1 = {e for st in reference_max_family(type1) for e in st.slot_edges}
+    reduced = _slot_triangles(g, all_slots - eb1)
+    type2 = [st for st in reduced if _btype(st, eb) == 2]
+    gains = [3 - _btype(st, eb) for st in reduced]
+    return [
+        (items, None, 0),
+        (type1, None, 0),
+        (type2, None, 0),
+        (reduced, gains, len(reference_max_family(type2))),
+    ]
+
+
+def assert_family_matches_reference(items, gains, target):
+    want = reference_max_family(items, gains=gains, target=target)
+    got = _search_max_family(items, _Budget(1_000_000), gains=gains, target=target)
+    assert len(got) == len(want)
+    assert set(got) <= set(items)
+    edges = [e for st in got for e in st.slot_edges]
+    assert len(edges) == len(set(edges))
+    if gains is not None:
+        gain_of = dict(zip(items, gains))
+        assert sum(gain_of[st] for st in got) >= target
+
+
+class TestFamilyAgainstReference:
+    """The multiplicity search over copy orbits against the item-level DFS."""
+
+    def test_atlas_with_capacities_0_to_3(self):
+        for seed, base in enumerate(atlas_with_triangle()):
+            rng = random.Random(seed)
+            g = Multigraph(
+                base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges)
+            )
+            for case in family_cases(g):
+                assert_family_matches_reference(*case)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_random_multigraphs(self, n):
+        # Denser graphs take the item-level oracle seconds each.
+        for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
+            for seed in range(4):
+                for case in family_cases(gen_random(n, m, mult, seed)):
+                    assert_family_matches_reference(*case)
+
+    def test_unreachable_target_raises(self):
+        items = slot_triangles(gen_complete(4))
+        with pytest.raises(InvariantViolation, match="surplus"):
+            _search_max_family(items, _Budget(100), gains=[0] * len(items), target=1)
+
+
 class TestBuildState:
     def test_triangle_free(self):
         st = build_state(gen_cycle(5))
@@ -93,9 +157,9 @@ class TestBuildState:
             build_state(gen_complete(6), budget=10)
 
     @pytest.mark.parametrize("g, nodes", [
-        (gen_complete(4), 11),
-        (gen_random(9, 18, 2, 0), 1976),
-        (gen_random(8, 14, 2, 2), 801),
+        (gen_complete(4), 8),
+        (gen_random(9, 18, 2, 0), 37),
+        (gen_random(8, 14, 2, 2), 26),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
         # The root and each child of every family search cost one node.
@@ -105,6 +169,11 @@ class TestBuildState:
 
     def test_1100_disjoint_triangles(self):
         assert build_state(triangle_union(1100)).nu == 1100
+
+    @pytest.mark.parametrize("n, m", [(11, 30), (12, 34)])
+    def test_parallel_copies_do_not_exhaust_the_budget(self, n, m):
+        # An item-level search spent more than 20M nodes on either graph.
+        assert build_state(gen_random(n, m, 2, 0), budget=200_000).nu == 12
 
 
 class TestCandidates:
