@@ -144,8 +144,7 @@ def _cmd_lp(g: Multigraph, args: argparse.Namespace) -> dict:
 def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
     nustar = g.lp.value
     cert = transversal_2nustar(g)
-    slack = 2 * nustar - cert.weight
-    ok = cert.weight == 0 if nustar == 0 else dominates_sqrt(slack, nustar / 16)
+    ok = dominates_sqrt(2 * nustar - cert.weight, nustar / 16)
     return {
         "nustar": _rat(nustar),
         "bounds": [

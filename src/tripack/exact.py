@@ -2,11 +2,13 @@
 
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
 branch and bound on ``core.run_search``, whose explicit stack bounds the
-depth only by memory; they take no node budget.  ``lp_optimal`` solves the
-fractional relaxation with an exact simplex on sparse integer rows, each
-row carrying one positive denominator, kept divided by its gcd.  Pivots
-follow Bland's rule, so termination is guaranteed; the dual solution is
-read off the optimal tableau, so primal and dual values are identical.
+depth only by memory; they take no node budget.  ``nu_exact`` runs on
+``max_type_packing``, which also searches the Haxell families.
+``lp_optimal`` solves the fractional relaxation with an exact simplex on
+sparse integer rows, each row carrying one positive denominator, kept
+divided by its gcd.  Pivots follow Bland's rule, so termination is
+guaranteed; the dual solution is read off the optimal tableau, so primal
+and dual values are identical.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     Edge,
@@ -25,6 +27,7 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
+    _Budget,
     incidence,
     is_fractional_packing,
     is_fractional_transversal,
@@ -233,67 +236,135 @@ def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
     return TightSets(tight_edges=tight_edges, tight_triangles=tight_tris)
 
 
+def max_type_packing(
+    types: Sequence[tuple[int, int, int]],
+    caps: Sequence[int],
+    *,
+    gains: Sequence[int] | None = None,
+    target: int = 0,
+    ceiling: int | None = None,
+    budget: _Budget | None = None,
+) -> list[int] | None:
+    """A multiplicity per type with the largest total within ``caps``.
+
+    Every triangle of a type draws one unit from each of the type's three
+    distinct resources; resource ``o`` holds ``caps[o]`` units.  With
+    ``gains`` (nonnegative, per type) the total gain must reach ``target``;
+    returns None when it cannot.
+
+    Branch and bound on ``core.run_search``: types in order, largest
+    multiplicity first, the incumbent replaced only by a strictly larger
+    total.  With a type's room its smallest residual capacity, the types
+    not yet branched on add at most (a) their summed rooms and (b) a third
+    of the residual capacity of the resources they use while they have
+    room.  A subtree is cut when the total plus either bound cannot beat
+    the incumbent, or the gain plus the rooms weighted by gain misses
+    ``target``.  The search stops once the incumbent reaches the root's
+    bound or ``ceiling``, which must bound the optimum.  No cut removes a
+    strictly better leaf, so the result is the first optimum in branch
+    order.  A draw updates only the later types sharing a resource with
+    it; the budget pays one node per search node.
+    """
+    n = len(types)
+    gain_of = gains if gains is not None else [0] * n
+    caps = list(caps)
+    users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource
+    for j, t in enumerate(types):
+        for o in t:
+            users[o].append(j)
+    later = [sorted({k for o in t for k in users[o] if k > j}) for j, t in enumerate(types)]
+    # Over the types not yet branched on: rooms, bound (a) and its gain-weighted
+    # twin, the residual capacity of (b), and how many with room use each resource.
+    room = [0] * n
+    rest = rest_gain = resid = 0
+    live = [0] * len(caps)
+
+    def set_room(k: int, r: int) -> None:
+        nonlocal rest, rest_gain, resid
+        old = room[k]
+        if r == old:
+            return
+        room[k] = r
+        rest += r - old
+        rest_gain += (r - old) * gain_of[k]
+        if not (r and old):
+            d = 1 if r else -1
+            for o in types[k]:
+                was = live[o]
+                live[o] += d
+                if not (was and live[o]):
+                    resid += d * caps[o]
+
+    def draw(j: int, m: int) -> None:
+        """Take ``m`` more triangles of type ``j`` (give back when negative)."""
+        nonlocal resid
+        if not m:
+            return
+        for o in types[j]:
+            caps[o] -= m
+            if live[o]:
+                resid -= m
+        for k in later[j]:
+            a, b, c = types[k]
+            r = min(caps[a], caps[b], caps[c])
+            if r != room[k]:
+                set_room(k, r)
+
+    for k, (a, b, c) in enumerate(types):
+        set_room(k, min(caps[a], caps[b], caps[c]))
+    stop = min(rest, resid // 3, rest if ceiling is None else ceiling)
+    best: list[int] | None = [0] * n if target <= 0 else None
+    best_size = 0 if target <= 0 else -1
+    counts = [0] * n
+
+    def dfs(i: int, size: int, gain: int) -> Iterator:
+        nonlocal best, best_size
+        if size + min(rest, resid // 3) <= best_size or gain + rest_gain < target:
+            return
+        while i < n and room[i] == 0:
+            i += 1
+        if i == n:
+            best_size = size
+            best = list(counts)
+            return
+        r, g = room[i], gain_of[i]
+        set_room(i, 0)
+        for m in range(r, -1, -1):
+            draw(i, m)
+            counts[i] = m
+            yield dfs(i + 1, size + m, gain + m * g)
+            counts[i] = 0
+            draw(i, -m)
+            if best_size >= stop:
+                break
+        set_room(i, r)
+
+    run_search(dfs(0, 0, 0), budget)
+    return best
+
+
 def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """Maximum integral triangle packing with a verified certificate.
 
-    Branch and bound over triangle multiplicities in canonical order.  The
-    subtree bound counts residual capacity on edges of still-usable
-    triangles (every packed triangle consumes three units), and the search
-    stops as soon as it matches the floor of the LP optimum ``g.lp``.
-    Deterministic: ties never replace the incumbent.
+    ``max_type_packing`` with the edges as resources, each triangle as a
+    type, and the floor of the LP optimum ``g.lp`` as the ceiling.
+    Deterministic: the first maximum in canonical triangle order, largest
+    multiplicity first.
     """
-    if not g.triangles:
-        return 0, PackingCertificate.empty()
     tris = g.triangles
-    tri_edges = [t.edges for t in tris]
-    caps = dict(g.weight_map)
-    lp_floor = int(g.lp.value)
-
-    best_count = -1
-    best_mult: dict[Triangle, int] = {}
-    counts = [0] * len(tris)
-
-    def residual_bound(i: int) -> int:
-        usable: set[Edge] = set()
-        for j in range(i, len(tris)):
-            es = tri_edges[j]
-            if caps[es[0]] > 0 and caps[es[1]] > 0 and caps[es[2]] > 0:
-                usable.update(es)
-        return sum(caps[e] for e in usable) // 3
-
-    def dfs(i: int, total: int) -> Iterator:
-        nonlocal best_count, best_mult
-        while i < len(tris):
-            es = tri_edges[i]
-            if caps[es[0]] > 0 and caps[es[1]] > 0 and caps[es[2]] > 0:
-                break
-            i += 1
-        if i == len(tris):
-            if total > best_count:
-                best_count = total
-                best_mult = {tris[j]: counts[j] for j in range(len(tris)) if counts[j]}
-            return
-        # Without an incumbent (best_count < 0) no bound can prune.
-        if best_count >= 0 and total + residual_bound(i) <= best_count:
-            return
-        es = tri_edges[i]
-        m_max = min(caps[es[0]], caps[es[1]], caps[es[2]])
-        for m in range(m_max, -1, -1):
-            for e in es:
-                caps[e] -= m
-            counts[i] = m
-            yield dfs(i + 1, total + m)
-            counts[i] = 0
-            for e in es:
-                caps[e] += m
-            if best_count >= lp_floor:
-                return
-
-    run_search(dfs(0, 0))
-    cert = PackingCertificate.from_map(best_mult)
-    if cert.value != best_count or not verify_packing(g, cert):
+    if not tris:
+        return 0, PackingCertificate.empty()
+    index = {(u, v): o for o, (u, v, _) in enumerate(g.edges)}
+    counts = max_type_packing(
+        [tuple(index[e] for e in t.edges) for t in tris],  # type: ignore[misc]
+        [w for _, _, w in g.edges],
+        ceiling=int(g.lp.value),
+    )
+    assert counts is not None
+    cert = PackingCertificate.from_map(dict(zip(tris, counts)))
+    if cert.value != sum(counts) or not verify_packing(g, cert):
         raise InvariantViolation("packing certificate failed verification")
-    return best_count, cert
+    return cert.value, cert
 
 
 def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:

@@ -12,12 +12,12 @@ A triangle whose sides have capacity ``w`` offers up to ``w**3`` slot
 triangles, and most of them are interchangeable.  So the family search
 never branches on single slot triangles: copies of one edge class that
 every item treats alike form an *orbit*, the items fall into *types* (a
-triangle, one orbit per side, a gain), and the search chooses how many
-triangles of each type to take within the orbits' copy counts.  Every
-family yields such counts and every such count vector is realized by
-distinct copies, so the maxima, and whether a family reaches a required
-gain, are exactly those of the slot-level problem; the budget counts these
-multiplicity nodes.  See ``_search_max_family``.
+triangle, one orbit per side, a gain), and ``exact.max_type_packing``,
+which also computes nu, chooses how many of each type to take within the
+orbits' copy counts.  Every family yields such counts and every such
+count vector is realized by distinct copies, so the maxima, and whether a
+family reaches a required gain, are exactly those of the slot-level
+problem; the budget counts these multiplicity nodes.
 
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
@@ -33,6 +33,7 @@ full capacity) and coincide with slot counts on simple graphs.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -51,12 +52,12 @@ from .core import (
     verify_transversal,
 )
 from .cuts import cut_large
-from .exact import nu_exact
+from .exact import max_type_packing, nu_exact
 
 #: Search-node allowance for one state build.  Suited to about 50 triangles
 #: of capacity at most 2: ``gen_random(14, 46, 2, s)`` (46 and 56 triangles)
-#: needs at most 0.9M nodes for s = 0, 1, while ``gen_random(15, 52, 2, 0)``
-#: (53 triangles) exhausts it in the surplus search for ``b_prime``.
+#: needs at most 15K nodes for s = 0, 1, and ``gen_random(15, 52, 2, 0)``
+#: (53 triangles) about 16.1M, nearly all in the ``b_prime`` surplus search.
 DEFAULT_BUDGET = 20_000_000
 
 #: Largest anchored family for which switch variants are enumerated.
@@ -181,21 +182,16 @@ def _search_max_family(
     gain), so swapping them maps ``items`` onto itself and keeps every
     gain.  A *type* is a triangle, an orbit per side and a gain; applying
     such swaps side by side shows that every choice of one copy per side
-    from a type's orbits is an item.  The search branches on how many
-    triangles of each type to take, largest multiplicity first, drawing on
-    each orbit's residual copies.  It prunes when the size so far plus the
-    sum, over the types not yet branched on, of their smallest residual
-    orbit cannot beat the best size, or when the gain so far plus the same
-    sum weighted by gain falls short of ``target``; a draw updates only the
-    later types that share one of its orbits.
+    from a type's orbits is an item.  ``max_type_packing`` takes the
+    orbits as resources, with their copy counts as capacities, and the
+    types in order of first appearance.
 
     Every family maps to a multiplicity vector within the orbit
     capacities, and every such vector is realized by disjoint copies, so
     the maximum size and whether ``target`` is reachable are exactly those
     of the item-level problem; only which maximum family comes back may
     differ.  The best vector is expanded lowest unused copy first per
-    orbit.  Deterministic: types in order of first appearance, strict
-    improvement only.  The budget pays one node per multiplicity node.
+    orbit.
     """
     gain_of = gains if gains is not None else [0] * len(items)
     sides: dict[SlotEdge, set] = {}
@@ -203,86 +199,30 @@ def _search_max_family(
         for side, e in enumerate(it.slot_edges):
             others = it.slots[:side] + it.slots[side + 1:]
             sides.setdefault(e, set()).add((it.tri, others, gain))
-    orbit_ids: dict[tuple, int] = {}
-    orbit_of: dict[SlotEdge, int] = {}
-    copies: list[list[int]] = []  # the copies of each orbit, ascending
-    for e in sorted(sides):
-        key = (e[:2], frozenset(sides[e]))
-        if key not in orbit_ids:
-            orbit_ids[key] = len(copies)
-            copies.append([])
-        orbit_of[e] = orbit_ids[key]
-        copies[orbit_of[e]].append(e[2])
+    key = {e: (e[:2], frozenset(sides[e])) for e in sorted(sides)}
+    orbit_of = {k: o for o, k in enumerate(dict.fromkeys(key.values()))}
+    copies: list[list[int]] = [[] for _ in orbit_of]  # the copies of each orbit, ascending
+    for e, k in key.items():
+        copies[orbit_of[k]].append(e[2])
     types = list(dict.fromkeys(
-        (it.tri, tuple(orbit_of[e] for e in it.slot_edges), gain)
+        (it.tri, tuple(orbit_of[key[e]] for e in it.slot_edges), gain)
         for it, gain in zip(items, gain_of)
     ))
-    users: list[list[int]] = [[] for _ in copies]  # the types drawing on each orbit
-    for j, (_, orbits, _) in enumerate(types):
-        for o in orbits:
-            users[o].append(j)
-    # The later types sharing an orbit with each type: the only bounds a
-    # draw on that type can change.
-    later = [
-        sorted({k for o in orbits for k in users[o] if k > j})
-        for j, (_, orbits, _) in enumerate(types)
-    ]
-    caps = [len(c) for c in copies]
-    room = [min(caps[a], caps[b], caps[c]) for _, (a, b, c), _ in types]
-    # Both bounds, summed over the types not yet branched on.
-    rest = sum(room)
-    rest_gain = sum(r * g for r, (_, _, g) in zip(room, types))
-    n = len(types)
-
-    def draw(j: int, m: int) -> None:
-        """Take ``m`` more triangles of type ``j`` (give back when negative)."""
-        nonlocal rest, rest_gain
-        for o in types[j][1]:
-            caps[o] -= m
-        for k in later[j]:
-            _, (a, b, c), g = types[k]
-            r = min(caps[a], caps[b], caps[c])
-            rest += r - room[k]
-            rest_gain += (r - room[k]) * g
-            room[k] = r
-
-    best: list[int] = []
-    best_size = -1 if target > 0 else 0
-    counts = [0] * n
-
-    def dfs(i: int, size: int, gain: int) -> Iterator:
-        nonlocal best, best_size, rest, rest_gain
-        if size + rest <= best_size or gain + rest_gain < target:
-            return
-        while i < n and room[i] == 0:
-            i += 1
-        if i == n:
-            best_size = size
-            best = list(counts)
-            return
-        r, g = room[i], types[i][2]
-        rest -= r
-        rest_gain -= r * g
-        for m in range(r, -1, -1):
-            draw(i, m)
-            counts[i] = m
-            yield dfs(i + 1, size + m, gain + m * g)
-            counts[i] = 0
-            draw(i, -m)
-        rest += r
-        rest_gain += r * g
-
-    run_search(dfs(0, 0, 0), budget)
-    if target > 0 and best_size < 0:
+    best = max_type_packing(
+        [orbits for _, orbits, _ in types],
+        [len(c) for c in copies],
+        gains=[gain for _, _, gain in types],
+        target=target,
+        budget=budget,
+    )
+    if best is None:
         raise InvariantViolation("no family reaches the required surplus")
-    taken = [0] * len(copies)
-    out: list[SlotTriangle] = []
-    for (tri, orbits, _), m in zip(types, best):
-        for _ in range(m):
-            out.append(SlotTriangle(tri, tuple(copies[o][taken[o]] for o in orbits)))  # type: ignore[arg-type]
-            for o in orbits:
-                taken[o] += 1
-    return sorted(out)
+    unused = [iter(c) for c in copies]
+    return sorted(
+        SlotTriangle(tri, tuple(next(unused[o]) for o in orbits))  # type: ignore[arg-type]
+        for (tri, orbits, _), m in zip(types, best)
+        for _ in range(m)
+    )
 
 
 def _btype(st: SlotTriangle, base: set[SlotEdge]) -> int:
@@ -315,15 +255,12 @@ def _anchor(
 
 def _expand_packing(mult: Mapping[Triangle, int]) -> list[SlotTriangle]:
     """Assign parallel copies to a packing, lowest unused copy first."""
-    counters: dict[Edge, int] = {}
-    out: list[SlotTriangle] = []
-    for t in sorted(mult):
-        for _ in range(mult[t]):
-            s0, s1, s2 = (counters.get(e, 0) for e in t.edges)
-            for e in t.edges:
-                counters[e] = counters.get(e, 0) + 1
-            out.append(SlotTriangle(t, (s0, s1, s2)))
-    return out
+    unused: dict[Edge, Iterator[int]] = defaultdict(itertools.count)
+    return [
+        SlotTriangle(t, tuple(next(unused[e]) for e in t.edges))  # type: ignore[arg-type]
+        for t in sorted(mult)
+        for _ in range(mult[t])
+    ]
 
 
 def _compress(g: Multigraph, slots: Iterable[SlotEdge]) -> Multigraph:
@@ -455,7 +392,8 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     gp_tris = _slot_triangles(g, gp_slots)
     if any(_btype(st, eb) not in (2, 3) for st in gp_tris):
         raise InvariantViolation("reduced graph keeps a share-one triangle")
-    nu_gp, _ = nu_exact(_compress(g, gp_slots)) if gp_slots else (0, None)
+    gp = _compress(g, gp_slots)
+    nu_gp, _ = nu_exact(gp)
     if nu_gp != nu - len(b1_members):
         raise InvariantViolation("reduced packing number is off")
 
@@ -500,10 +438,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
 
     # Two private rungs need a parallel pair somewhere in the reduced graph;
     # without one, every partner-swap variant yields an empty family.
-    class_counts: dict[Edge, int] = {}
-    for u, v, _ in gp_slots:
-        class_counts[(u, v)] = class_counts.get((u, v), 0) + 1
-    may_have_i = any(c >= 2 for c in class_counts.values())
+    may_have_i = any(w >= 2 for _, _, w in gp.edges)
 
     i_anchors: list[AnchoredTriangle] = []
     fmap: dict[SlotTriangle, tuple[SlotEdge, SlotEdge]] = {}

@@ -32,6 +32,7 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
+    dominates_sqrt,
     verify_transversal,
 )
 from .cuts import cut_large, independent_set_triangle_free
@@ -225,14 +226,7 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     if not verify_transversal(g, cert):
         raise InvariantViolation("constructed edge set misses a triangle")
 
-    nustar = sol.value
-    if nustar == 0:
-        if cert.weight != 0:
-            raise InvariantViolation("zero optimum but positive cover weight")
-        return cert
-    # weight <= 2*nustar - sqrt(nustar)/4, checked as
-    # slack := 2*nustar - weight >= 0 and slack^2 >= nustar/16.
-    slack = 2 * nustar - cert.weight
-    if not (slack >= 0 and slack * slack >= nustar / 16):
+    # weight <= 2*nustar - sqrt(nustar)/4; at nustar = 0 this demands weight 0.
+    if not dominates_sqrt(2 * sol.value - cert.weight, sol.value / 16):
         raise InvariantViolation("constructed transversal exceeds its bound")
     return cert

@@ -91,6 +91,34 @@ def brute_nu(g: Multigraph) -> int:
     return rec(0)
 
 
+def brute_type_packing(
+    types: Sequence[tuple[int, int, int]],
+    caps: Sequence[int],
+    gains: Sequence[int],
+    target: int,
+) -> list[int] | None:
+    """Every multiplicity vector within the capacities, in descending order.
+
+    Returns the first vector of largest total among those whose gain
+    reaches ``target`` (the lexicographically largest such optimum), or
+    None when none reaches it.
+    """
+    ranges = [range(min(caps[o] for o in t), -1, -1) for t in types]
+    best: list[int] | None = None
+    for counts in itertools.product(*ranges):
+        load = [0] * len(caps)
+        for t, m in zip(types, counts):
+            for o in t:
+                load[o] += m
+        if any(x > c for x, c in zip(load, caps)):
+            continue
+        if sum(m * w for m, w in zip(counts, gains)) < target:
+            continue
+        if best is None or sum(counts) > sum(best):
+            best = list(counts)
+    return best
+
+
 def brute_tau(g: Multigraph) -> int:
     """Exhaustive transversal minimum over all edge subsets."""
     tris = enumerate_triangles(g)

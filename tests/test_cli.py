@@ -100,6 +100,14 @@ class TestCommands:
         report = json.loads(out)
         assert report["certificates"]["transversal"]["weight"] <= 4
         assert report["bounds"][0]["pass"] is True
+        # nustar = 0 with a triangle on a capacity-0 edge: the bound demands weight 0.
+        path.write_text(emit_graph(Multigraph.from_edges(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])))
+        code, out, _ = run_cli(capsys, ["kriv", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["nustar"] == "0/1"
+        assert report["certificates"]["transversal"]["weight"] == 0
+        assert report["bounds"][0]["pass"] is True
 
     def test_haxell_k4(self, capsys, tmp_path):
         path = tmp_path / "k4.graph"

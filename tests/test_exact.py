@@ -16,12 +16,13 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
-from tripack.exact import LPSolution, _simplex_packing
+from tripack.exact import LPSolution, _simplex_packing, max_type_packing
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel, gk_optimum
 from tripack.krivelevich import transversal_2nustar
 
 from oracles import (
     brute_nu,
+    brute_type_packing,
     brute_tau,
     rand_connected_multigraph,
     rand_triangle_free,
@@ -59,6 +60,33 @@ class TestNuExact:
         nu, cert = nu_exact(g)
         assert nu == 1100 == cert.value
         assert verify_packing(g, cert)
+
+
+class TestTypePackingAgainstBruteForce:
+    """The multiplicity branch and bound against full enumeration."""
+
+    def test_seeded_type_systems(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            nres = rng.randint(3, 6)
+            caps = [rng.randint(0, 3) for _ in range(nres)]
+            types = [tuple(rng.sample(range(nres), 3)) for _ in range(rng.randint(1, 6))]
+            gains = [rng.randint(0, 2) for _ in types]
+            # Up to the largest conceivable gain plus one, so some are unreachable.
+            top = sum(g * min(caps[o] for o in t) for t, g in zip(types, gains))
+            target = rng.randint(0, top + 1)
+            expected = brute_type_packing(types, caps, gains, target)
+            ceiling = None
+            if expected is not None and seed % 2:
+                ceiling = sum(expected) + rng.randint(0, 2)
+            got = max_type_packing(types, caps, gains=gains, target=target, ceiling=ceiling)
+            if expected is None:
+                assert got is None, seed
+                continue
+            assert got == expected, seed
+            for o, c in enumerate(caps):
+                assert sum(m for t, m in zip(types, got) if o in t) <= c
+            assert sum(m * g for m, g in zip(got, gains)) >= target
 
 
 class TestTauExact:

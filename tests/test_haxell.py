@@ -157,9 +157,9 @@ class TestBuildState:
             build_state(gen_complete(6), budget=10)
 
     @pytest.mark.parametrize("g, nodes", [
-        (gen_complete(4), 8),
-        (gen_random(9, 18, 2, 0), 37),
-        (gen_random(8, 14, 2, 2), 26),
+        (gen_complete(4), 6),
+        (gen_random(9, 18, 2, 0), 26),
+        (gen_random(8, 14, 2, 2), 23),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
         # The root and each child of every family search cost one node.
@@ -169,6 +169,11 @@ class TestBuildState:
 
     def test_1100_disjoint_triangles(self):
         assert build_state(triangle_union(1100)).nu == 1100
+
+    def test_residual_bound_prunes_the_surplus_search(self):
+        # Without the residual-capacity bound the b_prime search spent more
+        # than 3M nodes here.
+        assert build_state(gen_random(15, 52, 2, 3), budget=300_000).nu == 22
 
     @pytest.mark.parametrize("n, m", [(11, 30), (12, 34)])
     def test_parallel_copies_do_not_exhaust_the_budget(self, n, m):
