@@ -293,7 +293,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif fam in ("complete", "cycle"):
         g = gen_named(fam, n=_flag(args, "n"))
     elif fam == "wheel":
-        g = gen_named(fam, k=args.k if args.k is not None else args.n)
+        # The rim size is --k, or --n when --k is absent.
+        g = gen_named(fam, k=args.n if args.k is None and args.n is not None else _flag(args, "k"))
     elif fam == "stacked":
         g = gen_named(fam, n=_flag(args, "n"), seed=args.seed)
     elif fam in ("petersen", "octahedron"):

@@ -2,8 +2,11 @@
 
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
 branch and bound on ``core.run_search``, whose explicit stack bounds the
-depth only by memory; they take no node budget.  ``nu_exact`` runs on
-``max_type_packing``, which also searches the Haxell families.
+depth only by memory; they take no node budget.  Both read the cached LP
+optimum ``g.lp`` for their bounds: ``nu_exact`` runs on
+``max_type_packing``, which also searches the Haxell families, and stops
+at ``floor(nustar)``; ``tau_exact`` prunes on the optimal packing's mass
+over the uncovered triangles and stops at ``ceil(nustar)``.
 ``lp_optimal`` solves the fractional relaxation with an exact simplex on
 sparse integer rows, each row carrying one positive denominator, kept
 divided by its gcd.  Pivots follow Bland's rule, so termination is
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .core import (
@@ -371,64 +374,58 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     """Minimum-weight triangle transversal with a verified certificate.
 
     Edges of capacity 0 are taken for free.  The search branches on the
-    three edges of the first uncovered triangle; the lower bound greedily
-    collects edge-disjoint uncovered triangles, each forcing at least its
-    cheapest edge, and the search stops once it meets the root's bound.
-    Deterministic: the first optimum found is kept.
+    three edges of the first uncovered triangle, in order, and keeps only a
+    strictly lighter cover.  It is bounded by the LP optimum ``g.lp``: the
+    optimal packing x* restricted to the uncovered triangles is still a
+    fractional packing, so any cover of them weighs at least the ceiling of
+    their x* mass.  That mass is kept as an integer numerator over one
+    common denominator, lowered by the mass each branch newly covers.  A
+    subtree is cut when the weight so far plus this bound reaches the best
+    cover, and the search stops once the best cover weighs ``ceil(nustar)``.
+    No cut removes a strictly lighter leaf, so the result is the first
+    optimum in branch order.
     """
     free_edges = g.free_edges
     free_set = set(free_edges)
     open_tris = [t for t in g.triangles if not any(e in free_set for e in t.edges)]
     tri_edges = [t.edges for t in open_tris]
-    ntri = len(open_tris)
-    all_mask = (1 << ntri) - 1
-    cover_mask: dict[Edge, int] = {}
+    all_mask = (1 << len(open_tris)) - 1
+    on_edge: dict[Edge, list[int]] = {}
     for j, es in enumerate(tri_edges):
         for e in es:
-            cover_mask[e] = cover_mask.get(e, 0) | (1 << j)
+            on_edge.setdefault(e, []).append(j)
+    cover_mask = {e: sum(1 << i for i in js) for e, js in on_edge.items()}
     wmap = g.weight_map
-    min_edge_w = [min(wmap[e] for e in es) for es in tri_edges]
+    # x* vanishes on every triangle with a free edge.
+    xs = [g.lp.packing.triangle_value(t) for t in open_tris]
+    den = lcm(*(x.denominator for x in xs))
+    num = [x.numerator * (den // x.denominator) for x in xs]
+    stop = -(-sum(num) // den)
 
     best_w = sum(wmap[e] for e in cover_mask) + 1
-    best_set: list[Edge] | None = None
-
-    def lower_bound(mask: int, start: int) -> int:
-        # Every triangle before ``start`` is covered.
-        lb = 0
-        used_edges: set[Edge] = set()
-        for j in range(start, ntri):
-            if mask & (1 << j):
-                continue
-            es = tri_edges[j]
-            if used_edges.isdisjoint(es):
-                lb += min_edge_w[j]
-                used_edges.update(es)
-        return lb
-
-    root_lb = lower_bound(0, 0)
+    best_set: list[Edge] = []
     chosen: list[Edge] = []
 
-    def dfs(mask: int, wsum: int, j: int) -> Iterator:
+    def dfs(mask: int, wsum: int, rest: int, j: int) -> Iterator:
+        # ``rest`` is the x* mass of the uncovered triangles, times ``den``.
         nonlocal best_w, best_set
-        if mask == all_mask:
-            if wsum < best_w:
-                best_w = wsum
-                best_set = list(chosen)
+        if wsum - (-rest // den) >= best_w:
             return
-        # Before the first leaf, wsum + lb is below the sentinel best_w.
-        if best_set is not None and wsum + lower_bound(mask, j) >= best_w:
+        if mask == all_mask:
+            best_w = wsum
+            best_set = list(chosen)
             return
         while mask & (1 << j):
             j += 1
         for e in tri_edges[j]:
+            mass = sum(num[i] for i in on_edge[e] if not mask >> i & 1)
             chosen.append(e)
-            yield dfs(mask | cover_mask[e], wsum + wmap[e], j)
+            yield dfs(mask | cover_mask[e], wsum + wmap[e], rest - mass, j)
             chosen.pop()
-            if best_w == root_lb:
+            if best_w == stop:
                 return
 
-    run_search(dfs(0, 0, 0))
-    assert best_set is not None
+    run_search(dfs(0, 0, sum(num), 0))
     cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import (
     Edge,
@@ -78,7 +78,7 @@ def _instantiate(
     x: int,
     y: int,
     aval: Fraction | None,
-    alloc: "itertools.count[int]",
+    alloc: Iterator[int],
     edges: dict[Edge, int],
     heights: dict[Triangle, int],
     copies: list[tuple[int, Edge]],
@@ -110,25 +110,18 @@ def _build_gk(k: int, a: Fraction | None) -> tuple[GkInstance, dict[Edge, Fracti
     heights: dict[Triangle, int] = {}
     copies: list[tuple[int, Edge]] = []
     values: dict[Edge, Fraction] | None = {} if a is not None else None
+    alloc: Iterator[int]
     if k == 0:
-        alloc = itertools.count(2)
-        terminals = (0, 1)
-        _instantiate(0, 0, 1, a, alloc, edges, heights, copies, values)
+        x, y, alloc = 0, 1, itertools.count(2)
     else:
-        alloc = itertools.count(6)
-        terminals = (1, 2)
-        copies.append((k, (1, 2)))
-        vmap = (0, 1, 2, 3, 4, 5)
-        for i in range(5):
-            heights[Triangle.of(0, vmap[1 + i], vmap[1 + (i + 1) % 5])] = k
-        sub_values = _slot_values(a) if a is not None else (None,) * 10
-        for (p, q), val in zip(_WHEEL_SLOTS, sub_values):
-            _instantiate(k - 1, vmap[p], vmap[q], val, alloc, edges, heights, copies, values)
+        # The top wheel's hub takes id 0, so its terminals are rim 1 and 2.
+        x, y, alloc = 1, 2, itertools.chain((0,), itertools.count(3))
+    _instantiate(k, x, y, a, alloc, edges, heights, copies, values)
     n = next(alloc)
     graph = Multigraph.from_edges(n, ((u, v, w) for (u, v), w in edges.items()))
     inst = GkInstance(
         graph=graph,
-        terminals=terminals,
+        terminals=(x, y),
         heights=dict(sorted(heights.items())),
         copies=tuple(copies),
     )

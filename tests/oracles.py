@@ -1,7 +1,7 @@
 """Brute-force reference implementations and corpus builders for tests.
 
 Every oracle here is deliberately naive (full enumeration, no pruning) and
-shares no code with the solvers it checks, apart from three references
+shares no code with the solvers it checks, apart from four references
 that the faster kernels replaced and must agree with exactly:
 
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
@@ -17,6 +17,10 @@ that the faster kernels replaced and must agree with exactly:
   search over multiplicities of interchangeable copy classes.  It runs on
   ``core.run_search`` without a budget, and the new search must find
   families of the same size that reach the same target.
+- ``reference_tau_exact``, the transversal search that ``tripack.exact``
+  bounded by a greedy packing of edge-disjoint uncovered triangles,
+  recollected at every node.  ``tau_exact`` replaced that bound with the
+  LP optimum and must return the same value and certificate.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from tripack import (
     Triangle,
     enumerate_triangles,
     incidence,
+    verify_transversal,
 )
 from tripack.core import norm_edge, run_search
 from tripack.haxell import SlotEdge, SlotTriangle
@@ -508,3 +513,71 @@ def reference_max_family(
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
     return best
+
+
+def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
+    """Minimum-weight triangle transversal with a verified certificate.
+
+    Edges of capacity 0 are taken for free.  The search branches on the
+    three edges of the first uncovered triangle; the lower bound greedily
+    collects edge-disjoint uncovered triangles, each forcing at least its
+    cheapest edge, and the search stops once it meets the root's bound.
+    Deterministic: the first optimum found is kept.
+    """
+    free_edges = g.free_edges
+    free_set = set(free_edges)
+    open_tris = [t for t in g.triangles if not any(e in free_set for e in t.edges)]
+    tri_edges = [t.edges for t in open_tris]
+    ntri = len(open_tris)
+    all_mask = (1 << ntri) - 1
+    cover_mask: dict[Edge, int] = {}
+    for j, es in enumerate(tri_edges):
+        for e in es:
+            cover_mask[e] = cover_mask.get(e, 0) | (1 << j)
+    wmap = g.weight_map
+    min_edge_w = [min(wmap[e] for e in es) for es in tri_edges]
+
+    best_w = sum(wmap[e] for e in cover_mask) + 1
+    best_set: list[Edge] | None = None
+
+    def lower_bound(mask: int, start: int) -> int:
+        # Every triangle before ``start`` is covered.
+        lb = 0
+        used_edges: set[Edge] = set()
+        for j in range(start, ntri):
+            if mask & (1 << j):
+                continue
+            es = tri_edges[j]
+            if used_edges.isdisjoint(es):
+                lb += min_edge_w[j]
+                used_edges.update(es)
+        return lb
+
+    root_lb = lower_bound(0, 0)
+    chosen: list[Edge] = []
+
+    def dfs(mask: int, wsum: int, j: int) -> Iterator:
+        nonlocal best_w, best_set
+        if mask == all_mask:
+            if wsum < best_w:
+                best_w = wsum
+                best_set = list(chosen)
+            return
+        # Before the first leaf, wsum + lb is below the sentinel best_w.
+        if best_set is not None and wsum + lower_bound(mask, j) >= best_w:
+            return
+        while mask & (1 << j):
+            j += 1
+        for e in tri_edges[j]:
+            chosen.append(e)
+            yield dfs(mask | cover_mask[e], wsum + wmap[e], j)
+            chosen.pop()
+            if best_w == root_lb:
+                return
+
+    run_search(dfs(0, 0, 0))
+    assert best_set is not None
+    cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
+    if cert.weight != best_w or not verify_transversal(g, cert):
+        raise InvariantViolation("transversal certificate failed verification")
+    return best_w, cert

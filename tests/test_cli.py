@@ -240,6 +240,7 @@ class TestCommands:
             (["--family", "complete"], "--n"),
             (["--family", "cycle"], "--n"),
             (["--family", "stacked", "--seed", "3"], "--n"),
+            (["--family", "wheel"], "--k"),
         ],
     )
     def test_generate_missing_flag_exits_2(self, capsys, args, flag):

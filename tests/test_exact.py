@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,16 +18,27 @@ from tripack import (
     verify_transversal,
 )
 from tripack.exact import LPSolution, _simplex_packing, max_type_packing
-from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel, gk_optimum
+from tripack.generators import (
+    gen_complete,
+    gen_cycle,
+    gen_gk,
+    gen_random,
+    gen_stacked,
+    gen_wheel,
+    gk_optimum,
+    with_random_weights,
+)
 from tripack.krivelevich import transversal_2nustar
 
 from oracles import (
+    atlas_with_triangle,
     brute_nu,
     brute_type_packing,
     brute_tau,
     rand_connected_multigraph,
     rand_triangle_free,
     reference_simplex_packing,
+    reference_tau_exact,
     triangle_union,
 )
 
@@ -117,6 +129,47 @@ class TestTauExact:
         assert tau == 1100 == cert.weight
         assert verify_transversal(g, cert)
 
+    @pytest.mark.parametrize(
+        "g, tau",
+        [
+            (with_random_weights(gen_stacked(20, seed=1), (1, 2, 3), seed=1), 28),
+            (gen_random(14, 46, 2, 1), 22),
+        ],
+        ids=["S20w", "R14,46-1"],
+    )
+    def test_lp_bound_closes_the_search(self, g, tau):
+        # With the greedy packing bound these took about 11.5 s and 3.2 s
+        # of CPU (Python 3.11, shared 2-core x86 machine).
+        start = time.process_time()
+        value, cert = tau_exact(g)
+        assert time.process_time() - start < 2
+        assert value == cert.weight == tau
+        assert verify_transversal(g, cert)
+
+
+class TestTauAgainstReference:
+    """The LP-bounded search returns the greedy-bounded search's first optimum."""
+
+    def test_atlas_with_capacities_0_to_3(self):
+        for seed, base in enumerate(atlas_with_triangle()):
+            rng = random.Random(seed)
+            g = Multigraph(
+                base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges)
+            )
+            assert tau_exact(g) == reference_tau_exact(g)
+
+    def test_random_multigraphs(self):
+        for n in range(5, 12):
+            for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
+                for seed in range(4):
+                    g = gen_random(n, m, mult, seed)
+                    assert tau_exact(g) == reference_tau_exact(g)
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_weighted_stacked(self, n):
+        g = with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1)
+        assert tau_exact(g) == reference_tau_exact(g)
+
 
 class TestLPOptimal:
     def test_k4(self):
@@ -153,6 +206,7 @@ class TestLPOptimal:
 
         monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
         nu_exact(g)
+        tau_exact(g)
         transversal_2nustar(g)
         assert solved == []
         assert lp_optimal(g) == sol and solved == [g]
