@@ -37,11 +37,14 @@ from .core import (
 from .exact import lp_optimal, nu_exact, tau_exact  # noqa: F401
 from .generators import (
     gen_apex,
+    gen_complete,
     gen_cycle,
     gen_gk,
-    gen_named,
+    gen_octahedron,
     gen_petersen,
     gen_random,
+    gen_stacked,
+    gen_wheel,
 )
 from .graphio import ParseError, emit_graph, parse_graph
 from .haxell import DEFAULT_BUDGET, build_state, candidate_transversals
@@ -290,15 +293,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"unknown apex host {args.host!r}")
         g = gen_apex(host)
-    elif fam in ("complete", "cycle"):
-        g = gen_named(fam, n=_flag(args, "n"))
+    elif fam == "complete":
+        g = gen_complete(_flag(args, "n"))
+    elif fam == "cycle":
+        g = gen_cycle(_flag(args, "n"))
     elif fam == "wheel":
         # The rim size is --k, or --n when --k is absent.
-        g = gen_named(fam, k=args.n if args.k is None and args.n is not None else _flag(args, "k"))
+        g = gen_wheel(args.n if args.k is None and args.n is not None else _flag(args, "k"))
     elif fam == "stacked":
-        g = gen_named(fam, n=_flag(args, "n"), seed=args.seed)
-    elif fam in ("petersen", "octahedron"):
-        g = gen_named(fam)
+        g = gen_stacked(_flag(args, "n"), args.seed)
+    elif fam == "petersen":
+        g = gen_petersen()
+    elif fam == "octahedron":
+        g = gen_octahedron()
     else:
         raise ValueError(f"unknown family {fam!r}")
     sys.stdout.write(emit_graph(g))

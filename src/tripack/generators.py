@@ -253,27 +253,3 @@ def with_random_weights(g: Multigraph, choices: tuple[int, ...], seed: int) -> M
         g.n, ((u, v, rng.choice(choices)) for u, v, _ in g.edges)
     )
 
-
-def gen_named(name: str, **params) -> Multigraph:
-    """Dispatch to a named factory; unknown names or params raise ValueError."""
-    try:
-        if name in ("complete", "k"):
-            return gen_complete(params.pop("n"))
-        if name in ("wheel", "w"):
-            k = params.pop("k", None)
-            if k is None:
-                k = params.pop("n")
-            return gen_wheel(k)
-        if name in ("cycle", "c"):
-            return gen_cycle(params.pop("n"))
-        if name == "petersen":
-            return gen_petersen()
-        if name == "octahedron":
-            return gen_octahedron()
-        if name == "stacked":
-            return gen_stacked(params.pop("n"), params.pop("seed", 0))
-    except KeyError as exc:
-        raise ValueError(f"missing parameter {exc} for family {name!r}") from None
-    except TypeError:
-        raise ValueError(f"bad parameters for family {name!r}") from None
-    raise ValueError(f"unknown family {name!r}")

@@ -24,7 +24,10 @@ The five constructions (labels ``a`` .. ``e``) have sizes at most
     (3 - 2g/3) nu,  (3/2 + 5g/2 + 2b) nu,  (3g + 3d + 3a - b) nu,
     (3g + 3a - 2d0) nu,  (3 - d + 4h + d0) nu
 
-in the state's scalars, and a fixed convex combination of these bounds
+in the state's scalars, each the size of one family over nu (g = gamma
+from ``b1``, b = beta from ``b2``, a = alpha from ``b_prime``, d = delta
+from ``b1_prime``, h = eta from ``i_family``, d0 = delta0 from
+``k_family``), and a fixed convex combination of these bounds
 shows that the smallest is at most ``(3 - 2/25) nu``.  Sizes count slots;
 the returned certificates are per-edge-class (taking a class costs its
 full capacity) and coincide with slot counts on simple graphs.
@@ -83,19 +86,6 @@ class SlotTriangle(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TriangleFamily:
-    """An edge-disjoint family of slot triangles."""
-
-    members: tuple[SlotTriangle, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def slot_edges(self) -> set[SlotEdge]:
-        return {e for st in self.members for e in st.slot_edges}
-
-
-@dataclass(frozen=True)
 class AnchoredTriangle:
     """A triangle sharing exactly one edge with a family member.
 
@@ -115,30 +105,41 @@ class AnchoredTriangle:
 
 @dataclass(frozen=True)
 class HaxellState:
-    """The nested families and scalars driving the five constructions."""
+    """The nested families driving the five constructions.
+
+    Only families are stored: ``b``, ``b2`` and ``b_prime`` as slot
+    triangles, the anchored families as their anchors (``b1`` and
+    ``b1_prime`` read the triangles back), and ``fmap`` assigns each member
+    of ``i_family`` its two rungs.  The scalars of the size bounds are
+    derived: each is a family size over nu, and 0 when nu is 0.
+    """
 
     graph: Multigraph
     nu: int
-    b: TriangleFamily
-    b1: TriangleFamily
-    b2: TriangleFamily
-    b_prime: TriangleFamily
-    b1_prime: TriangleFamily
-    i_family: TriangleFamily
-    i_prime: TriangleFamily
-    k_family: TriangleFamily
-    fmap: Mapping[SlotTriangle, tuple[SlotEdge, SlotEdge]]
+    b: tuple[SlotTriangle, ...]
+    b2: tuple[SlotTriangle, ...]
+    b_prime: tuple[SlotTriangle, ...]
     anchors_b1: tuple[AnchoredTriangle, ...]
     anchors_b1_prime: tuple[AnchoredTriangle, ...]
-    gamma: Rational
-    beta: Rational
-    alpha: Rational
-    delta: Rational
-    eta: Rational
-    eta_prime: Rational
-    delta0: Rational
+    i_family: tuple[AnchoredTriangle, ...]
+    i_prime: tuple[AnchoredTriangle, ...]
+    k_family: tuple[AnchoredTriangle, ...]
+    fmap: Mapping[SlotTriangle, tuple[SlotEdge, SlotEdge]]
     # Every triangle of the slot graph, sorted; each candidate must meet all.
     slot_triangles: tuple[SlotTriangle, ...] = field(repr=False)
+
+    def _per_nu(self, family: Sequence) -> Rational:
+        return Fraction(len(family), self.nu) if self.nu else Fraction(0)
+
+    b1 = property(lambda self: tuple(a.t for a in self.anchors_b1))
+    b1_prime = property(lambda self: tuple(a.t for a in self.anchors_b1_prime))
+    gamma = property(lambda self: self._per_nu(self.anchors_b1))
+    beta = property(lambda self: self._per_nu(self.b2))
+    alpha = property(lambda self: self._per_nu(self.b_prime))
+    delta = property(lambda self: self._per_nu(self.anchors_b1_prime))
+    eta = property(lambda self: self._per_nu(self.i_family))
+    eta_prime = property(lambda self: self._per_nu(self.i_prime))
+    delta0 = property(lambda self: self._per_nu(self.k_family))
 
 
 def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
@@ -199,13 +200,19 @@ def _search_max_family(
         for side, e in enumerate(it.slot_edges):
             others = it.slots[:side] + it.slots[side + 1:]
             sides.setdefault(e, set()).add((it.tri, others, gain))
-    key = {e: (e[:2], frozenset(sides[e])) for e in sorted(sides)}
-    orbit_of = {k: o for o, k in enumerate(dict.fromkeys(key.values()))}
-    copies: list[list[int]] = [[] for _ in orbit_of]  # the copies of each orbit, ascending
-    for e, k in key.items():
-        copies[orbit_of[k]].append(e[2])
+    # Each slot edge looks its key up once: comparing two equal keys walks
+    # their frozensets, which per item side would cost O(w**5) on a
+    # triangle of capacity w.
+    orbit_ids: dict[tuple, int] = {}
+    orbit: dict[SlotEdge, int] = {}
+    copies: list[list[int]] = []  # the copies of each orbit, ascending
+    for e in sorted(sides):
+        o = orbit[e] = orbit_ids.setdefault((e[:2], frozenset(sides[e])), len(orbit_ids))
+        if o == len(copies):
+            copies.append([])
+        copies[o].append(e[2])
     types = list(dict.fromkeys(
-        (it.tri, tuple(orbit_of[key[e]] for e in it.slot_edges), gain)
+        (it.tri, tuple(orbit[e] for e in it.slot_edges), gain)
         for it, gain in zip(items, gain_of)
     ))
     best = max_type_packing(
@@ -229,28 +236,44 @@ def _btype(st: SlotTriangle, base: set[SlotEdge]) -> int:
     return sum(e in base for e in st.slot_edges)
 
 
-def _anchor(
-    st: SlotTriangle,
+def _slot_edges(members: Iterable[SlotTriangle]) -> set[SlotEdge]:
+    """The slot edges of a family, which must be pairwise slot-disjoint."""
+    edges: set[SlotEdge] = set()
+    for st in members:
+        es = st.slot_edges
+        if any(e in edges for e in es):
+            raise InvariantViolation("family is not slot-disjoint")
+        edges.update(es)
+    return edges
+
+
+def _anchors(
+    members: Iterable[SlotTriangle],
     family: Sequence[SlotTriangle],
     family_edges: set[SlotEdge],
     host_slots: frozenset[SlotEdge],
-) -> AnchoredTriangle:
-    """Anchor a type-1 triangle to its unique partner in ``family``."""
-    shared = [e for e in st.slot_edges if e in family_edges]
-    if len(shared) != 1:
-        raise InvariantViolation("anchored triangle must share exactly one edge")
-    e = shared[0]
-    partners = [m for m in family if e in m.slot_edges]
-    if len(partners) != 1:
-        raise InvariantViolation("shared edge must belong to exactly one member")
-    partner = partners[0]
-    apex = next(x for x in st.tri if x not in e[:2])
-    papex = next(x for x in partner.tri if x not in e[:2])
-    lo, hi = (apex, papex) if apex < papex else (papex, apex)
-    rungs = tuple(
-        s for s in sorted(host_slots) if s[0] == lo and s[1] == hi
-    ) if apex != papex else ()
-    return AnchoredTriangle(st, partner, e, apex, papex, rungs)
+) -> tuple[AnchoredTriangle, ...]:
+    """Anchor each type-1 triangle to its partner in ``family``; no two share one."""
+    out: list[AnchoredTriangle] = []
+    for st in members:
+        shared = [e for e in st.slot_edges if e in family_edges]
+        if len(shared) != 1:
+            raise InvariantViolation("anchored triangle must share exactly one edge")
+        e = shared[0]
+        partners = [m for m in family if e in m.slot_edges]
+        if len(partners) != 1:
+            raise InvariantViolation("shared edge must belong to exactly one member")
+        partner = partners[0]
+        apex = next(x for x in st.tri if x not in e[:2])
+        papex = next(x for x in partner.tri if x not in e[:2])
+        lo, hi = (apex, papex) if apex < papex else (papex, apex)
+        rungs = tuple(
+            s for s in sorted(host_slots) if s[0] == lo and s[1] == hi
+        ) if apex != papex else ()
+        out.append(AnchoredTriangle(st, partner, e, apex, papex, rungs))
+    if len({a.partner for a in out}) != len(out):
+        raise InvariantViolation("two anchored triangles share a partner")
+    return tuple(out)
 
 
 def _expand_packing(mult: Mapping[Triangle, int]) -> list[SlotTriangle]:
@@ -276,7 +299,7 @@ def _max_i_family(
     members: Sequence[AnchoredTriangle],
     bprime_edges: set[SlotEdge],
     budget: _Budget,
-) -> tuple[list[AnchoredTriangle], dict[SlotTriangle, tuple[SlotEdge, SlotEdge]]]:
+) -> tuple[tuple[AnchoredTriangle, ...], dict[SlotTriangle, tuple[SlotEdge, SlotEdge]]]:
     """Largest subfamily admitting two private rungs off the packing.
 
     Each selected triangle needs two rung slots outside the family edges;
@@ -297,8 +320,6 @@ def _max_i_family(
     def dfs(i: int) -> Iterator:
         nonlocal best, best_f
         if len(chosen) + (n - i) <= len(best):
-            return
-        if i == n:
             return
         a = members[i]
         own = a.t.slot_edges
@@ -323,7 +344,7 @@ def _max_i_family(
         yield dfs(i + 1)
 
     run_search(dfs(0), budget)
-    return [members[i] for i in best], best_f
+    return tuple(members[i] for i in best), best_f
 
 
 def _slot_tri_from_edges(e1: SlotEdge, e2: SlotEdge, e3: SlotEdge) -> SlotTriangle:
@@ -339,17 +360,7 @@ def _slot_tri_from_edges(e1: SlotEdge, e2: SlotEdge, e3: SlotEdge) -> SlotTriang
 
 def _empty_state(g: Multigraph) -> HaxellState:
     # nu = 0: every triangle has a capacity-0 edge, so no slot triangle exists.
-    empty = TriangleFamily(())
-    zero = Fraction(0)
-    return HaxellState(
-        graph=g, nu=0,
-        b=empty, b1=empty, b2=empty, b_prime=empty, b1_prime=empty,
-        i_family=empty, i_prime=empty, k_family=empty,
-        fmap={}, anchors_b1=(), anchors_b1_prime=(),
-        gamma=zero, beta=zero, alpha=zero, delta=zero,
-        eta=zero, eta_prime=zero, delta0=zero,
-        slot_triangles=(),
-    )
+    return HaxellState(g, 0, (), (), (), (), (), (), (), (), {}, ())
 
 
 def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
@@ -369,111 +380,76 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
         return _empty_state(g)
     bud = _Budget(budget)
 
-    b_members = _expand_packing(cert.multiplicities)
-    eb = {e for st in b_members for e in st.slot_edges}
-    if len(eb) != 3 * nu:
-        raise InvariantViolation("maximum packing is not slot-disjoint")
+    b = tuple(_expand_packing(cert.multiplicities))
+    eb = _slot_edges(b)
     all_slots = frozenset(_all_slot_edges(g))
     all_tris = _slot_triangles(g, all_slots)
     if any(_btype(st, eb) == 0 for st in all_tris):
         raise InvariantViolation("a triangle avoids the maximum packing")
 
     type1 = [st for st in all_tris if _btype(st, eb) == 1]
-    b1_members = _search_max_family(type1, bud)
-    gamma = Fraction(len(b1_members), nu)
-    anchors_b1 = tuple(
-        _anchor(st, b_members, eb, all_slots) for st in b1_members
-    )
-    if len({a.partner for a in anchors_b1}) != len(anchors_b1):
-        raise InvariantViolation("two anchored triangles share a partner")
+    anchors_b1 = _anchors(_search_max_family(type1, bud), b, eb, all_slots)
 
-    eb1 = {e for st in b1_members for e in st.slot_edges}
-    gp_slots = frozenset(all_slots - eb1)
+    gp_slots = all_slots - _slot_edges(a.t for a in anchors_b1)
     gp_tris = _slot_triangles(g, gp_slots)
     if any(_btype(st, eb) not in (2, 3) for st in gp_tris):
         raise InvariantViolation("reduced graph keeps a share-one triangle")
     gp = _compress(g, gp_slots)
     nu_gp, _ = nu_exact(gp)
-    if nu_gp != nu - len(b1_members):
+    if nu_gp != nu - len(anchors_b1):
         raise InvariantViolation("reduced packing number is off")
 
-    type2 = [st for st in gp_tris if _btype(st, eb) == 2]
-    b2_members = _search_max_family(type2, bud)
-    beta = Fraction(len(b2_members), nu)
-
+    b2 = tuple(_search_max_family([st for st in gp_tris if _btype(st, eb) == 2], bud))
     gains = [3 - _btype(st, eb) for st in gp_tris]
-    target = len(b2_members)
-    bp_members = _search_max_family(gp_tris, bud, gains=gains, target=target)
-    alpha = Fraction(len(bp_members), nu)
+    target = len(b2)
+    bp = _search_max_family(gp_tris, bud, gains=gains, target=target)
 
-    def check_bprime(members: Sequence[SlotTriangle]) -> set[SlotEdge]:
-        edges: set[SlotEdge] = set()
-        for st in members:
-            es = st.slot_edges
-            if any(e in edges for e in es):
-                raise InvariantViolation("family is not slot-disjoint")
-            edges.update(es)
+    def bprime_edges(members: Sequence[SlotTriangle]) -> set[SlotEdge]:
+        edges = _slot_edges(members)
         if len(edges - eb) < target:
             raise InvariantViolation("family misses its fresh-edge surplus")
         return edges
 
     def b1prime_for(
         members: Sequence[SlotTriangle], edges: set[SlotEdge]
-    ) -> tuple[list[SlotTriangle], tuple[AnchoredTriangle, ...]]:
+    ) -> tuple[AnchoredTriangle, ...]:
         cands = []
         for st in gp_tris:
             shared = [e for e in st.slot_edges if e in edges]
             if len(shared) == 1 and shared[0] not in eb:
                 cands.append(st)
-        found = _search_max_family(cands, bud)
-        anchors = tuple(
-            _anchor(st, members, edges, gp_slots) for st in found
-        )
-        if len({a.partner for a in anchors}) != len(anchors):
-            raise InvariantViolation("two anchored triangles share a partner")
-        return found, anchors
+        return _anchors(_search_max_family(cands, bud), members, edges, gp_slots)
 
-    ebp = check_bprime(bp_members)
-    b1p_members, b1p_anchors = b1prime_for(bp_members, ebp)
+    ebp = bprime_edges(bp)
+    b1p = b1prime_for(bp, ebp)
 
     # Two private rungs need a parallel pair somewhere in the reduced graph;
-    # without one, every partner-swap variant yields an empty family.
-    may_have_i = any(w >= 2 for _, _, w in gp.edges)
-
-    i_anchors: list[AnchoredTriangle] = []
-    fmap: dict[SlotTriangle, tuple[SlotEdge, SlotEdge]] = {}
-    if may_have_i and b1p_members:
-        if len(b1p_members) > MAX_SWITCH_BASE:
-            raise BudgetExceeded(
-                f"switch enumeration over {len(b1p_members)} anchored triangles"
-            )
-        best: tuple | None = None
-        base_anchors = b1p_anchors
-        for mask in range(1 << len(base_anchors)):
-            swapped = [a for i, a in enumerate(base_anchors) if mask >> i & 1]
-            dropped = {a.partner for a in swapped}
-            variant = sorted(
-                [m for m in bp_members if m not in dropped] + [a.t for a in swapped]
-            )
-            v_edges = check_bprime(variant)
-            v_b1p, v_anchors = b1prime_for(variant, v_edges)
-            v_i, v_f = _max_i_family(v_anchors, v_edges, bud)
-            if best is None or len(v_i) > len(best[3]):
-                best = (variant, v_b1p, v_anchors, v_i, v_f, v_edges)
-        assert best is not None
-        bp_members, b1p_members, b1p_anchors, i_anchors, fmap, ebp = best
-    elif b1p_members:
-        i_anchors, fmap = _max_i_family(b1p_anchors, ebp, bud)
-        if i_anchors:
-            raise InvariantViolation("rung family appeared without parallel pairs")
-
-    delta = Fraction(len(b1p_members), nu)
-    eta = Fraction(len(i_anchors), nu)
+    # without one, no partner-swap variant has a rung family.
+    parallel = any(w >= 2 for _, _, w in gp.edges)
+    if parallel and len(b1p) > MAX_SWITCH_BASE:
+        raise BudgetExceeded(f"switch enumeration over {len(b1p)} anchored triangles")
+    i_anchors, fmap = _max_i_family(b1p, ebp, bud) if b1p else ((), {})
+    if i_anchors and not parallel:
+        raise InvariantViolation("rung family appeared without parallel pairs")
+    # Mask 0 is b_prime itself, searched above; in every other variant the
+    # masked anchors replace their partners, and a strictly larger rung
+    # family wins.
+    best = (bp, ebp, b1p, i_anchors, fmap)
+    for mask in range(1, 1 << len(b1p) if parallel else 1):
+        swapped = [a for i, a in enumerate(b1p) if mask >> i & 1]
+        dropped = {a.partner for a in swapped}
+        variant = sorted([m for m in bp if m not in dropped] + [a.t for a in swapped])
+        v_edges = bprime_edges(variant)
+        v_b1p = b1prime_for(variant, v_edges)
+        v_i, v_f = _max_i_family(v_b1p, v_edges, bud)
+        if len(v_i) > len(best[3]):
+            best = (variant, v_edges, v_b1p, v_i, v_f)
+    bp, ebp, b1p, i_anchors, fmap = best
 
     # Independent-family witness for alpha + eta <= 1 - gamma: replace each
     # selected partner by the two triangles its rungs complete.
     ihat = {a.partner for a in i_anchors}
-    witness: list[SlotTriangle] = [m for m in bp_members if m not in ihat]
+    witness: list[SlotTriangle] = [m for m in bp if m not in ihat]
     for a in i_anchors:
         f1, f2 = fmap[a.t]
         x, y = a.shared[0], a.shared[1]
@@ -485,56 +461,31 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
         witness.append(
             _slot_tri_from_edges(own[norm_edge(y, a.apex)], par[norm_edge(y, a.partner_apex)], f2)
         )
-    wedges: set[SlotEdge] = set()
-    for st in witness:
-        es = st.slot_edges
-        if any(e in wedges for e in es) or any(e not in gp_slots for e in es):
-            raise InvariantViolation("rung-witness family is not independent")
-        wedges.update(es)
-    if len(witness) != len(bp_members) + len(i_anchors) or len(witness) > nu_gp:
+    if not _slot_edges(witness) <= gp_slots:
+        raise InvariantViolation("rung-witness family is not independent")
+    if len(witness) != len(bp) + len(i_anchors) or len(witness) > nu_gp:
         raise InvariantViolation("rung-witness family breaks the packing cap")
-    if alpha + eta > 1 - gamma:
+    if len(bp) + len(i_anchors) > nu - len(anchors_b1):
         raise InvariantViolation("alpha + eta exceeds 1 - gamma")
 
     all_f = {e for pair in fmap.values() for e in pair}
-    iset = {a.t for a in i_anchors}
-    i_prime_anchors = [
-        a
-        for a in b1p_anchors
-        if a.t not in iset and any(e in all_f for e in a.t.slot_edges)
-    ]
-    eta_prime = Fraction(len(i_prime_anchors), nu)
-    if eta_prime > 2 * eta:
+    i_prime = tuple(
+        a for a in b1p
+        if a not in i_anchors and any(e in all_f for e in a.t.slot_edges)
+    )
+    if len(i_prime) > 2 * len(i_anchors):
         raise InvariantViolation("crowding family exceeds twice the rung family")
 
-    b1p_hat = {a.partner for a in b1p_anchors}
-    e0 = {e for m in bp_members if m not in b1p_hat for e in m.slot_edges}
-    e0.update(a.shared for a in b1p_anchors)
-    k_anchors = [a for a in b1p_anchors if set(a.rungs) <= e0]
-    delta0 = Fraction(len(k_anchors), nu)
+    b1p_hat = {a.partner for a in b1p}
+    e0 = {e for m in bp if m not in b1p_hat for e in m.slot_edges}
+    e0.update(a.shared for a in b1p)
 
     return HaxellState(
-        graph=g,
-        nu=nu,
-        b=TriangleFamily(tuple(b_members)),
-        b1=TriangleFamily(tuple(b1_members)),
-        b2=TriangleFamily(tuple(b2_members)),
-        b_prime=TriangleFamily(tuple(bp_members)),
-        b1_prime=TriangleFamily(tuple(b1p_members)),
-        i_family=TriangleFamily(tuple(a.t for a in i_anchors)),
-        i_prime=TriangleFamily(tuple(a.t for a in i_prime_anchors)),
-        k_family=TriangleFamily(tuple(a.t for a in k_anchors)),
-        fmap=dict(fmap),
-        anchors_b1=anchors_b1,
-        anchors_b1_prime=b1p_anchors,
-        gamma=gamma,
-        beta=beta,
-        alpha=alpha,
-        delta=delta,
-        eta=eta,
-        eta_prime=eta_prime,
-        delta0=delta0,
-        slot_triangles=tuple(all_tris),
+        graph=g, nu=nu, b=b, b2=b2, b_prime=tuple(bp),
+        anchors_b1=anchors_b1, anchors_b1_prime=b1p,
+        i_family=i_anchors, i_prime=i_prime,
+        k_family=tuple(a for a in b1p if set(a.rungs) <= e0),
+        fmap=fmap, slot_triangles=tuple(all_tris),
     )
 
 
@@ -572,16 +523,14 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     g = st.graph
     nu = st.nu
     all_tris = st.slot_triangles
-    eb = st.b.slot_edges()
-    eb1 = st.b1.slot_edges()
-    eb2 = st.b2.slot_edges()
-    ebp = st.b_prime.slot_edges()
-    eb1p = st.b1_prime.slot_edges()
+    eb, eb1, eb2, ebp, eb1p = (
+        _slot_edges(f) for f in (st.b, st.b1, st.b2, st.b_prime, st.b1_prime)
+    )
     out: list[CandidateTransversal] = []
 
     # a: kept packing edges, shared edges, and all rungs of the anchors.
     bhat1 = {a.partner for a in st.anchors_b1}
-    c1 = {e for m in st.b.members if m not in bhat1 for e in m.slot_edges}
+    c1 = {e for m in st.b if m not in bhat1 for e in m.slot_edges}
     c1.update(a.shared for a in st.anchors_b1)
     ca = set(c1)
     for a in st.anchors_b1:
@@ -595,7 +544,7 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
 
     # b: both side families plus the cheap half of the leftover packing edges.
     h_slots = eb - eb1 - eb2
-    if len(h_slots) != (3 - st.gamma - 2 * st.beta) * nu:
+    if len(h_slots) != 3 * nu - len(st.anchors_b1) - 2 * len(st.b2):
         raise InvariantViolation("leftover packing-edge count is off")
     cb = set(eb1) | set(eb2)
     if h_slots:
@@ -626,12 +575,10 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     )
 
     # d: drop the partners of the fully-surrounded anchors, keep their shared edges.
-    k_set = set(st.k_family.members)
-    k_anchors = [a for a in st.anchors_b1_prime if a.t in k_set]
-    khat = {a.partner for a in k_anchors}
+    khat = {a.partner for a in st.k_family}
     cd = set(eb1)
-    cd.update(e for m in st.b_prime.members if m not in khat for e in m.slot_edges)
-    cd.update(a.shared for a in k_anchors)
+    cd.update(e for m in st.b_prime if m not in khat for e in m.slot_edges)
+    cd.update(a.shared for a in st.k_family)
     out.append(
         _certify(
             g, "d",
@@ -643,17 +590,16 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
 
     # e: the layered cover around the rung family.
     b1p_hat = {a.partner for a in st.anchors_b1_prime}
-    e0 = {e for m in st.b_prime.members if m not in b1p_hat for e in m.slot_edges}
+    e0 = {e for m in st.b_prime if m not in b1p_hat for e in m.slot_edges}
     e0.update(a.shared for a in st.anchors_b1_prime)
-    iset = set(st.i_family.members)
-    ipset = set(st.i_prime.members)
+    crowded = set(st.i_prime) | set(st.k_family)
     ce = set(eb1) | e0
     for a in st.anchors_b1_prime:
-        if a.t in iset:
+        if a in st.i_family:
             ce.update(a.t.slot_edges)
             ce.update(a.partner.slot_edges)
             ce.update(st.fmap[a.t])
-        elif a.t in ipset or a.t in k_set:
+        elif a in crowded:
             ce.update(a.partner.slot_edges)
         else:
             ce.update(a.rungs)

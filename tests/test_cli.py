@@ -12,7 +12,16 @@ from tripack import (
     verify_transversal,
 )
 from tripack.cli import main
-from tripack.generators import gen_complete, gen_gk, gen_random, gen_wheel
+from tripack.generators import (
+    gen_complete,
+    gen_cycle,
+    gen_gk,
+    gen_octahedron,
+    gen_petersen,
+    gen_random,
+    gen_stacked,
+    gen_wheel,
+)
 from tripack.graphio import ParseError
 
 from oracles import rand_connected_multigraph, triangle_union
@@ -192,6 +201,20 @@ class TestCommands:
         code, out2, _ = run_cli(capsys, args)
         assert out1 == out2
         assert parse_graph(out1) == gen_random(6, 9, 3, 4)
+
+    def test_generate_named_families(self, capsys):
+        named = [
+            (["cycle", "--n", "6"], gen_cycle(6)),
+            (["stacked", "--n", "8", "--seed", "3"], gen_stacked(8, 3)),
+            (["petersen"], gen_petersen()),
+            (["octahedron"], gen_octahedron()),
+        ]
+        for args, g in named:
+            code, out, _ = run_cli(capsys, ["generate", "--family", *args])
+            assert code == 0 and parse_graph(out) == g, args
+        code, out, err = run_cli(capsys, ["generate", "--family", "apex", "--host", "foo"])
+        assert code == 2 and out == ""
+        assert "unknown apex host 'foo'" in err
 
     def test_generate_apex_petersen(self, capsys):
         code, out, _ = run_cli(capsys, ["generate", "--family", "apex", "--host", "petersen"])

@@ -13,7 +13,6 @@ from tripack.generators import (
     gen_complete,
     gen_cycle,
     gen_gk,
-    gen_named,
     gen_octahedron,
     gen_petersen,
     gen_random,
@@ -24,6 +23,14 @@ from tripack.generators import (
     fractional_transversal_gka,
     with_random_weights,
 )
+from tripack.cli import main
+from tripack.graphio import parse_graph
+
+
+def generate(capsys, *args):
+    """Run `tripack generate --family ...` and parse the graph it prints."""
+    assert main(["generate", "--family", *args]) == 0
+    return parse_graph(capsys.readouterr().out)
 
 
 class TestGenGk:
@@ -160,12 +167,20 @@ class TestApex:
 
 
 class TestNamedAndRandom:
-    def test_complete(self):
-        g = gen_named("complete", n=4)
+    # Named families are dispatched by the `generate` command.
+    def test_complete(self, capsys):
+        g = generate(capsys, "complete", "--n", "4")
         assert g.n == 4 and len(g.edges) == 6
+        assert g == gen_complete(4)
 
-    def test_wheel(self):
-        assert gen_named("wheel", k=5) == gen_wheel(5)
+    def test_wheel(self, capsys):
+        assert generate(capsys, "wheel", "--k", "5") == gen_wheel(5)
+        assert generate(capsys, "wheel", "--n", "5") == gen_wheel(5)
+
+    def test_unknown_family(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--family", "mystery"])
+        assert exc.value.code == 2
 
     def test_petersen_triangle_free(self):
         g = gen_petersen()
@@ -181,14 +196,6 @@ class TestNamedAndRandom:
         g = gen_stacked(8, seed=1)
         assert g.n == 8
         assert len(g.edges) == 3 * 8 - 6  # planar triangulation
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            gen_named("mystery")
-
-    def test_missing_params(self):
-        with pytest.raises(ValueError):
-            gen_named("complete")
 
     def test_random_deterministic(self):
         a = gen_random(6, 10, 3, seed=1)

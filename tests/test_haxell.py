@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,14 @@ class TestBuildState:
         # An item-level search spent more than 20M nodes on either graph.
         assert build_state(gen_random(n, m, 2, 0), budget=200_000).nu == 12
 
+    def test_orbits_of_a_heavy_triangle_are_found_in_cubic_time(self):
+        # Looking up an orbit key per item side cost O(w**5) on a triangle of
+        # capacity w: about 13 s at w = 30.
+        g = Multigraph.from_edges(3, [(0, 1, 30), (0, 2, 30), (1, 2, 30)])
+        start = time.process_time()
+        assert build_state(g).nu == 30
+        assert time.process_time() - start < 5
+
 
 class TestCandidates:
     def test_k4_candidate_a(self):
@@ -205,6 +214,18 @@ class TestCandidates:
             assert verify_transversal(g, c.certificate)
         best = min(c.slot_size for c in candidate_transversals(st))
         assert best <= 5
+
+    def test_k_family_meets_the_bounds_of_d_and_e(self):
+        # One anchor of b1_prime is fully surrounded (delta0 = 1/4) and lies
+        # outside the rung family, so candidate e takes its partner's edges.
+        g = gen_random(5, 10, 2, 29)
+        st = build_state(g)
+        assert st.nu == 4 and st.delta0 == Fraction(1, 4)
+        assert st.k_family and not set(st.k_family) & set(st.i_family)
+        by_label = {c.label: c for c in candidate_transversals(st)}
+        assert (by_label["d"].slot_size, by_label["d"].size_bound) == (10, 10)
+        assert (by_label["e"].slot_size, by_label["e"].size_bound) == (12, 12)
+        assert all(verify_transversal(g, c.certificate) for c in by_label.values())
 
     def test_all_verify_on_sample(self):
         for g in [gen_complete(5), gen_complete(6), gen_wheel(6), gen_wheel(7)]:
