@@ -161,7 +161,11 @@ class Multigraph:
         Capacity is irrelevant here: an edge of capacity 0 still supports
         triangles.
         """
-        adj = [set(ns) for ns in self.neighbor_map]
+        # From the edges, not ``neighbor_map``: n may far exceed the vertices in use.
+        adj: dict[int, set[int]] = {}
+        for u, v, _ in self.edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         out: list[Triangle] = []
         for u, v, _ in self.edges:
             for c in sorted(adj[u] & adj[v]):

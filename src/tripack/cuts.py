@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import InvariantViolation, Multigraph, run_search
 
@@ -78,8 +78,8 @@ def independent_set_triangle_free(h: Multigraph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _positive_adj(g: Multigraph) -> _Adj:
-    adj: _Adj = {x: {} for x in range(g.n)}
+def _positive_adj(g: Multigraph, vertices: Iterable[int]) -> _Adj:
+    adj: _Adj = {x: {} for x in vertices}
     for u, v, w in g.edges:
         if w > 0:
             adj[u][v] = w
@@ -210,8 +210,8 @@ def cut_connected(g: Multigraph) -> EdgeCut:
     included in the vertex count break connectivity) and have at least one
     positive edge.
     """
-    adj = _positive_adj(g)
     vertices = list(range(g.n))
+    adj = _positive_adj(g, vertices)
     if g.n == 0 or _components(vertices, adj) != [vertices]:
         raise ValueError("input multigraph is not connected")
     e = sum(w for _, _, w in g.edges)
@@ -298,9 +298,10 @@ def cut_large(g: Multigraph) -> EdgeCut:
     e_total = sum(w for _, _, w in g.edges)
     if e_total < 1:
         raise ValueError("input multigraph has no edges")
-    adj = _positive_adj(g)
+    # Only vertices on a positive edge: the declared vertex count may be huge.
+    adj = _positive_adj(g, sorted({x for u, v, w in g.edges if w > 0 for x in (u, v)}))
     shore: set[int] = set()
-    for comp in _components(list(range(g.n)), adj):
+    for comp in _components(list(adj), adj):
         sub = _sub_adj(comp, adj)
         e_c = sum(sum(d.values()) for d in sub.values()) // 2
         if e_c == 0:

@@ -8,16 +8,18 @@ counting multiplicity.  Every family maximization is an exact search on
 ``core.run_search`` under a node budget; the bounds need true maxima, so
 running out of budget is an error, never a silent heuristic.
 
-A triangle whose sides have capacity ``w`` offers up to ``w**3`` slot
-triangles, and most of them are interchangeable.  So the family search
-never branches on single slot triangles: copies of one edge class that
-every item treats alike form an *orbit*, the items fall into *types* (a
-triangle, one orbit per side, a gain), and ``exact.max_type_packing``,
-which also computes nu, chooses how many of each type to take within the
-orbits' copy counts.  Every family yields such counts and every such
-count vector is realized by distinct copies, so the maxima, and whether a
-family reaches a required gain, are exactly those of the slot-level
-problem; the budget counts these multiplicity nodes.
+The search never lists slot triangles, of which a triangle whose sides
+have capacity ``w`` has ``w**3``.  Each family is defined by one *role*
+per copy (for instance, whether the packing uses it), so copies of one
+edge class with the same role are interchangeable: they form an *orbit*.
+The items fall into *types* (a triangle, one orbit per side, a gain), and
+``exact.max_type_packing``, which also computes nu, chooses how many of
+each type to take within the orbits' copy counts.  Every family yields
+such counts and every such count vector is realized by distinct copies,
+so the maxima, and whether a family reaches a required gain, are exactly
+those of the slot-level problem; the budget counts these multiplicity
+nodes.  Coverage is checked on classes too: a slot set meets every slot
+triangle unless some triangle keeps, on each side, a copy outside it.
 
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
@@ -36,10 +38,10 @@ full capacity) and coincide with slot counts on simple graphs.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetExceeded,
@@ -125,8 +127,6 @@ class HaxellState:
     i_prime: tuple[AnchoredTriangle, ...]
     k_family: tuple[AnchoredTriangle, ...]
     fmap: Mapping[SlotTriangle, tuple[SlotEdge, SlotEdge]]
-    # Every triangle of the slot graph, sorted; each candidate must meet all.
-    slot_triangles: tuple[SlotTriangle, ...] = field(repr=False)
 
     def _per_nu(self, family: Sequence) -> Rational:
         return Fraction(len(family), self.nu) if self.nu else Fraction(0)
@@ -146,85 +146,79 @@ def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
     return [(u, v, j) for u, v, w in g.edges for j in range(w)]
 
 
-def _slot_triangles(g: Multigraph, available: frozenset[SlotEdge]) -> list[SlotTriangle]:
-    """Every triangle of the slot graph spanned by ``available``, sorted."""
-    pools: dict[Edge, list[int]] = {}
-    for u, v, j in available:
-        pools.setdefault((u, v), []).append(j)
-    for p in pools.values():
-        p.sort()
-    out: list[SlotTriangle] = []
-    for t in g.triangles:
-        e0, e1, e2 = t.edges
-        if e0 in pools and e1 in pools and e2 in pools:
-            for c0 in pools[e0]:
-                for c1 in pools[e1]:
-                    for c2 in pools[e2]:
-                        out.append(SlotTriangle(t, (c0, c1, c2)))
-    return out
+def _avoids(g: Multigraph, slots: Iterable[SlotEdge]) -> bool:
+    """Whether some slot triangle of ``g`` uses none of ``slots``.
+
+    A slot triangle takes one copy per side, so one avoids ``slots``
+    exactly when every side of its triangle has fewer than its capacity of
+    copies in ``slots``: a count per edge class, not a list of the
+    ``w0 * w1 * w2`` slot triangles.
+    """
+    used = Counter(e[:2] for e in slots)
+    w = g.weight_map
+    return any(all(used[e] < w[e] for e in t.edges) for t in g.triangles)
 
 
 def _search_max_family(
-    items: Sequence[SlotTriangle],
+    g: Multigraph,
+    host: Iterable[SlotEdge],
+    role: Callable[[SlotEdge], int],
+    gain: Callable[[tuple[int, ...]], int | None],
     budget: _Budget,
     *,
-    gains: Sequence[int] | None = None,
     target: int = 0,
 ) -> list[SlotTriangle]:
-    """Maximum-cardinality pairwise slot-disjoint subfamily of ``items``.
+    """Maximum-cardinality slot-disjoint family of triangles over ``host``.
 
-    With ``gains``/``target`` the family must additionally reach
-    ``sum(gains) >= target``; gains are per-item, nonnegative and additive
+    The items are the slot triangles whose copies all lie in ``host`` and
+    whose roles, one per side in ``tri.edges`` order, have a gain; ``gain``
+    returns None to reject them.  With ``target`` the family must
+    additionally reach that total gain; gains are nonnegative and additive
     because the family's slot edges are disjoint.
 
-    The search runs over classes of interchangeable copies, not over
-    items.  Two copies of one edge class share an *orbit* when the items
-    through either give the same set of (triangle, other two slots,
-    gain), so swapping them maps ``items`` onto itself and keeps every
-    gain.  A *type* is a triangle, an orbit per side and a gain; applying
-    such swaps side by side shows that every choice of one copy per side
-    from a type's orbits is an item.  ``max_type_packing`` takes the
-    orbits as resources, with their copy counts as capacities, and the
-    types in order of first appearance.
+    The search runs over classes of interchangeable copies, never over
+    items.  An *orbit* is the host copies of one edge class with one role,
+    and orbits are ordered by their lowest copy.  Whether a slot triangle
+    is an item, and its gain, depend only on its three roles, so swapping
+    two copies of one orbit maps the items onto themselves and keeps every
+    gain.  For the roles ``build_state`` uses, no coarser grouping exists:
+    copies of two orbits of one class never lie on items with the same
+    other two copies and gain, unless neither lies on any item.  A *type*
+    is a triangle, an orbit per side and a gain, taken in order of
+    triangle and then orbits; applying the swaps side by side, every
+    choice of one copy per side from a type's orbits is an item.
+    ``max_type_packing`` takes the orbits as resources, with their copy
+    counts as capacities.
 
     Every family maps to a multiplicity vector within the orbit
     capacities, and every such vector is realized by disjoint copies, so
     the maximum size and whether ``target`` is reachable are exactly those
-    of the item-level problem; only which maximum family comes back may
-    differ.  The best vector is expanded lowest unused copy first per
-    orbit.
+    of the item-level problem.  The best vector is expanded lowest unused
+    copy first per orbit.
     """
-    gain_of = gains if gains is not None else [0] * len(items)
-    sides: dict[SlotEdge, set] = {}
-    for it, gain in zip(items, gain_of):
-        for side, e in enumerate(it.slot_edges):
-            others = it.slots[:side] + it.slots[side + 1:]
-            sides.setdefault(e, set()).add((it.tri, others, gain))
-    # Each slot edge looks its key up once: comparing two equal keys walks
-    # their frozensets, which per item side would cost O(w**5) on a
-    # triangle of capacity w.
-    orbit_ids: dict[tuple, int] = {}
-    orbit: dict[SlotEdge, int] = {}
-    copies: list[list[int]] = []  # the copies of each orbit, ascending
-    for e in sorted(sides):
-        o = orbit[e] = orbit_ids.setdefault((e[:2], frozenset(sides[e])), len(orbit_ids))
-        if o == len(copies):
-            copies.append([])
-        copies[o].append(e[2])
-    types = list(dict.fromkeys(
-        (it.tri, tuple(orbit[e] for e in it.slot_edges), gain)
-        for it, gain in zip(items, gain_of)
-    ))
+    copies: dict[tuple[Edge, int], list[int]] = {}
+    for u, v, j in sorted(host):
+        copies.setdefault(((u, v), role((u, v, j))), []).append(j)
+    orbit = {key: o for o, key in enumerate(copies)}
+    roles_of: dict[Edge, list[int]] = {}
+    for e, r in copies:
+        roles_of.setdefault(e, []).append(r)
+    types = []
+    for t in g.triangles:
+        for roles in itertools.product(*(roles_of.get(e, ()) for e in t.edges)):
+            gn = gain(roles)
+            if gn is not None:
+                types.append((t, tuple(orbit[k] for k in zip(t.edges, roles)), gn))
     best = max_type_packing(
         [orbits for _, orbits, _ in types],
-        [len(c) for c in copies],
-        gains=[gain for _, _, gain in types],
+        [len(c) for c in copies.values()],
+        gains=[gn for _, _, gn in types],
         target=target,
         budget=budget,
     )
     if best is None:
         raise InvariantViolation("no family reaches the required surplus")
-    unused = [iter(c) for c in copies]
+    unused = [iter(c) for c in copies.values()]
     return sorted(
         SlotTriangle(tri, tuple(next(unused[o]) for o in orbits))  # type: ignore[arg-type]
         for (tri, orbits, _), m in zip(types, best)
@@ -232,8 +226,9 @@ def _search_max_family(
     )
 
 
-def _btype(st: SlotTriangle, base: set[SlotEdge]) -> int:
-    return sum(e in base for e in st.slot_edges)
+def _share(k: int) -> Callable[[tuple[int, ...]], int | None]:
+    """Gain 0 for triangles whose roles sum to ``k``; rejects the rest."""
+    return lambda roles: 0 if sum(roles) == k else None
 
 
 def _slot_edges(members: Iterable[SlotTriangle]) -> set[SlotEdge]:
@@ -248,10 +243,11 @@ def _slot_edges(members: Iterable[SlotTriangle]) -> set[SlotEdge]:
 
 
 def _anchors(
+    g: Multigraph,
     members: Iterable[SlotTriangle],
     family: Sequence[SlotTriangle],
     family_edges: set[SlotEdge],
-    host_slots: frozenset[SlotEdge],
+    host: frozenset[SlotEdge],
 ) -> tuple[AnchoredTriangle, ...]:
     """Anchor each type-1 triangle to its partner in ``family``; no two share one."""
     out: list[AnchoredTriangle] = []
@@ -268,7 +264,8 @@ def _anchors(
         papex = next(x for x in partner.tri if x not in e[:2])
         lo, hi = (apex, papex) if apex < papex else (papex, apex)
         rungs = tuple(
-            s for s in sorted(host_slots) if s[0] == lo and s[1] == hi
+            s for s in ((lo, hi, j) for j in range(g.weight_map.get((lo, hi), 0)))
+            if s in host
         ) if apex != papex else ()
         out.append(AnchoredTriangle(st, partner, e, apex, papex, rungs))
     if len({a.partner for a in out}) != len(out):
@@ -360,7 +357,7 @@ def _slot_tri_from_edges(e1: SlotEdge, e2: SlotEdge, e3: SlotEdge) -> SlotTriang
 
 def _empty_state(g: Multigraph) -> HaxellState:
     # nu = 0: every triangle has a capacity-0 edge, so no slot triangle exists.
-    return HaxellState(g, 0, (), (), (), (), (), (), (), (), {}, ())
+    return HaxellState(g, 0, (), (), (), (), (), (), (), (), {})
 
 
 def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
@@ -382,27 +379,30 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
 
     b = tuple(_expand_packing(cert.multiplicities))
     eb = _slot_edges(b)
-    all_slots = frozenset(_all_slot_edges(g))
-    all_tris = _slot_triangles(g, all_slots)
-    if any(_btype(st, eb) == 0 for st in all_tris):
+    if _avoids(g, eb):
         raise InvariantViolation("a triangle avoids the maximum packing")
+    # A copy's role is whether b uses it; the b1_prime searches read 0 off
+    # their family, 1 on it but off b, and 2 on both.
+    in_b = eb.__contains__
+    all_slots = frozenset(_all_slot_edges(g))
+    b1 = _search_max_family(g, all_slots, in_b, _share(1), bud)
+    anchors_b1 = _anchors(g, b1, b, eb, all_slots)
 
-    type1 = [st for st in all_tris if _btype(st, eb) == 1]
-    anchors_b1 = _anchors(_search_max_family(type1, bud), b, eb, all_slots)
-
-    gp_slots = all_slots - _slot_edges(a.t for a in anchors_b1)
-    gp_tris = _slot_triangles(g, gp_slots)
-    if any(_btype(st, eb) not in (2, 3) for st in gp_tris):
-        raise InvariantViolation("reduced graph keeps a share-one triangle")
+    gp_slots = all_slots - _slot_edges(b1)
     gp = _compress(g, gp_slots)
     nu_gp, _ = nu_exact(gp)
     if nu_gp != nu - len(anchors_b1):
         raise InvariantViolation("reduced packing number is off")
 
-    b2 = tuple(_search_max_family([st for st in gp_tris if _btype(st, eb) == 2], bud))
-    gains = [3 - _btype(st, eb) for st in gp_tris]
+    b2 = tuple(_search_max_family(g, gp_slots, in_b, _share(2), bud))
     target = len(b2)
-    bp = _search_max_family(gp_tris, bud, gains=gains, target=target)
+
+    def surplus(roles: tuple[int, ...]) -> int:  # fresh edges of a reduced triangle
+        if sum(roles) < 2:
+            raise InvariantViolation("reduced graph keeps a share-one triangle")
+        return 3 - sum(roles)
+
+    bp = _search_max_family(g, gp_slots, in_b, surplus, bud, target=target)
 
     def bprime_edges(members: Sequence[SlotTriangle]) -> set[SlotEdge]:
         edges = _slot_edges(members)
@@ -413,12 +413,11 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     def b1prime_for(
         members: Sequence[SlotTriangle], edges: set[SlotEdge]
     ) -> tuple[AnchoredTriangle, ...]:
-        cands = []
-        for st in gp_tris:
-            shared = [e for e in st.slot_edges if e in edges]
-            if len(shared) == 1 and shared[0] not in eb:
-                cands.append(st)
-        return _anchors(_search_max_family(cands, bud), members, edges, gp_slots)
+        def role(e: SlotEdge) -> int:
+            return (e in edges) * (1 + (e in eb))
+
+        found = _search_max_family(g, gp_slots, role, _share(1), bud)
+        return _anchors(g, found, members, edges, gp_slots)
 
     ebp = bprime_edges(bp)
     b1p = b1prime_for(bp, ebp)
@@ -485,7 +484,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
         anchors_b1=anchors_b1, anchors_b1_prime=b1p,
         i_family=i_anchors, i_prime=i_prime,
         k_family=tuple(a for a in b1p if set(a.rungs) <= e0),
-        fmap=fmap, slot_triangles=tuple(all_tris),
+        fmap=fmap,
     )
 
 
@@ -504,11 +503,9 @@ def _certify(
     label: str,
     slots: set[SlotEdge],
     bound: Rational,
-    all_tris: Sequence[SlotTriangle],
 ) -> CandidateTransversal:
-    for st in all_tris:
-        if not any(e in slots for e in st.slot_edges):
-            raise InvariantViolation(f"candidate {label} misses a triangle")
+    if _avoids(g, slots):
+        raise InvariantViolation(f"candidate {label} misses a triangle")
     if len(slots) > bound:
         raise InvariantViolation(f"candidate {label} exceeds its size bound")
     classes = sorted({(u, v) for u, v, _ in slots} | set(g.free_edges))
@@ -522,7 +519,6 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     """The five constructed covers of ``st.graph``, each verified and within its bound."""
     g = st.graph
     nu = st.nu
-    all_tris = st.slot_triangles
     eb, eb1, eb2, ebp, eb1p = (
         _slot_edges(f) for f in (st.b, st.b1, st.b2, st.b_prime, st.b1_prime)
     )
@@ -538,9 +534,7 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
         if len(extra) > 2:
             raise InvariantViolation("anchor keeps more than two free rungs")
         ca.update(a.rungs)
-    out.append(
-        _certify(g, "a", ca, (3 - Fraction(2, 3) * st.gamma) * nu, all_tris)
-    )
+    out.append(_certify(g, "a", ca, (3 - Fraction(2, 3) * st.gamma) * nu))
 
     # b: both side families plus the cheap half of the leftover packing edges.
     h_slots = eb - eb1 - eb2
@@ -554,39 +548,22 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
         if 2 * len(kept) > len(h_slots):
             raise InvariantViolation("bipartite half is too small")
         cb |= kept
-    out.append(
-        _certify(
-            g, "b",
-            cb,
-            (Fraction(3, 2) + Fraction(5, 2) * st.gamma + 2 * st.beta) * nu,
-            all_tris,
-        )
-    )
+    out.append(_certify(
+        g, "b", cb, (Fraction(3, 2) + Fraction(5, 2) * st.gamma + 2 * st.beta) * nu
+    ))
 
     # c: both anchored families plus the packing edges reused by b_prime.
     cc = set(eb1) | set(eb1p) | (eb & ebp)
-    out.append(
-        _certify(
-            g, "c",
-            cc,
-            (3 * st.gamma + 3 * st.delta + 3 * st.alpha - st.beta) * nu,
-            all_tris,
-        )
-    )
+    out.append(_certify(
+        g, "c", cc, (3 * st.gamma + 3 * st.delta + 3 * st.alpha - st.beta) * nu
+    ))
 
     # d: drop the partners of the fully-surrounded anchors, keep their shared edges.
     khat = {a.partner for a in st.k_family}
     cd = set(eb1)
     cd.update(e for m in st.b_prime if m not in khat for e in m.slot_edges)
     cd.update(a.shared for a in st.k_family)
-    out.append(
-        _certify(
-            g, "d",
-            cd,
-            (3 * st.gamma + 3 * st.alpha - 2 * st.delta0) * nu,
-            all_tris,
-        )
-    )
+    out.append(_certify(g, "d", cd, (3 * st.gamma + 3 * st.alpha - 2 * st.delta0) * nu))
 
     # e: the layered cover around the rung family.
     b1p_hat = {a.partner for a in st.anchors_b1_prime}
@@ -603,14 +580,7 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
             ce.update(a.partner.slot_edges)
         else:
             ce.update(a.rungs)
-    out.append(
-        _certify(
-            g, "e",
-            ce,
-            (3 - st.delta + 4 * st.eta + st.delta0) * nu,
-            all_tris,
-        )
-    )
+    out.append(_certify(g, "e", ce, (3 - st.delta + 4 * st.eta + st.delta0) * nu))
     return out
 
 

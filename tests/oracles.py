@@ -16,7 +16,11 @@ that the faster kernels replaced and must agree with exactly:
   maximum slot-disjoint family that ``tripack.haxell`` replaced with a
   search over multiplicities of interchangeable copy classes.  It runs on
   ``core.run_search`` without a budget, and the new search must find
-  families of the same size that reach the same target.
+  families of the same size that reach the same target.  Its items come
+  from ``reference_slot_triangles``, which lists every copy triple of
+  every triangle, and ``reference_btype``, which counts the sides a slot
+  triangle shares with a slot set; ``tripack.haxell`` derives both from
+  per-class copy counts instead.
 - ``reference_tau_exact``, the transversal search that ``tripack.exact``
   bounded by a greedy packing of edge-disjoint uncovered triangles,
   recollected at every node.  ``tau_exact`` replaced that bound with the
@@ -455,6 +459,28 @@ def reference_reduce_and_certify(
             packing[t] = packing.get(t, 0) + 1
     status = "complete" if complete else "incomplete"
     return PackingCertificate.from_map(packing), TransversalCertificate.from_edges(g, cover), status
+
+
+def reference_slot_triangles(g: Multigraph, available: frozenset[SlotEdge]) -> list[SlotTriangle]:
+    """Every triangle of the slot graph spanned by ``available``, sorted."""
+    pools: dict[Edge, list[int]] = {}
+    for u, v, j in available:
+        pools.setdefault((u, v), []).append(j)
+    for p in pools.values():
+        p.sort()
+    return [
+        SlotTriangle(t, (c0, c1, c2))
+        for t in g.triangles
+        if all(e in pools for e in t.edges)
+        for c0 in pools[t.edges[0]]
+        for c1 in pools[t.edges[1]]
+        for c2 in pools[t.edges[2]]
+    ]
+
+
+def reference_btype(st: SlotTriangle, base: set[SlotEdge]) -> int:
+    """How many slot edges of ``st`` lie in ``base``."""
+    return sum(e in base for e in st.slot_edges)
 
 
 def reference_max_family(

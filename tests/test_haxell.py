@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,80 +18,122 @@ from tripack.core import _Budget
 from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
 from tripack.haxell import (
     _all_slot_edges,
-    _btype,
+    _avoids,
     _expand_packing,
     _search_max_family,
-    _slot_triangles,
+    _share,
     build_state,
     candidate_transversals,
     transversal_292,
 )
 
-from oracles import atlas_with_triangle, reference_max_family, triangle_union
+from oracles import (
+    atlas_with_triangle,
+    reference_btype,
+    reference_max_family,
+    reference_slot_triangles,
+    triangle_union,
+)
 
 
-def slot_triangles(g):
-    return _slot_triangles(g, frozenset(_all_slot_edges(g)))
+def no_role(e):
+    return 0
 
 
-def max_family_size(items):
-    return len(_search_max_family(items, _Budget(1_000_000)))
+def any_triangle(roles):
+    return 0
+
+
+def surplus(roles):
+    return 3 - sum(roles)
+
+
+def max_family_size(g, role=no_role, gain=any_triangle):
+    host = frozenset(_all_slot_edges(g))
+    return len(_search_max_family(g, host, role, gain, _Budget(1_000_000)))
 
 
 class TestMaxIndependentFamily:
     """Maximum slot-disjoint families, as ``build_state`` searches them."""
 
     def test_k4_all_candidates(self):
-        assert max_family_size(slot_triangles(gen_complete(4))) == 1
+        assert max_family_size(gen_complete(4)) == 1
 
     def test_w5(self):
-        assert max_family_size(slot_triangles(gen_wheel(5))) == 2
+        assert max_family_size(gen_wheel(5)) == 2
 
     def test_k4_share_one_candidates(self):
+        g = gen_complete(4)
         base_edges = set(Triangle.of(0, 1, 2).edges)
+
+        def in_base(e):
+            return e[:2] in base_edges
+
         candidates = [
             st
-            for st in slot_triangles(gen_complete(4))
+            for st in reference_slot_triangles(g, frozenset(_all_slot_edges(g)))
             if sum(e in base_edges for e in st.tri.edges) == 1
         ]
         assert len(candidates) == 3
-        assert max_family_size(candidates) == 1
+        assert max_family_size(g, in_base, _share(1)) == 1
 
     def test_capacity_awareness(self):
         g = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
         # Slots count copies: two slot-disjoint copies of the one triple
         # fit, which is the packing number of the doubled triangle.
-        assert max_family_size(slot_triangles(g)) == 2 == nu_exact(g)[0]
+        assert max_family_size(g) == 2 == nu_exact(g)[0]
 
     def test_1100_disjoint_triangles(self):
-        assert max_family_size(slot_triangles(triangle_union(1100))) == 1100
+        assert max_family_size(triangle_union(1100)) == 1100
 
 
 def family_cases(g):
-    """Item lists as ``build_state`` searches them, with and without gains.
+    """The four family searches of ``build_state``, with their slot-level items.
 
-    The share-one and share-two lists are taken against a maximum packing,
-    and the reduced graph drops the slots of the oracle's share-one family.
+    Each case is the search's ``(host, role, gain, target)`` followed by the
+    items and gains that the slot-level predicate selects from the listed
+    slot triangles.  The share-one and share-two families are taken against
+    a maximum packing, the reduced graph drops the slots of the oracle's
+    share-one family, and ``b1_prime`` is taken against the oracle's surplus
+    family.
     """
     all_slots = frozenset(_all_slot_edges(g))
-    items = _slot_triangles(g, all_slots)
     eb = {e for st in _expand_packing(nu_exact(g)[1].multiplicities) for e in st.slot_edges}
-    type1 = [st for st in items if _btype(st, eb) == 1]
-    eb1 = {e for st in reference_max_family(type1) for e in st.slot_edges}
-    reduced = _slot_triangles(g, all_slots - eb1)
-    type2 = [st for st in reduced if _btype(st, eb) == 2]
-    gains = [3 - _btype(st, eb) for st in reduced]
+    items = reference_slot_triangles(g, all_slots)
+    type1 = [st for st in items if reference_btype(st, eb) == 1]
+    reduced_slots = all_slots - {e for st in reference_max_family(type1) for e in st.slot_edges}
+    reduced = reference_slot_triangles(g, reduced_slots)
+    type2 = [st for st in reduced if reference_btype(st, eb) == 2]
+    gains = [3 - reference_btype(st, eb) for st in reduced]
+    target = len(reference_max_family(type2))
+    ebp = {
+        e for st in reference_max_family(reduced, gains=gains, target=target)
+        for e in st.slot_edges
+    }
+    share_one = [
+        st for st in reduced
+        if reference_btype(st, ebp) == 1
+        and not any(e in ebp and e in eb for e in st.slot_edges)
+    ]
+
+    def in_b(e):
+        return e in eb
+
+    def on_bp(e):
+        return (e in ebp) * (1 + (e in eb))
+
     return [
-        (items, None, 0),
-        (type1, None, 0),
-        (type2, None, 0),
-        (reduced, gains, len(reference_max_family(type2))),
+        (all_slots, no_role, any_triangle, 0, items, None),
+        (all_slots, in_b, _share(1), 0, type1, None),
+        (reduced_slots, in_b, _share(2), 0, type2, None),
+        (reduced_slots, in_b, surplus, target, reduced, gains),
+        (reduced_slots, on_bp, _share(1), 0, share_one, None),
     ]
 
 
-def assert_family_matches_reference(items, gains, target):
+def assert_family_matches_reference(g, host, role, gain, target, items, gains):
     want = reference_max_family(items, gains=gains, target=target)
-    got = _search_max_family(items, _Budget(1_000_000), gains=gains, target=target)
+    got = _search_max_family(g, host, role, gain, _Budget(1_000_000), target=target)
     assert len(got) == len(want)
     assert set(got) <= set(items)
     edges = [e for st in got for e in st.slot_edges]
@@ -100,30 +143,50 @@ def assert_family_matches_reference(items, gains, target):
         assert sum(gain_of[st] for st in got) >= target
 
 
+def capacities_0_to_3(seed, base):
+    rng = random.Random(seed)
+    return Multigraph(
+        base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges)
+    )
+
+
 class TestFamilyAgainstReference:
     """The multiplicity search over copy orbits against the item-level DFS."""
 
     def test_atlas_with_capacities_0_to_3(self):
         for seed, base in enumerate(atlas_with_triangle()):
-            rng = random.Random(seed)
-            g = Multigraph(
-                base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges)
-            )
+            g = capacities_0_to_3(seed, base)
             for case in family_cases(g):
-                assert_family_matches_reference(*case)
+                assert_family_matches_reference(g, *case)
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_random_multigraphs(self, n):
         # Denser graphs take the item-level oracle seconds each.
         for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
             for seed in range(4):
-                for case in family_cases(gen_random(n, m, mult, seed)):
-                    assert_family_matches_reference(*case)
+                g = gen_random(n, m, mult, seed)
+                for case in family_cases(g):
+                    assert_family_matches_reference(g, *case)
 
     def test_unreachable_target_raises(self):
-        items = slot_triangles(gen_complete(4))
+        g = gen_complete(4)
+        host = frozenset(_all_slot_edges(g))
         with pytest.raises(InvariantViolation, match="surplus"):
-            _search_max_family(items, _Budget(100), gains=[0] * len(items), target=1)
+            _search_max_family(g, host, no_role, any_triangle, _Budget(100), target=1)
+
+
+class TestAvoids:
+    def test_class_counts_match_the_listed_slot_triangles(self):
+        # Random slot sets of every size against a scan of every slot triangle.
+        for seed, base in enumerate(atlas_with_triangle()):
+            g = capacities_0_to_3(seed, base)
+            all_slots = sorted(_all_slot_edges(g))
+            tris = reference_slot_triangles(g, frozenset(all_slots))
+            rng = random.Random(seed)
+            for _ in range(4):
+                slots = set(rng.sample(all_slots, rng.randint(0, len(all_slots))))
+                want = any(reference_btype(st, slots) == 0 for st in tris)
+                assert _avoids(g, slots) == want
 
 
 class TestBuildState:
@@ -181,13 +244,31 @@ class TestBuildState:
         # An item-level search spent more than 20M nodes on either graph.
         assert build_state(gen_random(n, m, 2, 0), budget=200_000).nu == 12
 
-    def test_orbits_of_a_heavy_triangle_are_found_in_cubic_time(self):
-        # Looking up an orbit key per item side cost O(w**5) on a triangle of
-        # capacity w: about 13 s at w = 30.
-        g = Multigraph.from_edges(3, [(0, 1, 30), (0, 2, 30), (1, 2, 30)])
+    def test_a_heavy_triangle_never_lists_its_slot_triangles(self):
+        # Listing all w**3 slot triangles took 1.8 s and 72 MB at w = 40;
+        # w = 1000 would be 10**9 of them.
+        g = Multigraph.from_edges(3, [(0, 1, 1000), (0, 2, 1000), (1, 2, 1000)])
         start = time.process_time()
-        assert build_state(g).nu == 30
-        assert time.process_time() - start < 5
+        st = build_state(g)
+        sizes = tuple(c.slot_size for c in candidate_transversals(st))
+        assert time.process_time() - start < 1
+        assert st.nu == 1000
+        assert sizes == (3000, 1000, 3000, 3000, 3000)
+        tracemalloc.start()
+        try:
+            candidate_transversals(build_state(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_heavy_k4(self):
+        g = Multigraph.from_edges(
+            4, [(u, v, 12 + (u + v) % 2) for u, v, _ in gen_complete(4).edges]
+        )
+        st = build_state(g)
+        sizes = tuple(c.slot_size for c in candidate_transversals(st))
+        assert st.nu == 24 and sizes == (68, 28, 72, 72, 72)
 
 
 class TestCandidates:
