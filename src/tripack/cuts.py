@@ -108,17 +108,8 @@ def _components(vertices: list[int], adj: _Adj) -> list[list[int]]:
     return comps
 
 
-def _sub_adj(vertices: list[int], adj: _Adj) -> _Adj:
-    vset = set(vertices)
-    return {x: {y: m for y, m in adj[x].items() if y in vset} for x in vertices}
-
-
-def _cut_size(shore: set[int], vertices: list[int], adj: _Adj) -> int:
-    total = 0
-    for x in vertices:
-        if x in shore:
-            total += sum(m for y, m in adj[x].items() if y not in shore)
-    return total
+def _cut_size(shore: set[int], adj: _Adj) -> int:
+    return sum(m for x in shore for y, m in adj[x].items() if y not in shore)
 
 
 def _place_apart(x: int, x_adj: dict[int, int], shore: set[int]) -> set[int]:
@@ -130,76 +121,97 @@ def _place_apart(x: int, x_adj: dict[int, int], shore: set[int]) -> set[int]:
     return shore | {x}
 
 
-def _cut_connected_shore(vertices: list[int], adj: _Adj) -> set[int]:
+def _hide(adj: _Adj, xs: list[int]) -> list[tuple[int, dict[int, int]]]:
+    """Remove the vertices ``xs`` from ``adj``; ``_restore`` puts them back."""
+    hidden = [(x, adj.pop(x)) for x in xs]
+    for x, x_adj in hidden:
+        for y in x_adj.keys() & adj.keys():
+            del adj[y][x]
+    return hidden
+
+
+def _restore(adj: _Adj, hidden: list[tuple[int, dict[int, int]]]) -> None:
+    for x, x_adj in reversed(hidden):
+        adj[x] = x_adj
+        for y in x_adj.keys() & adj.keys():
+            adj[y][x] = x_adj[y]
+
+
+def _outside(adj: _Adj, x: int, want_odd_component: bool) -> list[int]:
+    """``[x]`` if the rest stays connected without ``x``.  Otherwise the
+    vertices of the rest outside one component: the first component, or
+    the first joined to ``x`` by an odd number of edges."""
+    rest = sorted(y for y in adj if y != x)
+    comps = _components(rest, adj)
+    if len(comps) == 1:
+        return [x]
+    pick = comps[0]
+    if want_odd_component:
+        pick = next((c for c in comps if sum(adj[x].get(y, 0) for y in c) % 2), None)
+        if pick is None:
+            raise InvariantViolation("odd-degree vertex with no odd component")
+    keep = set(pick)
+    return [y for y in rest if y not in keep]
+
+
+def _cut_connected_shore(adj: _Adj) -> set[int]:
     """Shore of a cut of size >= e/2 + (v-1)/4 in a connected multigraph.
 
     When an odd-degree vertex exists the construction actually achieves
     ``e/2 + v/4``; both guarantees are verified for every subproblem.
+    Every subproblem runs on ``adj`` itself, holding just its vertices: a
+    level hides what its child must not see, or halves every multiplicity,
+    and undoes that when the child returns, so ``adj`` ends unchanged.
     """
     results: list[set[int]] = []  # each subproblem's shore, popped by its parent
 
-    def solve(vertices: list[int], adj: _Adj) -> Iterator:
-        v = len(vertices)
-        e = sum(sum(adj[x].values()) for x in vertices) // 2
+    def solve() -> Iterator:
+        v = len(adj)
+        e = sum(sum(x_adj.values()) for x_adj in adj.values()) // 2
         if v <= 2:
-            results.append({vertices[0]} if v == 2 else set())
+            results.append({min(adj)} if v == 2 else set())
             return
 
-        degrees = {x: sum(adj[x].values()) for x in vertices}
-        odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
-
         def solve_without(x: int, want_odd_component: bool) -> Iterator:
-            rest = [y for y in vertices if y != x]
-            rest_adj = _sub_adj(rest, adj)
-            comps = _components(rest, rest_adj)
-            if len(comps) == 1:
-                yield solve(rest, rest_adj)
+            hidden = _hide(adj, _outside(adj, x, want_odd_component))
+            yield solve()
+            if x not in adj:  # the rest stayed connected
+                _restore(adj, hidden)
                 return _place_apart(x, adj[x], results.pop())
-            pick = None
-            if want_odd_component:
-                for comp in comps:
-                    if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
-                        pick = comp
-                        break
-                if pick is None:
-                    raise InvariantViolation("odd-degree vertex with no odd component")
-            else:
-                pick = comps[0]
-            side_a = sorted(pick + [x])
-            side_b = sorted(y for y in vertices if y not in pick)
-            yield solve(side_a, _sub_adj(side_a, adj))
-            yield solve(side_b, _sub_adj(side_b, adj))
+            # The child saw x and one component; now x and all the others.
+            pick = [y for y in adj if y != x]
+            _restore(adj, hidden)
+            hidden = _hide(adj, pick)
+            yield solve()
+            side_b = set(adj)
+            _restore(adj, hidden)
             shore_a, shore_b = results.pop(-2), results.pop()
             if (x in shore_a) != (x in shore_b):
-                shore_b = set(side_b) - shore_b
+                shore_b = side_b - shore_b
             return shore_a | shore_b
 
-        if odd:
-            shore = yield from solve_without(odd[0], want_odd_component=True)
+        odd = min((x for x, x_adj in adj.items() if sum(x_adj.values()) % 2), default=None)
+        if odd is not None:
+            shore = yield from solve_without(odd, want_odd_component=True)
             bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
         else:
-            odd_pair = None
-            for x in vertices:
-                for y in sorted(adj[x]):
-                    if y > x and adj[x][y] % 2 == 1:
-                        odd_pair = (x, y)
-                        break
-                if odd_pair:
-                    break
+            odd_pair = min(
+                ((x, y) for x, x_adj in adj.items() for y, m in x_adj.items() if x < y and m % 2),
+                default=None,
+            )
             if odd_pair is None:
-                halved = {
-                    x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
-                }
-                yield solve(vertices, halved)
+                adj.update({x: {y: m // 2 for y, m in x_adj.items()} for x, x_adj in adj.items()})
+                yield solve()
+                adj.update({x: {y: 2 * m for y, m in x_adj.items()} for x, x_adj in adj.items()})
                 shore = results.pop()
             else:
                 shore = yield from solve_without(odd_pair[0], want_odd_component=False)
             bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
-        if 4 * _cut_size(shore, vertices, adj) < bound_num:
+        if 4 * _cut_size(shore, adj) < bound_num:
             raise InvariantViolation("recursive cut missed its guaranteed size")
         results.append(shore)
 
-    run_search(solve(vertices, adj))
+    run_search(solve())
     return results.pop()
 
 
@@ -217,7 +229,7 @@ def cut_connected(g: Multigraph) -> EdgeCut:
     e = sum(w for _, _, w in g.edges)
     if e < 1:
         raise ValueError("input multigraph has no edges")
-    shore = _cut_connected_shore(vertices, adj)
+    shore = _cut_connected_shore(adj)
     cut = EdgeCut.from_shore(g, frozenset(shore))
     if Fraction(cut.size) < Fraction(e, 2) + Fraction(g.n - 1, 4):
         raise InvariantViolation("cut below the connected-graph guarantee")
@@ -279,7 +291,7 @@ def _balanced_shore(vertices: list[int], adj: _Adj) -> set[int]:
             cur_out += 1
     shore = {x for x, side in placed.items() if side}
     e = sum(m for _, _, m in edge_list)
-    achieved = _cut_size(shore, vertices, adj)
+    achieved = _cut_size(shore, adj)
     if v >= 1 and Fraction(achieved) < baseline:
         raise InvariantViolation("derandomized cut fell below its expectation")
     if Fraction(achieved) < Fraction(e, 2) + Fraction(e, 2 * v):
@@ -302,13 +314,13 @@ def cut_large(g: Multigraph) -> EdgeCut:
     adj = _positive_adj(g, sorted({x for u, v, w in g.edges if w > 0 for x in (u, v)}))
     shore: set[int] = set()
     for comp in _components(list(adj), adj):
-        sub = _sub_adj(comp, adj)
+        sub = {x: adj[x] for x in comp}
         e_c = sum(sum(d.values()) for d in sub.values()) // 2
         if e_c == 0:
             continue
         v_c = len(comp)
         if v_c * v_c >= 4 * e_c:
-            shore |= _cut_connected_shore(comp, sub)
+            shore |= _cut_connected_shore(sub)
         else:
             shore |= _balanced_shore(comp, sub)
     cut = EdgeCut.from_shore(g, frozenset(shore))

@@ -7,11 +7,11 @@ optimum ``g.lp`` for their bounds: ``nu_exact`` runs on
 ``max_type_packing``, which also searches the Haxell families, and stops
 at ``floor(nustar)``; ``tau_exact`` prunes on the optimal packing's mass
 over the uncovered triangles and stops at ``ceil(nustar)``.
-``lp_optimal`` solves the fractional relaxation with an exact simplex on
-sparse integer rows, each row carrying one positive denominator, kept
-divided by its gcd.  Pivots follow Bland's rule, so termination is
-guaranteed; the dual solution is read off the optimal tableau, so primal
-and dual values are identical.
+``lp_optimal`` solves the fractional relaxation with a revised simplex:
+one sparse integer row of B^-1 per edge and one row of duals y, each over
+one positive denominator kept divided by its gcd; triangle columns are
+priced from y and B^-1 only when needed.  Bland's pivots guarantee
+termination, and y is the dual optimum, so primal and dual values agree.
 """
 
 from __future__ import annotations
@@ -68,51 +68,60 @@ class TightSets:
 def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
     """Maximize the fractional packing; return (x, y, value) exactly.
 
-    Rows are restricted to edges lying in at least one triangle (all other
-    dual values are 0).  Entering and leaving variables follow Bland's
-    rule over the canonical triangle-then-edge order.
-
-    Each row, the objective row included, is a sparse ``column -> int`` map
-    of numerators plus an integer right-hand side over one positive
-    denominator, divided by the gcd of all of them after every update.  A
-    ``column -> rows`` index limits a pivot to the rows it changes.
+    Revised simplex on sparse integer rows, one per edge on a triangle (the
+    other duals are 0).  Row ``i`` keeps only its B^-1 part, a ``slack ->
+    int`` map, and the objective row only the duals y.  Each has an integer
+    right-hand side over one positive denominator, divided by their gcd
+    (and the pivot entry's, for the pivot row) after every update.
+    Triangle columns are never stored: triangle j on edges e1, e2, e3 is
+    priced as ``y[e1] + y[e2] + y[e3] - 1``, and the entering column is
+    ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows a ``slack -> rows``
+    index lists for those edges.  Bland's rule picks the entering and
+    leaving variables over the canonical triangle-then-edge order.
     """
     inc = incidence(g)
     tris = inc.triangles
     if not tris:
         return {}, {}, Fraction(0)
 
-    used_rows = sorted({i for col in inc.columns for i in col})
-    row_of = {orig: i for i, orig in enumerate(used_rows)}
-    m = len(used_rows)
+    used = sorted({e for col in inc.columns for e in col})
+    row_of = {e: i for i, e in enumerate(used)}
+    cols = [tuple(row_of[e] for e in col) for col in inc.columns]
+    m = len(used)
     nt = len(tris)
-
-    # Row m is the objective, obj[j] = z_j - c_j; optimal when no entry is
-    # negative.
-    rows: list[dict[int, int]] = [{nt + i: 1} for i in range(m)]
-    rows.append({j: -1 for j in range(nt)})
-    rhs = [g.weight_map[inc.edges[orig]] for orig in used_rows] + [0]
+    # Row i < m is row i of B^-1 and row m is y, both over the slack
+    # columns; entry e of row i is rows[i][e] / den[i].
+    rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
+    rhs = [g.weight_map[inc.edges[e]] for e in used] + [0]
     den = [1] * (m + 1)
-    col_rows: list[set[int]] = [{m} for _ in range(nt)] + [{i} for i in range(m)]
-    for j, col in enumerate(inc.columns):
-        for orig in col:
-            i = row_of[orig]
-            rows[i][j] = 1
-            col_rows[j].add(i)
-
+    col_rows: list[set[int]] = [{i} for i in range(m)]
     basis = [nt + i for i in range(m)]
 
     while True:
-        enter = min((j for j, v in rows[m].items() if v < 0), default=-1)
-        if enter < 0:
-            break
-        # Row denominators cancel in b_i / a_i, so ratios compare as
-        # cross-multiplied numerators.  The objective entry is negative, so
-        # the objective row never leaves.
+        y, yden = rows[m], den[m]
+        enter = next(
+            (j for j, (a, b, c) in enumerate(cols) if y.get(a, 0) + y.get(b, 0) + y.get(c, 0) < yden), -1
+        )
+        if enter >= 0:
+            a, b, c = cols[enter]
+            col = {}
+            for i in col_rows[a] | col_rows[b] | col_rows[c]:
+                row = rows[i]
+                v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
+                if v:
+                    col[i] = v
+            col[m] = col.get(m, 0) - yden
+        else:
+            e = min((e for e, v in y.items() if v < 0), default=-1)
+            if e < 0:
+                break
+            enter = nt + e
+            col = {i: rows[i][e] for i in col_rows[e]}
+        # Row denominators cancel in b_i / a_i, so ratios compare as cross-
+        # multiplied numerators.  Row m's entry is negative: it never leaves.
         leave = -1
         piv = 0
-        for i in col_rows[enter]:
-            a = rows[i][enter]
+        for i, a in col.items():
             if a > 0:
                 if leave < 0:
                     leave, piv = i, a
@@ -128,9 +137,10 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
 
         # row <- row * (piv/k) - prow * (f/k), k = gcd(piv, f): the entering
         # column cancels and the denominator grows by piv/k.
-        for i in col_rows[enter] - {leave}:
+        for i, f in col.items():
+            if i == leave:
+                continue
             row = rows[i]
-            f = row[enter]
             k = gcd(piv, f)
             s, t = piv // k, f // k
             r, d = rhs[i], den[i]
@@ -159,24 +169,16 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
             rows[i], rhs[i], den[i] = row, r, d
 
         # The pivot row divided by its pivot entry.
-        k = gcd(prhs, *prow.values())
+        k = gcd(prhs, piv, *prow.values())
         if k != 1:
             rows[leave] = {j: v // k for j, v in prow.items()}
             rhs[leave] = prhs // k
         den[leave] = piv // k
         basis[leave] = enter
 
-    x: dict[Triangle, Fraction] = {}
-    for i, b in enumerate(basis):
-        if b < nt and rhs[i]:
-            x[tris[b]] = Fraction(rhs[i], den[i])
-    obj = rows[m]
-    y: dict[Edge, Fraction] = {}
-    for i, orig in enumerate(used_rows):
-        val = obj.get(nt + i)
-        if val:
-            y[inc.edges[orig]] = Fraction(val, den[m])
-    return x, y, Fraction(rhs[m], den[m])
+    x = {tris[b]: Fraction(rhs[i], den[i]) for i, b in enumerate(basis) if b < nt and rhs[i]}
+    ys = {inc.edges[used[e]]: Fraction(y[e], yden) for e in sorted(y)}
+    return x, ys, Fraction(rhs[m], yden)
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:

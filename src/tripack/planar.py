@@ -104,7 +104,11 @@ class _Reducer:
     def __init__(self, g: Multigraph):
         self.n = g.n
         self.cap: dict[Edge, int] = dict(g.weight_map)
-        self.adj: list[set[int]] = [set(ns) for ns in g.neighbor_map]
+        # Only vertices on an edge: the declared vertex count may be huge.
+        self.adj: dict[int, set[int]] = {}
+        for u, v in self.cap:
+            self.adj.setdefault(u, set()).add(v)
+            self.adj.setdefault(v, set()).add(u)
         self.tris: dict[Edge, set[Triangle]] = {e: set() for e in self.cap}
         for t in g.triangles:
             for e in t.edges:
@@ -118,7 +122,7 @@ class _Reducer:
             [e for e, w in self.cap.items() if w == 0],
             [e for e, ts in self.tris.items() if len(ts) == 1],
             [e for e, ts in self.tris.items() if len(ts) == 2],
-            list(range(g.n)),
+            sorted(self.adj),
         )
 
     def graph(self) -> Multigraph:
@@ -336,8 +340,10 @@ class _Unwinding:
     A pass leaves each kept edge with such a triangle in the same way.
     """
 
-    def __init__(self, g: Multigraph, died: Mapping[Triangle, int], cover: set[Edge]):
-        self.g = g
+    def __init__(
+        self, on_edge: Mapping[Edge, tuple[Triangle, ...]], died: Mapping[Triangle, int], cover: set[Edge]
+    ):
+        self.on_edge = on_edge  # the input graph's triangles through each edge
         self.died = died
         self.packing: dict[Triangle, int] = {}
         self.cover = cover
@@ -347,12 +353,10 @@ class _Unwinding:
         """Drop edges (lexicographic order) while every triangle alive
         before step ``level`` stays covered; dropping an edge can uncover
         only the triangles through it."""
-        g, cover = self.g, self.cover
+        cover = self.cover
         for e in self.droppable:
-            u, v = e
             cover.discard(e)
-            for w in set(g.neighbors(u)).intersection(g.neighbors(v)):
-                t = Triangle.of(u, v, w)
+            for t in self.on_edge[e]:
                 if self.died.get(t, level) >= level and not any(x in cover for x in t.edges):
                     cover.add(e)
                     break
@@ -426,6 +430,7 @@ def reduce_and_certify(
     triangles are covered by all their edges) but no ratio is claimed.
     """
     r = _Reducer(g)
+    on_edge = {e: tuple(ts) for e, ts in r.tris.items()}
     steps: list[ReductionStep] = []
     while (step := r.next_step()) is not None:
         r.apply(step)
@@ -433,7 +438,7 @@ def reduce_and_certify(
 
     residual_tris = [t for t in g.triangles if t not in r.died]
     complete = not residual_tris
-    unwinding = _Unwinding(g, r.died, {e for t in residual_tris for e in t.edges})
+    unwinding = _Unwinding(on_edge, r.died, {e for t in residual_tris for e in t.edges})
     for level in reversed(range(len(steps))):
         unwinding.extend(steps[level], level)
 

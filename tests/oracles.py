@@ -1,12 +1,16 @@
 """Brute-force reference implementations and corpus builders for tests.
 
 Every oracle here is deliberately naive (full enumeration, no pruning) and
-shares no code with the solvers it checks, apart from four references
+shares no code with the solvers it checks, apart from five references
 that the faster kernels replaced and must agree with exactly:
 
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
-  sparse integer simplex in ``tripack.exact`` replaced.  It reads the same
+  revised simplex in ``tripack.exact`` replaced.  It reads the same
   ``incidence`` and must take the same Bland pivots.
+- ``reference_cut_connected_shore``, the connected-cut recursion that
+  copied the remaining adjacency at every level.  ``tripack.cuts`` now
+  hides and restores vertices of one shared adjacency and must return the
+  same shore.
 - ``reference_reduction_steps`` and ``reference_reduce_and_certify``, the
   planar engine that rescans and rebuilds the whole graph at every step and
   checks every triangle when it minimalizes a cover.  ``tripack.planar``
@@ -46,6 +50,7 @@ from tripack import (
     verify_transversal,
 )
 from tripack.core import norm_edge, run_search
+from tripack.cuts import _components, _cut_size, _place_apart
 from tripack.haxell import SlotEdge, SlotTriangle
 from tripack.planar import (
     CYCLE_NEIGHBORHOOD,
@@ -300,6 +305,85 @@ def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], 
         if val != 0:
             y[inc.edges[orig]] = val
     return x, y, obj[-1]
+
+
+def _reference_sub_adj(vertices: list[int], adj: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    vset = set(vertices)
+    return {x: {y: m for y, m in adj[x].items() if y in vset} for x in vertices}
+
+
+def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, int]]) -> set[int]:
+    """Shore of a cut of size >= e/2 + (v-1)/4 in a connected multigraph.
+
+    Reference: every level copies the remaining adjacency (and its degrees)
+    and holds the copy until its children finish, so a path on v vertices
+    takes O(v^2) time and memory.
+    """
+    results: list[set[int]] = []  # each subproblem's shore, popped by its parent
+
+    def solve(vertices: list[int], adj: dict[int, dict[int, int]]) -> Iterator:
+        v = len(vertices)
+        e = sum(sum(adj[x].values()) for x in vertices) // 2
+        if v <= 2:
+            results.append({vertices[0]} if v == 2 else set())
+            return
+
+        degrees = {x: sum(adj[x].values()) for x in vertices}
+        odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
+
+        def solve_without(x: int, want_odd_component: bool) -> Iterator:
+            rest = [y for y in vertices if y != x]
+            rest_adj = _reference_sub_adj(rest, adj)
+            comps = _components(rest, rest_adj)
+            if len(comps) == 1:
+                yield solve(rest, rest_adj)
+                return _place_apart(x, adj[x], results.pop())
+            pick = None
+            if want_odd_component:
+                for comp in comps:
+                    if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
+                        pick = comp
+                        break
+                if pick is None:
+                    raise InvariantViolation("odd-degree vertex with no odd component")
+            else:
+                pick = comps[0]
+            side_a = sorted(pick + [x])
+            side_b = sorted(y for y in vertices if y not in pick)
+            yield solve(side_a, _reference_sub_adj(side_a, adj))
+            yield solve(side_b, _reference_sub_adj(side_b, adj))
+            shore_a, shore_b = results.pop(-2), results.pop()
+            if (x in shore_a) != (x in shore_b):
+                shore_b = set(side_b) - shore_b
+            return shore_a | shore_b
+
+        if odd:
+            shore = yield from solve_without(odd[0], want_odd_component=True)
+            bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
+        else:
+            odd_pair = None
+            for x in vertices:
+                for y in sorted(adj[x]):
+                    if y > x and adj[x][y] % 2 == 1:
+                        odd_pair = (x, y)
+                        break
+                if odd_pair:
+                    break
+            if odd_pair is None:
+                halved = {
+                    x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
+                }
+                yield solve(vertices, halved)
+                shore = results.pop()
+            else:
+                shore = yield from solve_without(odd_pair[0], want_odd_component=False)
+            bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
+        if 4 * _cut_size(shore, adj) < bound_num:
+            raise InvariantViolation("recursive cut missed its guaranteed size")
+        results.append(shore)
+
+    run_search(solve(vertices, adj))
+    return results.pop()
 
 
 def _reference_triangles_per_edge(g: Multigraph) -> dict[Edge, list[Triangle]]:

@@ -1,10 +1,21 @@
+import copy
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from tripack import Multigraph, dominates_sqrt
-from tripack.cuts import EdgeCut, cut_connected, cut_large, independent_set_triangle_free
+from tripack.cuts import (
+    EdgeCut,
+    _components,
+    _cut_connected_shore,
+    _positive_adj,
+    cut_connected,
+    cut_large,
+    independent_set_triangle_free,
+)
 from tripack.generators import gen_complete, gen_cycle, gen_petersen
 
 from oracles import (
@@ -12,6 +23,7 @@ from oracles import (
     brute_max_independent_set,
     rand_connected_multigraph,
     rand_triangle_free,
+    reference_cut_connected_shore,
 )
 
 
@@ -79,6 +91,21 @@ class TestCutConnected:
             assert Fraction(cut.size) >= Fraction(e, 2) + Fraction(n - 1, 4)
             assert cut.size <= brute_max_cut(g)
 
+    def test_shore_equals_copying_reference(self):
+        # Sparse trees split at cut vertices; doubling every multiplicity
+        # forces the halving step; the shared adjacency comes back unchanged.
+        for seed in range(150):
+            rng = random.Random(seed)
+            g = rand_connected_multigraph(rng.randint(1, 12), rng.randint(0, 14), 3, seed)
+            if seed % 3 == 0:
+                g = Multigraph.from_edges(g.n, ((u, v, 2 * w) for u, v, w in g.edges))
+            adj = _positive_adj(g, range(g.n))
+            for comp in _components(list(adj), adj):
+                sub = {x: adj[x] for x in comp}
+                before = copy.deepcopy(sub)
+                assert _cut_connected_shore(sub) == reference_cut_connected_shore(comp, before)
+                assert sub == before
+
 
 class TestCutLarge:
     def test_single_edge(self):
@@ -123,8 +150,15 @@ class TestCutLarge:
 
     def test_path_deeper_than_recursion_limit(self):
         # Each level of the connected-cut construction removes one path end.
+        # They share one adjacency, so memory stays linear in the path.
         n = sys.getrecursionlimit() + 100
         g = Multigraph.from_edges(n, ((i, i + 1, 1) for i in range(n - 1)))
-        cut = cut_large(g)
+        tracemalloc.start()
+        try:
+            cut = cut_large(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         e = n - 1
         assert dominates_sqrt(Fraction(cut.size) - Fraction(e, 2), Fraction(e, 16))
+        assert peak < 8_000_000

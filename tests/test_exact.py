@@ -214,7 +214,7 @@ class TestLPOptimal:
 
 
 class TestSimplexAgainstReference:
-    """The sparse integer tableau takes the dense reference's pivots exactly."""
+    """The revised simplex takes the dense reference's pivots exactly."""
 
     def test_atlas_with_capacities_0_to_3(self):
         import networkx as nx
@@ -244,6 +244,29 @@ class TestSimplexAgainstReference:
     def test_triangle_free(self):
         g = rand_triangle_free(9, 3)
         assert _simplex_packing(g) == reference_simplex_packing(g) == ({}, {}, 0)
+
+    def test_dense_weighted_k6_to_k8(self):
+        # Dense, degenerate tableaux: many ties in the ratio test.
+        for n in (6, 7, 8):
+            for seed in range(6):
+                g = with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=100 * n + seed)
+                assert _simplex_packing(g) == reference_simplex_packing(g)
+
+    def test_edges_on_no_triangle(self):
+        # A bridge, a triangle-free part and a pendant edge hang off the
+        # triangles; their duals stay 0.
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = rand_connected_multigraph(7, 8, 3, seed)
+            tail = rand_triangle_free(6, seed)
+            items = list(g.edges) + [(u + 7, v + 7, rng.randint(0, 3)) for u, v, _ in tail.edges]
+            items += [(rng.randrange(7), 7 + rng.randrange(6), rng.randint(1, 3)), (12, 13, 2)]
+            h = Multigraph.from_edges(14, items)
+            on_tri = {e for t in h.triangles for e in t.edges}
+            assert on_tri and len(on_tri) < len(h.edges)
+            x, y, value = _simplex_packing(h)
+            assert (x, y, value) == reference_simplex_packing(h)
+            assert set(y) <= on_tri
 
 
 class TestTightSets:
