@@ -108,9 +108,9 @@ class Multigraph:
     ``edges`` holds one entry per unordered pair, sorted lexicographically,
     each as ``(u, v, w)`` with ``u < v`` and integer capacity ``w >= 0``.
     Instances are immutable.  Derived objects (``weight_map``,
-    ``neighbor_map``, ``triangles``, ``free_edges``, ``lp``) are computed
-    on first access and cached on the instance; they never enter equality
-    or hashing.
+    ``triangles``, ``free_edges``, ``lp``) are computed on first access and
+    cached on the instance; they never enter equality or hashing.  No
+    per-vertex table is kept, so the declared ``n`` costs no memory.
     """
 
     n: int
@@ -146,22 +146,13 @@ class Multigraph:
         return {(u, v): w for u, v, w in self.edges}
 
     @cached_property
-    def neighbor_map(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted structural neighbors per vertex (capacity 0 included)."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    @cached_property
     def triangles(self) -> tuple[Triangle, ...]:
         """Every vertex triple whose three pairs are edges, sorted.
 
         Capacity is irrelevant here: an edge of capacity 0 still supports
         triangles.
         """
-        # From the edges, not ``neighbor_map``: n may far exceed the vertices in use.
+        # Keyed by the vertices on an edge: n may far exceed them.
         adj: dict[int, set[int]] = {}
         for u, v, _ in self.edges:
             adj.setdefault(u, set()).add(v)
@@ -203,9 +194,6 @@ class Multigraph:
             return self.weight_map[e]
         except KeyError:
             raise ValueError(f"unknown edge {e}") from None
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.neighbor_map[v]
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:

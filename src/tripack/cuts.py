@@ -2,8 +2,8 @@
 
 Three constructions with certified lower bounds:
 
-* an independent set of size at least ``sqrt(v)/2`` in a triangle-free
-  graph on ``v`` vertices,
+* an independent set of weight at least ``sqrt(W)/2`` in a triangle-free
+  graph whose positive vertex weights sum to ``W``,
 * an edge-cut of size at least ``e/2 + (v-1)/4`` in a connected multigraph
   (``e`` counts multiplicity),
 * an edge-cut of size at least ``e/2 + sqrt(e)/4`` in any multigraph.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import InvariantViolation, Multigraph, run_search
 
@@ -42,39 +42,50 @@ class EdgeCut:
         return cls(shore, crossing, sum(w for _, _, w in crossing))
 
 
-def independent_set_triangle_free(h: Multigraph) -> tuple[int, ...]:
-    """An independent set of size at least ``sqrt(v)/2`` in a triangle-free graph.
+def independent_set_triangle_free(h: Multigraph, weight: Sequence[int]) -> tuple[int, ...]:
+    """An independent set of weight at least ``sqrt(weight(V))/2`` in a triangle-free graph.
 
-    If some vertex has degree at least ``sqrt(v)/2`` its neighborhood is
-    returned (independent, because the graph has no triangle).  Otherwise a
-    greedy pass repeatedly takes the lowest remaining vertex and discards
-    its neighbors; since all degrees stay below ``sqrt(v)/2``, the greedy
-    set is large enough.
+    A vertex ``x`` of weight ``weight[x] >= 1`` stands for that many
+    pairwise non-adjacent copies, and its degree is the total weight of its
+    neighbors.  If the lowest vertex of largest degree has degree at least
+    ``sqrt(weight(V))/2``, its neighborhood is returned (independent,
+    because the graph has no triangle).  Otherwise a greedy pass repeatedly
+    takes the lowest remaining vertex and discards its neighbors; since all
+    degrees stay below ``sqrt(weight(V))/2``, the greedy set is heavy
+    enough.  Either way the result is exactly the set of vertices whose
+    copies the unit-weight construction picks on the expanded graph, with
+    copies numbered vertex by vertex.  Adjacency is structural: the
+    capacities of ``h`` are ignored.
     """
+    if len(weight) != h.n or any(w < 1 for w in weight):
+        raise ValueError("need one vertex weight of at least 1 per vertex")
     if h.triangles:
         raise ValueError("input graph contains a triangle")
     v = h.n
     if v == 0:
         return ()
-    best = max(range(v), key=lambda x: (len(h.neighbors(x)), -x))
-    deg = len(h.neighbors(best))
-    if 4 * deg * deg >= v:
-        chosen = h.neighbors(best)
+    adj: list[list[int]] = [[] for _ in range(v)]
+    for x, y, _ in h.edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    total = sum(weight)
+    degree = [sum(weight[y] for y in ys) for ys in adj]
+    best = max(range(v), key=lambda x: (degree[x], -x))
+    if 4 * degree[best] ** 2 >= total:
+        chosen = adj[best]
     else:
-        remaining = set(range(v))
-        picked: list[int] = []
-        while remaining:
-            x = min(remaining)
-            picked.append(x)
-            remaining.discard(x)
-            remaining.difference_update(h.neighbors(x))
-        chosen = tuple(picked)
+        chosen = []
+        dropped: set[int] = set()
+        for x in range(v):  # x is always the lowest vertex still remaining
+            if x not in dropped:
+                chosen.append(x)
+                dropped.update(adj[x])
     chosen_set = set(chosen)
     for x in chosen:
-        if chosen_set.intersection(h.neighbors(x)):
+        if chosen_set.intersection(adj[x]):
             raise InvariantViolation("returned set is not independent")
-    if 4 * len(chosen) ** 2 < v:
-        raise InvariantViolation("independent set smaller than sqrt(v)/2")
+    if 4 * sum(weight[x] for x in chosen) ** 2 < total:
+        raise InvariantViolation("independent set lighter than sqrt(weight(V))/2")
     return tuple(sorted(chosen))
 
 

@@ -12,7 +12,9 @@ an explicit transversal of equal value.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -38,28 +40,23 @@ _WHEEL_SLOTS: tuple[tuple[int, int], ...] = (
 
 
 @dataclass(frozen=True)
-class TerminalGraph:
-    """A graph with an ordered pair of terminal vertices joined by an edge."""
+class GkInstance:
+    """A generated recursive-family member with its height bookkeeping.
+
+    ``terminals`` is the ordered pair of terminal vertices, joined by an
+    edge.  ``heights`` maps each triangle to the level of the innermost
+    copy it lives in; ``copies`` records every instantiated copy as a
+    ``(level, terminal_edge)`` pair, the top-level copy included.
+    """
 
     graph: Multigraph
     terminals: tuple[int, int]
+    heights: Mapping[Triangle, int]
+    copies: tuple[tuple[int, Edge], ...]
 
     @property
     def terminal_edge(self) -> Edge:
         return norm_edge(*self.terminals)
-
-
-@dataclass(frozen=True)
-class GkInstance(TerminalGraph):
-    """A generated recursive-family member with its height bookkeeping.
-
-    ``heights`` maps each triangle to the level of the innermost copy it
-    lives in; ``copies`` records every instantiated copy as a
-    ``(level, terminal_edge)`` pair, the top-level copy included.
-    """
-
-    heights: Mapping[Triangle, int]
-    copies: tuple[tuple[int, Edge], ...]
 
 
 def _slot_values(a: Fraction) -> tuple[Fraction, ...]:
@@ -233,17 +230,32 @@ def gen_stacked(n: int, seed: int = 0) -> Multigraph:
 
 
 def gen_random(n: int, m: int, max_mult: int, seed: int) -> Multigraph:
-    """A seeded random multigraph: ``m`` distinct pairs, capacities 1..max_mult."""
+    """A seeded random multigraph: ``m`` distinct pairs, capacities 1..max_mult.
+
+    The pairs are drawn as indices into ``itertools.combinations(range(n), 2)``
+    without listing it, so memory grows with ``m``, not with ``n**2``.
+    """
     if n < 2 or m < 0 or max_mult < 1:
         raise ValueError("bad parameters")
-    pairs = list(itertools.combinations(range(n), 2))
-    if m > len(pairs):
-        raise ValueError(f"at most {len(pairs)} edges fit on {n} vertices")
+    total = n * (n - 1) // 2
+    if total > sys.maxsize:
+        raise ValueError(f"{n} vertices have more vertex pairs than can be indexed")
+    if m > total:
+        raise ValueError(f"at most {total} edges fit on {n} vertices")
     rng = random.Random(seed)
-    chosen = rng.sample(pairs, m)
+    chosen = [_pair_at(n, i) for i in rng.sample(range(total), m)]
     return Multigraph.from_edges(
         n, ((u, v, rng.randint(1, max_mult)) for u, v in chosen)
     )
+
+
+def _pair_at(n: int, i: int) -> Edge:
+    """The ``i``-th pair of ``itertools.combinations(range(n), 2)``."""
+    # Counted from the end, the pairs with first vertex u form a block of
+    # s = n-1-u, preceded there by the s*(s-1)/2 pairs of later blocks.
+    r = n * (n - 1) // 2 - 1 - i
+    s = (math.isqrt(8 * r + 1) + 1) // 2
+    return n - 1 - s, n - 1 - (r - s * (s - 1) // 2)
 
 
 def with_random_weights(g: Multigraph, choices: tuple[int, ...], seed: int) -> Multigraph:

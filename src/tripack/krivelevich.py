@@ -4,7 +4,9 @@ The pipeline: solve the LP exactly, split the edges by their transversal
 value (0, below 1/2, exactly 1/2, above 1/2), take a large independent set
 ``I`` among the value-1/2 edges (two such edges conflict when they lie in
 a common tight triangle), and cover the cheap edges by the complement of a
-large cut in the graph they induce.  The returned edge set is
+large cut in the graph they induce.  The independent set is taken on whole
+parallel classes, each weighted by its capacity, so its cost does not grow
+with the capacities.  The returned edge set is
 
     (B \\ I)  union  C  union  (induced-subgraph edges missed by the cut),
 
@@ -154,36 +156,6 @@ def classify(g: Multigraph, s: LPSolution) -> tuple[EdgePartition, TightTriangle
     return part, tpart
 
 
-def _conflict_graph_blowup(
-    g: Multigraph, b_edges: tuple[Edge, ...], tight_tris: set[Triangle]
-) -> tuple[Multigraph, list[Edge]]:
-    """Triangle-free conflict graph on the parallel copies of the B edges.
-
-    Each capacity unit of a B edge is one vertex; two copies are adjacent
-    when their underlying edges lie in a common tight triangle.  Copies of
-    the same edge are never adjacent, so an independent set can always be
-    closed under whole parallel classes.
-    """
-    slots: list[Edge] = []
-    for e in b_edges:
-        slots.extend([e] * g.weight_map[e])
-    index_of: dict[Edge, list[int]] = {}
-    for i, e in enumerate(slots):
-        index_of.setdefault(e, []).append(i)
-
-    bset = set(b_edges)
-    adj_edges: set[tuple[int, int]] = set()
-    for t in tight_tris:
-        in_b = [e for e in t.edges if e in bset and g.weight_map[e] > 0]
-        for i in range(len(in_b)):
-            for j in range(i + 1, len(in_b)):
-                for p in index_of[in_b[i]]:
-                    for q in index_of[in_b[j]]:
-                        adj_edges.add((p, q) if p < q else (q, p))
-    h = Multigraph.from_edges(len(slots), ((p, q, 1) for p, q in sorted(adj_edges)))
-    return h, slots
-
-
 def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     """A verified transversal of weight at most ``2*nustar - sqrt(nustar)/4``.
 
@@ -198,22 +170,31 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
 
     sol = g.lp
     part, tpart = classify(g, sol)
-    tight_tris = set(tpart.T1 + tpart.T2 + tpart.T3 + tpart.T4 + tpart.T5)
+    wmap = g.weight_map
 
-    h, slots = _conflict_graph_blowup(g, part.B, tight_tris)
+    # One conflict vertex per half-value class, weighted by its capacity.
+    # Two classes conflict exactly when they share a T5 triangle: a tight
+    # triangle with two half edges has its third edge at 0, and three half
+    # edges would sum to 3/2.
+    b_classes = [e for e in part.B if wmap[e] > 0]
+    index = {e: i for i, e in enumerate(b_classes)}
+    conflicts = []
+    for t in tpart.T5:
+        ends = [index[e] for e in t.edges if e in index]
+        if len(ends) == 2:
+            conflicts.append((ends[0], ends[1], 1))
+    h = Multigraph.from_edges(len(b_classes), conflicts)
     if h.triangles:
         raise InvariantViolation("conflict graph on half-value edges has a triangle")
-    i_classes: set[Edge] = set()
-    if slots:
-        picked = independent_set_triangle_free(h)
-        i_classes = {slots[i] for i in picked}
+    picked = independent_set_triangle_free(h, [wmap[e] for e in b_classes]) if b_classes else ()
+    i_classes = {b_classes[i] for i in picked}
 
     # Induced graph on the below-1/2 edges plus the independent half edges,
     # with full multiplicities: cuts are vertex-based, so the complement of
     # the cut is a union of whole parallel classes and its slot count equals
     # its weight.
     gp_members = sorted(set(part.A) | i_classes)
-    gp_items = [(u, v, g.weight_map[(u, v)]) for u, v in gp_members if g.weight_map[(u, v)] > 0]
+    gp_items = [(u, v, wmap[(u, v)]) for u, v in gp_members if wmap[(u, v)] > 0]
     r_edges: list[Edge] = []
     if gp_items:
         gp = Multigraph.from_edges(g.n, gp_items)

@@ -1,8 +1,8 @@
 """Brute-force reference implementations and corpus builders for tests.
 
 Every oracle here is deliberately naive (full enumeration, no pruning) and
-shares no code with the solvers it checks, apart from five references
-that the faster kernels replaced and must agree with exactly:
+shares no code with the solvers it checks, apart from the references
+that faster or leaner code replaced and must agree with exactly:
 
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
   revised simplex in ``tripack.exact`` replaced.  It reads the same
@@ -29,6 +29,13 @@ that the faster kernels replaced and must agree with exactly:
   bounded by a greedy packing of edge-disjoint uncovered triangles,
   recollected at every node.  ``tau_exact`` replaced that bound with the
   LP optimum and must return the same value and certificate.
+- ``reference_transversal_2nustar``, the Krivelevich cover that gave every
+  parallel copy of a half-value edge its own conflict-graph vertex.
+  ``tripack.krivelevich`` now weights one vertex per parallel class by
+  its capacity and must return the same certificate.
+- ``reference_gen_random``, the random-graph generator that listed every
+  vertex pair before sampling.  ``tripack.generators.gen_random`` samples
+  pair indices instead and must return the same graph.
 """
 
 from __future__ import annotations
@@ -49,9 +56,16 @@ from tripack import (
     incidence,
     verify_transversal,
 )
-from tripack.core import norm_edge, run_search
-from tripack.cuts import _components, _cut_size, _place_apart
+from tripack.core import dominates_sqrt, norm_edge, run_search
+from tripack.cuts import (
+    _components,
+    _cut_size,
+    _place_apart,
+    cut_large,
+    independent_set_triangle_free,
+)
 from tripack.haxell import SlotEdge, SlotTriangle
+from tripack.krivelevich import classify
 from tripack.planar import (
     CYCLE_NEIGHBORHOOD,
     DOUBLE_TRIANGLE_HEAVY_EDGE,
@@ -394,13 +408,22 @@ def _reference_triangles_per_edge(g: Multigraph) -> dict[Edge, list[Triangle]]:
     return per
 
 
-def _reference_cycle_order(g: Multigraph, v: int) -> tuple[int, ...] | None:
-    ns = g.neighbors(v)
+def _reference_neighbors(g: Multigraph) -> list[list[int]]:
+    """Sorted structural neighbors per vertex (capacity 0 included)."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(ys) for ys in adj]
+
+
+def _reference_cycle_order(nbrs: list[list[int]], v: int) -> tuple[int, ...] | None:
+    ns = nbrs[v]
     k = len(ns)
     if k < 3:
         return None
     nset = set(ns)
-    inner = {x: sorted(y for y in g.neighbors(x) if y in nset) for x in ns}
+    inner = {x: [y for y in nbrs[x] if y in nset] for x in ns}
     if any(len(ys) != 2 for ys in inner.values()):
         return None
     start = ns[0]
@@ -444,8 +467,9 @@ def _reference_find_reduction(g: Multigraph) -> ReductionStep | None:
                     kind=DOUBLE_TRIANGLE_HEAVY_EDGE, witness_edge=(u, v),
                     triangles=tuple(tris), weight_deltas=deltas,
                 )
+    nbrs = _reference_neighbors(g)
     for v in range(g.n):
-        cycle = _reference_cycle_order(g, v)
+        cycle = _reference_cycle_order(nbrs, v)
         if cycle is None or any(wmap[norm_edge(v, u)] != 1 for u in cycle):
             continue
         k = len(cycle)
@@ -691,3 +715,95 @@ def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")
     return best_w, cert
+
+
+def reference_gen_random(n: int, m: int, max_mult: int, seed: int) -> Multigraph:
+    """A seeded random multigraph: ``m`` distinct pairs, capacities 1..max_mult."""
+    if n < 2 or m < 0 or max_mult < 1:
+        raise ValueError("bad parameters")
+    pairs = list(itertools.combinations(range(n), 2))
+    if m > len(pairs):
+        raise ValueError(f"at most {len(pairs)} edges fit on {n} vertices")
+    rng = random.Random(seed)
+    chosen = rng.sample(pairs, m)
+    return Multigraph.from_edges(
+        n, ((u, v, rng.randint(1, max_mult)) for u, v in chosen)
+    )
+
+
+def _reference_conflict_graph_blowup(
+    g: Multigraph, b_edges: tuple[Edge, ...], tight_tris: set[Triangle]
+) -> tuple[Multigraph, list[Edge]]:
+    """Triangle-free conflict graph on the parallel copies of the B edges.
+
+    Each capacity unit of a B edge is one vertex; two copies are adjacent
+    when their underlying edges lie in a common tight triangle.  Copies of
+    the same edge are never adjacent, so an independent set can always be
+    closed under whole parallel classes.
+    """
+    slots: list[Edge] = []
+    for e in b_edges:
+        slots.extend([e] * g.weight_map[e])
+    index_of: dict[Edge, list[int]] = {}
+    for i, e in enumerate(slots):
+        index_of.setdefault(e, []).append(i)
+
+    bset = set(b_edges)
+    adj_edges: set[tuple[int, int]] = set()
+    for t in tight_tris:
+        in_b = [e for e in t.edges if e in bset and g.weight_map[e] > 0]
+        for i in range(len(in_b)):
+            for j in range(i + 1, len(in_b)):
+                for p in index_of[in_b[i]]:
+                    for q in index_of[in_b[j]]:
+                        adj_edges.add((p, q) if p < q else (q, p))
+    h = Multigraph.from_edges(len(slots), ((p, q, 1) for p, q in sorted(adj_edges)))
+    return h, slots
+
+
+def reference_transversal_2nustar(g: Multigraph) -> TransversalCertificate:
+    """A verified transversal of weight at most ``2*nustar - sqrt(nustar)/4``.
+
+    Built from the LP optimum ``g.lp``.  Returns the empty certificate on
+    triangle-free input, without solving the LP.  When the fractional
+    optimum is 0 but triangles exist, they all ride on capacity-0 edges,
+    which are returned at zero cost.  The size bound is compared exactly by
+    squaring.
+    """
+    if not g.triangles:
+        return TransversalCertificate.from_edges(g, ())
+
+    sol = g.lp
+    part, tpart = classify(g, sol)
+    tight_tris = set(tpart.T1 + tpart.T2 + tpart.T3 + tpart.T4 + tpart.T5)
+
+    h, slots = _reference_conflict_graph_blowup(g, part.B, tight_tris)
+    if h.triangles:
+        raise InvariantViolation("conflict graph on half-value edges has a triangle")
+    i_classes: set[Edge] = set()
+    if slots:
+        picked = independent_set_triangle_free(h, [1] * h.n)
+        i_classes = {slots[i] for i in picked}
+
+    # Induced graph on the below-1/2 edges plus the independent half edges,
+    # with full multiplicities: cuts are vertex-based, so the complement of
+    # the cut is a union of whole parallel classes and its slot count equals
+    # its weight.
+    gp_members = sorted(set(part.A) | i_classes)
+    gp_items = [(u, v, g.weight_map[(u, v)]) for u, v in gp_members if g.weight_map[(u, v)] > 0]
+    r_edges: list[Edge] = []
+    if gp_items:
+        gp = Multigraph.from_edges(g.n, gp_items)
+        cut = cut_large(gp)
+        crossing = {(u, v) for u, v, _ in cut.cut_edges}
+        r_edges = [e for (u, v, _) in gp_items if (e := (u, v)) not in crossing]
+
+    chosen = (set(part.B) - i_classes) | set(part.C) | set(r_edges) | set(g.free_edges)
+    cert = TransversalCertificate.from_edges(g, sorted(chosen))
+    if not verify_transversal(g, cert):
+        raise InvariantViolation("constructed edge set misses a triangle")
+
+    # weight <= 2*nustar - sqrt(nustar)/4; at nustar = 0 this demands weight 0.
+    if not dominates_sqrt(2 * sol.value - cert.weight, sol.value / 16):
+        raise InvariantViolation("constructed transversal exceeds its bound")
+    return cert

@@ -145,7 +145,7 @@ def test_criterion_6_independent_set_lemma():
     for seed in range(200):
         n = 3 + seed % 28
         h = rand_triangle_free(n, seed)
-        s = independent_set_triangle_free(h)
+        s = independent_set_triangle_free(h, [1] * h.n)
         for i, a in enumerate(s):
             for b in s[i + 1:]:
                 assert not h.has_pair(a, b)

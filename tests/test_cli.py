@@ -110,6 +110,14 @@ class TestCommands:
         report = json.loads(out)
         assert report["certificates"]["transversal"]["weight"] <= 4
         assert report["bounds"][0]["pass"] is True
+        # Capacity 10**6 on every edge: one conflict vertex per spoke class.
+        wide = gen_wheel(5)
+        path.write_text(emit_graph(Multigraph.from_edges(6, ((u, v, 10**6) for u, v, _ in wide.edges))))
+        code, out, _ = run_cli(capsys, ["kriv", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["certificates"]["transversal"]["weight"] == 3_000_000
+        assert report["bounds"][0]["pass"] is True
         # nustar = 0 with a triangle on a capacity-0 edge: the bound demands weight 0.
         path.write_text(emit_graph(Multigraph.from_edges(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])))
         code, out, _ = run_cli(capsys, ["kriv", "--input", str(path)])

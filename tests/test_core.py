@@ -101,7 +101,7 @@ class TestDerivedCache:
 
     def test_cache_does_not_affect_equality(self):
         g = rand_connected_multigraph(7, 8, 3, 1)
-        assert g.triangles and g.weight_map and g.neighbor_map and g.lp
+        assert g.triangles and g.weight_map and g.free_edges is not None and g.lp
         fresh = Multigraph(g.n, g.edges)
         assert g == fresh and hash(g) == hash(fresh)
         assert {g: 1}[fresh] == 1

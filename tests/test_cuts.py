@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 import sys
 import tracemalloc
@@ -27,33 +28,85 @@ from oracles import (
 )
 
 
+def _sparse_triangle_free(n: int, p: float, rng: random.Random) -> Multigraph:
+    """Each pair with probability ``p``, skipping any pair that closes a triangle."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    items = []
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p and not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+            items.append((u, v, 1))
+    return Multigraph.from_edges(n, items)
+
+
 class TestIndependentSet:
     def test_single_vertex(self):
-        assert independent_set_triangle_free(Multigraph(1, ())) == (0,)
+        assert independent_set_triangle_free(Multigraph(1, ()), [1]) == (0,)
 
     def test_c5(self):
-        s = independent_set_triangle_free(gen_cycle(5))
+        s = independent_set_triangle_free(gen_cycle(5), [1] * 5)
         assert len(s) == 2
         g = gen_cycle(5)
         assert not g.has_pair(*s)
 
     def test_petersen(self):
-        s = independent_set_triangle_free(gen_petersen())
+        s = independent_set_triangle_free(gen_petersen(), [1] * 10)
         assert len(s) >= 2
         assert brute_max_independent_set(gen_petersen()) == 4
 
     def test_rejects_triangles(self):
         with pytest.raises(ValueError):
-            independent_set_triangle_free(gen_complete(3))
+            independent_set_triangle_free(gen_complete(3), [1] * 3)
 
     def test_random_ensemble(self):
         for seed in range(60):
             h = rand_triangle_free(5 + seed % 20, seed)
-            s = independent_set_triangle_free(h)
+            s = independent_set_triangle_free(h, [1] * h.n)
             for i, a in enumerate(s):
                 for b in s[i + 1:]:
                     assert not h.has_pair(a, b)
             assert 4 * len(s) ** 2 >= h.n
+
+    def test_rejects_bad_weights(self):
+        for weight in ([1, 1, 1, 1], [1, 0, 1, 1, 1], [1, 1, -2, 1, 1]):
+            with pytest.raises(ValueError):
+                independent_set_triangle_free(gen_cycle(5), weight)
+
+    def test_weighted_equals_expanded_unit_run(self):
+        # A vertex of weight w is w pairwise non-adjacent copies, numbered
+        # vertex by vertex; the weighted run must pick exactly the vertices
+        # whose copies the unit-weight run on that expansion picks.
+        branches = {"neighborhood": 0, "greedy": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 24)
+            h = _sparse_triangle_free(n, rng.choice((0.03, 0.1, 0.3)), rng)
+            weight = [rng.randint(1, 6) for _ in range(n)]
+            owner = [x for x in range(h.n) for _ in range(weight[x])]
+            first = [owner.index(x) for x in range(h.n)]
+            expanded = Multigraph.from_edges(
+                len(owner),
+                (
+                    (first[x] + i, first[y] + j, 1)
+                    for x, y, _ in h.edges
+                    for i in range(weight[x])
+                    for j in range(weight[y])
+                ),
+            )
+            s = independent_set_triangle_free(h, weight)
+            unit = independent_set_triangle_free(expanded, [1] * expanded.n)
+            assert s == tuple(sorted({owner[p] for p in unit}))
+            assert len(unit) == sum(weight[x] for x in s)
+            assert 4 * len(unit) ** 2 >= len(owner)
+            degree = [0] * h.n
+            for x, y, _ in h.edges:
+                degree[x] += weight[y]
+                degree[y] += weight[x]
+            branch = "neighborhood" if 4 * max(degree) ** 2 >= len(owner) else "greedy"
+            branches[branch] += 1
+        print(f"weighted independent set: {branches}")
+        assert min(branches.values()) >= 30
 
 
 class TestCutConnected:

@@ -1,3 +1,7 @@
+import math
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,8 @@ from tripack.generators import (
 )
 from tripack.cli import main
 from tripack.graphio import parse_graph
+
+from oracles import reference_gen_random
 
 
 def generate(capsys, *args):
@@ -158,7 +164,7 @@ class TestApex:
         g = gen_apex(gen_cycle(5))
         assert g.n == 6 and len(g.edges) == 10
         assert len(enumerate_triangles(g)) == 5
-        degs = sorted(len(g.neighbors(v)) for v in range(6))
+        degs = sorted(sum(v in (x, y) for x, y, _ in g.edges) for v in range(6))
         assert degs == [3, 3, 3, 3, 3, 5]
 
     def test_rejects_triangle_host(self):
@@ -206,6 +212,38 @@ class TestNamedAndRandom:
     def test_random_rejects_too_many_edges(self):
         with pytest.raises(ValueError):
             gen_random(4, 7, 1, seed=0)
+
+    def test_random_matches_listing_reference(self):
+        # Sampling pair indices draws the same pairs and capacities as
+        # sampling from the listed pairs, from m = 0 up to every pair.
+        cases = 0
+        for n in range(2, 16):
+            total = n * (n - 1) // 2
+            for m in sorted({0, 1, total // 3, total // 2, total - 1, total}):
+                for seed in range(4):
+                    assert gen_random(n, m, 3, seed) == reference_gen_random(n, m, 3, seed)
+                    cases += 1
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 300)
+            m = rng.randint(0, min(400, n * (n - 1) // 2))
+            assert gen_random(n, m, 5, seed) == reference_gen_random(n, m, 5, seed)
+            cases += 1
+        assert cases >= 300
+
+    def test_random_memory_grows_with_edges_not_pairs(self):
+        tracemalloc.start()
+        try:
+            g = gen_random(1_000_000, 10, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 1_000_000 and len(g.edges) == 10
+        assert peak < 1 << 20
+
+    def test_random_rejects_unindexable_pair_count(self):
+        with pytest.raises(ValueError):
+            gen_random(2 * math.isqrt(sys.maxsize) + 2, 1, 1, seed=0)
 
     def test_with_random_weights(self):
         g = with_random_weights(gen_complete(4), (1, 2, 3), seed=5)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,37 @@ from tripack import (
     verify_transversal,
 )
 from tripack.exact import LPSolution
-from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
+from tripack.generators import (
+    gen_apex,
+    gen_complete,
+    gen_cycle,
+    gen_gk,
+    gen_stacked,
+    gen_wheel,
+    with_random_weights,
+)
 from tripack.krivelevich import classify, transversal_2nustar
 
-from oracles import rand_connected_multigraph
+from oracles import rand_connected_multigraph, reference_transversal_2nustar
+
+
+def _scaled_w5(capacity: int) -> Multigraph:
+    return Multigraph.from_edges(6, ((u, v, capacity) for u, v, _ in gen_wheel(5).edges))
+
+
+def _reference_corpus():
+    """Seeded graphs, many of them with positive half-value edges."""
+    for s in range(300):
+        yield gen_stacked(4 + s % 12, seed=s)
+    for s in range(300):
+        yield with_random_weights(gen_wheel(3 + s % 9), (2, 2, 2, 3, 7), seed=s)
+    for s in range(250):
+        yield with_random_weights(gen_apex(gen_cycle(5 + 2 * (s % 4))), (1, 1, 2), seed=s)
+    for s in range(140):
+        yield with_random_weights(gen_gk(1).graph, (1, 2), seed=s)
+    yield gen_gk(2).graph
+    for s in range(1, 12):
+        yield with_random_weights(gen_gk(2).graph, (1, 2), seed=s)
 
 
 class TestClassify:
@@ -143,3 +171,25 @@ class TestTransversal2NuStar:
             cert = transversal_2nustar(g)
             x = Fraction(part.a, 4) + Fraction(part.b + part.c, 2)
             assert dominates_sqrt(2 * x - cert.weight, x / 16)
+
+    def test_equals_slot_expanded_reference(self):
+        graphs = with_half_edges = 0
+        for g in _reference_corpus():
+            assert transversal_2nustar(g) == reference_transversal_2nustar(g)
+            graphs += 1
+            part, _ = classify(g, g.lp)
+            with_half_edges += any(g.weight_map[e] > 0 for e in part.B)
+        assert graphs >= 1000 and with_half_edges >= 40
+
+    def test_w5_large_capacity_stays_small(self):
+        # One conflict vertex per spoke class, not one per parallel copy.
+        g = _scaled_w5(1000)
+        tracemalloc.start()
+        try:
+            cert = transversal_2nustar(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.weight == 3000
+        assert peak < 1 << 20
+        assert transversal_2nustar(_scaled_w5(10**6)).weight == 3_000_000
