@@ -327,8 +327,6 @@ def cut_large(g: Multigraph) -> EdgeCut:
     for comp in _components(list(adj), adj):
         sub = {x: adj[x] for x in comp}
         e_c = sum(sum(d.values()) for d in sub.values()) // 2
-        if e_c == 0:
-            continue
         v_c = len(comp)
         if v_c * v_c >= 4 * e_c:
             shore |= _cut_connected_shore(sub)

@@ -44,7 +44,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
-    BudgetExceeded,
     _Budget,
     Edge,
     InvariantViolation,
@@ -64,9 +63,6 @@ from .exact import max_type_packing, nu_exact
 #: needs at most 15K nodes for s = 0, 1, and ``gen_random(15, 52, 2, 0)``
 #: (53 triangles) about 16.1M, nearly all in the ``b_prime`` surplus search.
 DEFAULT_BUDGET = 20_000_000
-
-#: Largest anchored family for which switch variants are enumerated.
-MAX_SWITCH_BASE = 12
 
 SlotEdge = tuple[int, int, int]  # (u, v, copy index), u < v
 
@@ -368,9 +364,10 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     ``b1``'s edges, a maximum family ``b2`` of share-two triangles, then a
     maximum family ``b_prime`` whose surplus of fresh edges matches
     ``b2``; anchored families ``b1_prime``, ``i`` (with its two-rung
-    assignment, maximized over partner-swap variants of ``b_prime``),
-    ``i_prime`` and ``k``.  Every structural guarantee the size bounds
-    rely on is asserted here.
+    assignment), ``i_prime`` and ``k``.  Every structural guarantee the
+    size bounds rely on is asserted here, for the one ``b_prime`` kept;
+    with ``alpha + eta <= 1 - gamma`` the fixed combination of the five
+    bounds is at most ``(73/25) nu``.
     """
     nu, cert = nu_exact(g)
     if nu == 0:
@@ -381,8 +378,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     eb = _slot_edges(b)
     if _avoids(g, eb):
         raise InvariantViolation("a triangle avoids the maximum packing")
-    # A copy's role is whether b uses it; the b1_prime searches read 0 off
-    # their family, 1 on it but off b, and 2 on both.
+    # A copy's role is whether b uses it.
     in_b = eb.__contains__
     all_slots = frozenset(_all_slot_edges(g))
     b1 = _search_max_family(g, all_slots, in_b, _share(1), bud)
@@ -403,47 +399,21 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
         return 3 - sum(roles)
 
     bp = _search_max_family(g, gp_slots, in_b, surplus, bud, target=target)
+    ebp = _slot_edges(bp)
+    if len(ebp - eb) < target:
+        raise InvariantViolation("family misses its fresh-edge surplus")
 
-    def bprime_edges(members: Sequence[SlotTriangle]) -> set[SlotEdge]:
-        edges = _slot_edges(members)
-        if len(edges - eb) < target:
-            raise InvariantViolation("family misses its fresh-edge surplus")
-        return edges
+    # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
+    def on_bp(e: SlotEdge) -> int:
+        return (e in ebp) * (1 + (e in eb))
 
-    def b1prime_for(
-        members: Sequence[SlotTriangle], edges: set[SlotEdge]
-    ) -> tuple[AnchoredTriangle, ...]:
-        def role(e: SlotEdge) -> int:
-            return (e in edges) * (1 + (e in eb))
-
-        found = _search_max_family(g, gp_slots, role, _share(1), bud)
-        return _anchors(g, found, members, edges, gp_slots)
-
-    ebp = bprime_edges(bp)
-    b1p = b1prime_for(bp, ebp)
-
-    # Two private rungs need a parallel pair somewhere in the reduced graph;
-    # without one, no partner-swap variant has a rung family.
-    parallel = any(w >= 2 for _, _, w in gp.edges)
-    if parallel and len(b1p) > MAX_SWITCH_BASE:
-        raise BudgetExceeded(f"switch enumeration over {len(b1p)} anchored triangles")
+    b1p = _anchors(
+        g, _search_max_family(g, gp_slots, on_bp, _share(1), bud), bp, ebp, gp_slots
+    )
     i_anchors, fmap = _max_i_family(b1p, ebp, bud) if b1p else ((), {})
-    if i_anchors and not parallel:
+    # Two private rungs need a parallel pair somewhere in the reduced graph.
+    if i_anchors and not any(w >= 2 for _, _, w in gp.edges):
         raise InvariantViolation("rung family appeared without parallel pairs")
-    # Mask 0 is b_prime itself, searched above; in every other variant the
-    # masked anchors replace their partners, and a strictly larger rung
-    # family wins.
-    best = (bp, ebp, b1p, i_anchors, fmap)
-    for mask in range(1, 1 << len(b1p) if parallel else 1):
-        swapped = [a for i, a in enumerate(b1p) if mask >> i & 1]
-        dropped = {a.partner for a in swapped}
-        variant = sorted([m for m in bp if m not in dropped] + [a.t for a in swapped])
-        v_edges = bprime_edges(variant)
-        v_b1p = b1prime_for(variant, v_edges)
-        v_i, v_f = _max_i_family(v_b1p, v_edges, bud)
-        if len(v_i) > len(best[3]):
-            best = (variant, v_edges, v_b1p, v_i, v_f)
-    bp, ebp, b1p, i_anchors, fmap = best
 
     # Independent-family witness for alpha + eta <= 1 - gamma: replace each
     # selected partner by the two triangles its rungs complete.

@@ -13,6 +13,8 @@ Four local rewrite rules, each strictly decreasing the measure
 
 Each step applies the first rule, in this order, that has a witness, with
 its lexicographically first witness (edges as sorted pairs, vertices by id).
+So rules 2-4 are examined only when no edge has capacity 0, and each of
+their decrements finds a capacity of at least 1.
 
 Working state.  ``reduce_and_certify`` builds one private ``_Reducer`` from
 the input graph and mutates it in place for the whole run: capacities,
@@ -140,8 +142,6 @@ class _Reducer:
         if ts is None or len(ts) != 1:
             return None
         (t,) = ts
-        if any(self.cap[x] < 1 for x in t.edges):
-            return None
         return ReductionStep(
             kind=SINGLE_TRIANGLE_EDGE,
             witness_edge=e,
@@ -155,8 +155,6 @@ class _Reducer:
             return None
         tris = tuple(sorted(ts))
         flanks = [x for t in tris for x in t.edges if x != e]
-        if any(self.cap[x] < 1 for x in flanks):
-            return None
         deltas = {x: 1 for x in flanks}
         deltas[e] = 2
         return ReductionStep(
@@ -175,8 +173,6 @@ class _Reducer:
             return None
         k = len(cycle)
         matched = [norm_edge(cycle[2 * i], cycle[2 * i + 1]) for i in range(k // 2)]
-        if any(self.cap[e] < 1 for e in matched):
-            return None
         return ReductionStep(
             kind=CYCLE_NEIGHBORHOOD,
             witness_vertex=v,

@@ -25,6 +25,11 @@ that faster or leaner code replaced and must agree with exactly:
   every triangle, and ``reference_btype``, which counts the sides a slot
   triangle shares with a slot set; ``tripack.haxell`` derives both from
   per-class copy counts instead.
+- ``reference_swap_rung_sizes``, the enumeration of partner-swap variants
+  of ``b_prime`` that ``tripack.haxell.build_state`` ran to keep the one
+  with the largest rung family.  It reuses the family searches of
+  ``tripack.haxell``; ``build_state`` now keeps the first ``b_prime``,
+  and no variant may have a larger rung family than it.
 - ``reference_tau_exact``, the transversal search that ``tripack.exact``
   bounded by a greedy packing of edge-disjoint uncovered triangles,
   recollected at every node.  ``tau_exact`` replaced that bound with the
@@ -56,7 +61,7 @@ from tripack import (
     incidence,
     verify_transversal,
 )
-from tripack.core import dominates_sqrt, norm_edge, run_search
+from tripack.core import _Budget, dominates_sqrt, norm_edge, run_search
 from tripack.cuts import (
     _components,
     _cut_size,
@@ -64,7 +69,16 @@ from tripack.cuts import (
     cut_large,
     independent_set_triangle_free,
 )
-from tripack.haxell import SlotEdge, SlotTriangle
+from tripack.haxell import (
+    HaxellState,
+    SlotEdge,
+    SlotTriangle,
+    _all_slot_edges,
+    _anchors,
+    _max_i_family,
+    _search_max_family,
+    _share,
+)
 from tripack.krivelevich import classify
 from tripack.planar import (
     CYCLE_NEIGHBORHOOD,
@@ -647,6 +661,36 @@ def reference_max_family(
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
     return best
+
+
+def reference_swap_rung_sizes(st: HaxellState) -> list[int]:
+    """Rung-family size of every partner-swap variant of ``st.b_prime``.
+
+    A variant replaces the partners of a non-empty subset of
+    ``st.anchors_b1_prime`` by their anchored triangles.  Each variant gets
+    its own ``b1_prime`` search and rung search, as ``build_state`` once
+    ran them to keep the variant with the strictly largest rung family;
+    there are ``2**len(b1_prime) - 1`` of them.
+    """
+    g = st.graph
+    budget = _Budget(10**9)
+    eb = {e for m in st.b for e in m.slot_edges}
+    gp_slots = frozenset(_all_slot_edges(g)) - {e for m in st.b1 for e in m.slot_edges}
+    b1p = st.anchors_b1_prime
+    sizes = []
+    for mask in range(1, 1 << len(b1p)):
+        swapped = [a for i, a in enumerate(b1p) if mask >> i & 1]
+        dropped = {a.partner for a in swapped}
+        variant = sorted([m for m in st.b_prime if m not in dropped] + [a.t for a in swapped])
+        v_edges = {e for m in variant for e in m.slot_edges}
+
+        def role(e: SlotEdge) -> int:
+            return (e in v_edges) * (1 + (e in eb))
+
+        found = _search_max_family(g, gp_slots, role, _share(1), budget)
+        v_b1p = _anchors(g, found, variant, v_edges, gp_slots)
+        sizes.append(len(_max_i_family(v_b1p, v_edges, budget)[0]))
+    return sizes
 
 
 def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:

@@ -44,6 +44,9 @@ class TestIndependentSet:
     def test_single_vertex(self):
         assert independent_set_triangle_free(Multigraph(1, ()), [1]) == (0,)
 
+    def test_no_vertices(self):
+        assert independent_set_triangle_free(Multigraph(0, ()), []) == ()
+
     def test_c5(self):
         s = independent_set_triangle_free(gen_cycle(5), [1] * 5)
         assert len(s) == 2

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     reference_btype,
     reference_max_family,
     reference_slot_triangles,
+    reference_swap_rung_sizes,
     triangle_union,
 )
 
@@ -46,6 +48,18 @@ def any_triangle(roles):
 
 def surplus(roles):
     return 3 - sum(roles)
+
+
+def disjoint_copies(g, count):
+    return Multigraph.from_edges(
+        g.n * count,
+        [(g.n * i + u, g.n * i + v, w) for i in range(count) for u, v, w in g.edges],
+    )
+
+
+# A K4 with one edge of capacity 2, eight times: every copy anchors one
+# triangle of b1_prime, and each anchor gets its two rungs.
+K4_RUNGS = disjoint_copies(gen_random(4, 6, 2, 13), 8)
 
 
 def max_family_size(g, role=no_role, gain=any_triangle):
@@ -224,6 +238,7 @@ class TestBuildState:
         (gen_complete(4), 6),
         (gen_random(9, 18, 2, 0), 26),
         (gen_random(8, 14, 2, 2), 23),
+        (K4_RUNGS, 59_981),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
         # The root and each child of every family search cost one node.
@@ -261,6 +276,29 @@ class TestBuildState:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_rung_family_on_disjoint_k4s(self):
+        st = build_state(K4_RUNGS)
+        assert st.nu == 16
+        assert len(st.anchors_b1_prime) == len(st.i_family) == 8
+        half = Fraction(1, 2)
+        scalars = (st.gamma, st.beta, st.alpha, st.delta, st.eta, st.eta_prime, st.delta0)
+        assert scalars == (0, half, half, half, half, 0, 0)
+        assert [c.slot_size for c in candidate_transversals(st)] == [48, 24, 40, 24, 56]
+
+    def test_no_partner_swap_variant_has_a_larger_rung_family(self):
+        # Only graphs with an anchor and a parallel pair off b1 have
+        # variants that could hold a rung family at all.
+        checked = 0
+        for n, m in ((4, 6), (5, 10), (6, 13)):
+            for seed in range(400):
+                st = build_state(gen_random(n, m, 2, seed))
+                off_b1 = set(_all_slot_edges(st.graph)) - {e for t in st.b1 for e in t.slot_edges}
+                copies = Counter(e[:2] for e in off_b1)
+                if st.anchors_b1_prime and max(copies.values(), default=0) >= 2:
+                    assert max(reference_swap_rung_sizes(st)) <= len(st.i_family)
+                    checked += 1
+        assert checked >= 100
 
     def test_heavy_k4(self):
         g = Multigraph.from_edges(

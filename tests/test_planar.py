@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -30,6 +31,7 @@ from tripack.planar import (
     ReductionStep,
     apply_step,
     find_reduction,
+    _path_cover_spokes,
     _Reducer,
     reduce_and_certify,
 )
@@ -89,6 +91,19 @@ class TestFindReduction:
         assert step.witness_vertex == 0
         assert sorted(step.cycle) == [1, 2, 3]
 
+    def test_cycle_rule_skips_two_disjoint_rim_cycles(self):
+        # Two octahedra glued at vertex 0: its neighbourhood is two disjoint
+        # 4-cycles, not one chordless cycle, so rule 4 passes it over.
+        octa = gen_octahedron().edges
+        glued = [(0 if u == 0 else u + 5, v + 5, w) for u, v, w in octa]
+        g = Multigraph.from_edges(11, [*octa, *glued])
+        step = find_reduction(g)
+        assert step is not None and step.kind == CYCLE_NEIGHBORHOOD
+        assert step.witness_vertex == 1
+        p, c, status = reduce_and_certify(g)
+        assert (p, c, status) == reference_reduce_and_certify(g)
+        assert (status, p.value, c.weight) == (COMPLETE, 8, 9)
+
     def test_triangle_free_positive_none(self):
         assert find_reduction(gen_cycle(5)) is None
 
@@ -138,6 +153,38 @@ class TestAgainstReference:
                 steps.append(step)
                 cur = apply_step(cur, step)
             assert steps == reference_reduction_steps(g)
+
+
+def _segment_lengths(k: int, uncovered: set[int]) -> list[int]:
+    """Lengths of the runs of consecutive uncovered edges around a k-cycle."""
+    start = next(i for i in range(k) if i not in uncovered)
+    runs, m = [], 0
+    for i in range(start + 1, start + k + 1):
+        if i % k in uncovered:
+            m += 1
+        elif m:
+            runs.append(m)
+            m = 0
+    return runs
+
+
+class TestPathCoverSpokes:
+    def test_every_rim_edge_set_on_cycles_3_to_9(self):
+        cases = 0
+        for k in range(3, 10):
+            cycle = tuple(range(20, 20 + k))
+            for r in range(1, k + 1):
+                for picked in itertools.combinations(range(k), r):
+                    uncovered = set(picked)
+                    chosen = _path_cover_spokes(cycle, uncovered)
+                    for i in uncovered:
+                        assert {cycle[i], cycle[(i + 1) % k]} & set(chosen)
+                    if r == k:
+                        assert len(chosen) == (k + 1) // 2
+                    else:
+                        assert len(chosen) == sum((m + 1) // 2 for m in _segment_lengths(k, uncovered))
+                    cases += 1
+        assert cases == 1009
 
 
 class TestApplyStep:
