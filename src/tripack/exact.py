@@ -7,11 +7,13 @@ optimum ``g.lp`` for their bounds: ``nu_exact`` runs on
 ``max_type_packing``, which also searches the Haxell families, and stops
 at ``floor(nustar)``; ``tau_exact`` prunes on the optimal packing's mass
 over the uncovered triangles and stops at ``ceil(nustar)``.
-``lp_optimal`` solves the fractional relaxation with a revised simplex:
-one sparse integer row of B^-1 per edge and one row of duals y, each over
-one positive denominator kept divided by its gcd; triangle columns are
-priced from y and B^-1 only when needed.  Bland's pivots guarantee
-termination, and y is the dual optimum, so primal and dual values agree.
+``lp_optimal`` solves the fractional relaxation with a revised simplex,
+once per triangle-connected component: one sparse integer row of B^-1 per
+edge and one row of duals y, each over one positive denominator kept
+divided by its gcd; triangle columns are priced from y and B^-1 only when
+needed.  The most negative reduced cost enters, and Bland's rule takes
+over during a long run of degenerate pivots, so the loop terminates; y is
+the dual optimum, so primal and dual values agree.
 """
 
 from __future__ import annotations
@@ -65,19 +67,34 @@ class TightSets:
     tight_triangles: tuple[Triangle, ...]
 
 
+# Consecutive degenerate pivots after which Bland's rule prices until the
+# next nondegenerate pivot.
+DEGENERATE_RUN = 20
+
+
 def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
     """Maximize the fractional packing; return (x, y, value) exactly.
 
     Revised simplex on sparse integer rows, one per edge on a triangle (the
     other duals are 0).  Row ``i`` keeps only its B^-1 part, a ``slack ->
-    int`` map, and the objective row only the duals y.  Each has an integer
-    right-hand side over one positive denominator, divided by their gcd
-    (and the pivot entry's, for the pivot row) after every update.
+    int`` map, and each objective row only the duals y.  Each has an
+    integer right-hand side over one positive denominator, divided by their
+    gcd (and the pivot entry's, for the pivot row) after every update.
     Triangle columns are never stored: triangle j on edges e1, e2, e3 is
-    priced as ``y[e1] + y[e2] + y[e3] - 1``, and the entering column is
-    ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows a ``slack -> rows``
-    index lists for those edges.  Bland's rule picks the entering and
-    leaving variables over the canonical triangle-then-edge order.
+    priced as ``y[e1] + y[e2] + y[e3] - den`` and a slack as ``y[e]``, and
+    the entering column is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
+    a ``slack -> rows`` index lists for those edges.
+
+    Triangles sharing an edge fall in one component (union-find over the
+    rows), and the pivot loop runs once per component on its own objective
+    row; x, y and the value are merged.  The entering variable has the most
+    negative reduced cost (Dantzig), ties to the lowest index in the
+    canonical triangle-then-edge order.  After ``DEGENERATE_RUN`` degenerate
+    pivots in a row, Bland's rule (the first negative in that order) picks
+    it until a pivot is nondegenerate.  Bland's rule cannot cycle, so every
+    degenerate run ends, and each nondegenerate pivot strictly raises the
+    objective, so no basis comes back and the loop ends.  The leaving row
+    wins the ratio test, ties to the lowest basis index.
     """
     inc = incidence(g)
     tris = inc.triangles
@@ -89,96 +106,128 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     cols = [tuple(row_of[e] for e in col) for col in inc.columns]
     m = len(used)
     nt = len(tris)
-    # Row i < m is row i of B^-1 and row m is y, both over the slack
-    # columns; entry e of row i is rows[i][e] / den[i].
-    rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
-    rhs = [g.weight_map[inc.edges[e]] for e in used] + [0]
-    den = [1] * (m + 1)
+    root = list(range(m))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b, c in cols:
+        r = find(a)
+        root[find(b)] = r
+        root[find(c)] = r
+    comps: dict[int, list[int]] = {}  # the triangles of each component, in order
+    for j, col in enumerate(cols):
+        comps.setdefault(find(col[0]), []).append(j)
+
+    # Row i < m is row i of B^-1 and row m + k holds the duals y of
+    # component k, all over the slack columns; entry e of row i is
+    # rows[i][e] / den[i].
+    rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{} for _ in comps]
+    rhs = [g.weight_map[inc.edges[e]] for e in used] + [0] * len(comps)
+    den = [1] * len(rows)
     col_rows: list[set[int]] = [{i} for i in range(m)]
     basis = [nt + i for i in range(m)]
 
-    while True:
-        y, yden = rows[m], den[m]
-        enter = next(
-            (j for j, (a, b, c) in enumerate(cols) if y.get(a, 0) + y.get(b, 0) + y.get(c, 0) < yden), -1
-        )
-        if enter >= 0:
-            a, b, c = cols[enter]
-            col = {}
-            for i in col_rows[a] | col_rows[b] | col_rows[c]:
-                row = rows[i]
-                v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
-                if v:
-                    col[i] = v
-            col[m] = col.get(m, 0) - yden
-        else:
-            e = min((e for e, v in y.items() if v < 0), default=-1)
-            if e < 0:
-                break
-            enter = nt + e
-            col = {i: rows[i][e] for i in col_rows[e]}
-        # Row denominators cancel in b_i / a_i, so ratios compare as cross-
-        # multiplied numerators.  Row m's entry is negative: it never leaves.
-        leave = -1
-        piv = 0
-        for i, a in col.items():
-            if a > 0:
-                if leave < 0:
-                    leave, piv = i, a
-                    continue
-                lhs = rhs[i] * piv
-                cur = rhs[leave] * a
-                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
-                    leave, piv = i, a
-        if leave < 0:
-            raise InvariantViolation("packing LP is unbounded")
-        prow = rows[leave]
-        prhs = rhs[leave]
-
-        # row <- row * (piv/k) - prow * (f/k), k = gcd(piv, f): the entering
-        # column cancels and the denominator grows by piv/k.
-        for i, f in col.items():
-            if i == leave:
-                continue
-            row = rows[i]
-            k = gcd(piv, f)
-            s, t = piv // k, f // k
-            r, d = rhs[i], den[i]
-            if s != 1:
-                row = {j: v * s for j, v in row.items()}
-                r *= s
-                d *= s
-            for j, p in prow.items():
-                if j in row:
-                    v = row[j] - t * p
+    for obj, tids in enumerate(comps.values(), m):
+        streak = 0  # degenerate pivots in a row
+        while True:
+            y, yden = rows[obj], den[obj]
+            if streak < DEGENERATE_RUN:
+                # The most negative reduced cost; a slack must beat the
+                # triangles strictly, as they come first.
+                enter, low = -1, 0
+                for j in tids:
+                    a, b, c = cols[j]
+                    d = y.get(a, 0) + y.get(b, 0) + y.get(c, 0) - yden
+                    if d < low:
+                        enter, low = j, d
+                e = min(((v, e) for e, v in y.items() if v < low), default=(0, -1))[1]
+            else:
+                # Bland: the first negative reduced cost.
+                enter = next((j for j in tids if sum(y.get(i, 0) for i in cols[j]) < yden), -1)
+                e = -1 if enter >= 0 else min((e for e, v in y.items() if v < 0), default=-1)
+            if e >= 0:
+                enter = nt + e
+                col = {i: rows[i][e] for i in col_rows[e]}
+            elif enter >= 0:
+                a, b, c = cols[enter]
+                col = {}
+                for i in col_rows[a] | col_rows[b] | col_rows[c]:
+                    row = rows[i]
+                    v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
                     if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                        col_rows[j].discard(i)
-                else:
-                    row[j] = -t * p
-                    col_rows[j].add(i)
-            r -= t * prhs
-            if d != 1:
-                k = gcd(d, r, *row.values())
-                if k != 1:
-                    row = {j: v // k for j, v in row.items()}
-                    r //= k
-                    d //= k
-            rows[i], rhs[i], den[i] = row, r, d
+                        col[i] = v
+                col[obj] = col.get(obj, 0) - yden
+            else:
+                break
+            # Row denominators cancel in b_i / a_i, so ratios compare as cross-
+            # multiplied numerators.  The objective row's entry is negative: it
+            # never leaves.
+            leave = -1
+            piv = 0
+            for i, a in col.items():
+                if a > 0:
+                    if leave < 0:
+                        leave, piv = i, a
+                        continue
+                    lhs = rhs[i] * piv
+                    cur = rhs[leave] * a
+                    if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                        leave, piv = i, a
+            if leave < 0:
+                raise InvariantViolation("packing LP is unbounded")
+            prow = rows[leave]
+            prhs = rhs[leave]
+            streak = 0 if prhs else streak + 1
 
-        # The pivot row divided by its pivot entry.
-        k = gcd(prhs, piv, *prow.values())
-        if k != 1:
-            rows[leave] = {j: v // k for j, v in prow.items()}
-            rhs[leave] = prhs // k
-        den[leave] = piv // k
-        basis[leave] = enter
+            # row <- row * (piv/k) - prow * (f/k), k = gcd(piv, f): the entering
+            # column cancels and the denominator grows by piv/k.
+            for i, f in col.items():
+                if i == leave:
+                    continue
+                row = rows[i]
+                k = gcd(piv, f)
+                s, t = piv // k, f // k
+                r, d = rhs[i], den[i]
+                if s != 1:
+                    row = {j: v * s for j, v in row.items()}
+                    r *= s
+                    d *= s
+                for j, p in prow.items():
+                    if j in row:
+                        v = row[j] - t * p
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+                            col_rows[j].discard(i)
+                    else:
+                        row[j] = -t * p
+                        col_rows[j].add(i)
+                r -= t * prhs
+                if d != 1:
+                    k = gcd(d, r, *row.values())
+                    if k != 1:
+                        row = {j: v // k for j, v in row.items()}
+                        r //= k
+                        d //= k
+                rows[i], rhs[i], den[i] = row, r, d
+
+            # The pivot row divided by its pivot entry.
+            k = gcd(prhs, piv, *prow.values())
+            if k != 1:
+                rows[leave] = {j: v // k for j, v in prow.items()}
+                rhs[leave] = prhs // k
+            den[leave] = piv // k
+            basis[leave] = enter
 
     x = {tris[b]: Fraction(rhs[i], den[i]) for i, b in enumerate(basis) if b < nt and rhs[i]}
-    ys = {inc.edges[used[e]]: Fraction(y[e], yden) for e in sorted(y)}
-    return x, ys, Fraction(rhs[m], yden)
+    ys = {inc.edges[used[e]]: Fraction(v, den[obj]) for obj in range(m, len(rows)) for e, v in rows[obj].items()}
+    value = sum((Fraction(rhs[obj], den[obj]) for obj in range(m, len(rows))), Fraction(0))
+    return x, dict(sorted(ys.items())), value
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:

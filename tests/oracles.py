@@ -5,8 +5,10 @@ shares no code with the solvers it checks, apart from the references
 that faster or leaner code replaced and must agree with exactly:
 
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
-  revised simplex in ``tripack.exact`` replaced.  It reads the same
-  ``incidence`` and must take the same Bland pivots.
+  revised simplex in ``tripack.exact`` replaced, one tableau per
+  triangle-connected component.  It reads the same ``incidence`` and must
+  take the same pivots: the most negative reduced cost, and Bland's rule
+  after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
@@ -241,22 +243,56 @@ def relabel(g: Multigraph, perm: list[int]) -> Multigraph:
     )
 
 
-def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
+REFERENCE_DEGENERATE_RUN = 20
+
+
+def reference_simplex_packing(
+    g: Multigraph, degenerate_run: int | None = REFERENCE_DEGENERATE_RUN, log: list | None = None
+) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
     """Maximize the fractional packing; return (x, y, value) exactly.
 
-    Dense reference: every tableau entry is a ``Fraction``.  Rows are restricted to edges lying in at least one triangle (all other
-    dual values are 0).  Entering and leaving variables follow Bland's
-    rule over the canonical triangle-then-edge order.
+    Dense reference: every tableau entry is a ``Fraction``.  Triangles that
+    share an edge, directly or through others, form one component, and each
+    component gets its own tableau over its triangles and their edges (all
+    other dual values are 0).  The entering variable has the most negative
+    reduced cost, ties to the lowest index in the canonical
+    triangle-then-edge order; after ``degenerate_run`` degenerate pivots in
+    a row (never, if None) the first negative enters instead, until a pivot
+    is nondegenerate.  The leaving row wins the ratio test, ties to the
+    lowest basis index.  ``log`` receives ``(bland, degenerate)`` per pivot.
     """
     inc = incidence(g)
     tris = inc.triangles
-    if not tris:
-        return {}, {}, Fraction(0)
+    x: dict[Triangle, Fraction] = {}
+    y: dict[Edge, Fraction] = {}
+    value = Fraction(0)
+    comp_of = [-1] * len(tris)
+    for s in range(len(tris)):
+        if comp_of[s] >= 0:
+            continue
+        comp_of[s] = s
+        stack = [s]
+        while stack:
+            j = stack.pop()
+            for k in range(len(tris)):
+                if comp_of[k] < 0 and set(inc.columns[j]) & set(inc.columns[k]):
+                    comp_of[k] = s
+                    stack.append(k)
+        members = [j for j in range(len(tris)) if comp_of[j] == s]
+        cx, cy, cv = _reference_tableau(g, inc, members, degenerate_run, log)
+        x.update(cx)
+        y.update(cy)
+        value += cv
+    return x, dict(sorted(y.items())), value
 
-    used_rows = sorted({i for col in inc.columns for i in col})
+
+def _reference_tableau(
+    g: Multigraph, inc, members: list[int], degenerate_run: int | None, log: list | None
+) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
+    used_rows = sorted({i for j in members for i in inc.columns[j]})
     row_of = {orig: i for i, orig in enumerate(used_rows)}
     m = len(used_rows)
-    nt = len(tris)
+    nt = len(members)
     width = nt + m + 1
     zero = Fraction(0)
     one = Fraction(1)
@@ -267,8 +303,8 @@ def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], 
         row[nt + i] = one
         row[-1] = Fraction(g.weight_map[inc.edges[orig]])
         rows.append(row)
-    for j, col in enumerate(inc.columns):
-        for orig in col:
+    for j, t in enumerate(members):
+        for orig in inc.columns[t]:
             rows[row_of[orig]][j] = one
 
     # obj[j] = z_j - c_j; optimal when all entries are nonnegative.
@@ -277,15 +313,14 @@ def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], 
         obj[j] = -one
 
     basis = [nt + i for i in range(m)]
+    streak = 0
 
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
+        bland = degenerate_run is not None and streak >= degenerate_run
+        negative = [j for j in range(width - 1) if obj[j] < 0]
+        if not negative:
             break
+        enter = negative[0] if bland else min(negative, key=lambda j: obj[j])
         leave = -1
         best_ratio: Fraction | None = None
         for i in range(m):
@@ -301,6 +336,10 @@ def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], 
                     leave = i
         if leave < 0:
             raise InvariantViolation("packing LP is unbounded")
+        degenerate = best_ratio == 0
+        streak = streak + 1 if degenerate else 0
+        if log is not None:
+            log.append((bland, degenerate))
         prow = rows[leave]
         piv = prow[enter]
         if piv != one:
@@ -326,7 +365,7 @@ def reference_simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], 
     x: dict[Triangle, Fraction] = {}
     for i, b in enumerate(basis):
         if b < nt and rows[i][-1] != 0:
-            x[tris[b]] = rows[i][-1]
+            x[inc.triangles[members[b]]] = rows[i][-1]
     y: dict[Edge, Fraction] = {}
     for i, orig in enumerate(used_rows):
         val = obj[nt + i]

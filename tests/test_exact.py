@@ -175,6 +175,41 @@ class TestLPOptimal:
     def test_k4(self):
         assert lp_optimal(gen_complete(4)).value == 2
 
+    def test_disjoint_union_merges_its_pieces(self):
+        # Every triangle-connected component is solved on its own, so the
+        # union's optimum is its pieces' optima side by side.
+        pieces = [
+            gen_complete(4),
+            with_random_weights(gen_complete(6), (0, 1, 2, 3), seed=3),
+            gen_gk(1).graph,
+            rand_connected_multigraph(7, 8, 3, 5),
+            gen_cycle(5),
+            gen_complete(8),
+        ]
+        items, packing, cover, value, offset = [], {}, {}, Fraction(0), 0
+        for h in pieces:
+            sol = lp_optimal(h)
+            items += [(u + offset, v + offset, w) for u, v, w in h.edges]
+            packing.update(
+                {Triangle.of(*(v + offset for v in t)): x for t, x in sol.packing.triangle_values.items()}
+            )
+            cover.update({(u + offset, v + offset): y for (u, v), y in sol.transversal.edge_values.items()})
+            value += sol.value
+            offset += h.n
+        sol = lp_optimal(Multigraph.from_edges(offset, items))
+        assert sol.packing.triangle_values == packing
+        assert sol.transversal.edge_values == cover
+        assert sol.value == value
+
+    def test_5000_disjoint_triangles(self):
+        # A single simplex over all 5,000 components took 2.7 s of CPU
+        # (Python 3.11, shared 2-core x86 machine).
+        g = triangle_union(5000)
+        start = time.process_time()
+        sol = lp_optimal(g)
+        assert time.process_time() - start < 1
+        assert sol.value == 5000 and len(sol.packing.triangle_values) == 5000
+
     def test_g1(self):
         assert lp_optimal(gen_gk(1).graph).value == Fraction(5, 2)
 
@@ -251,6 +286,17 @@ class TestSimplexAgainstReference:
             for seed in range(6):
                 g = with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=100 * n + seed)
                 assert _simplex_packing(g) == reference_simplex_packing(g)
+
+    def test_bland_fallback_on_k8(self):
+        # The unit K8 reaches 20 degenerate pivots in a row; two Bland
+        # pivots follow, the second nondegenerate, and they lead to another
+        # optimal vertex than largest-coefficient pricing alone would.
+        g = gen_complete(8)
+        log = []
+        got = reference_simplex_packing(g, log=log)
+        assert sum(bland for bland, _ in log) == 2
+        assert _simplex_packing(g) == got
+        assert reference_simplex_packing(g, degenerate_run=None) != got
 
     def test_edges_on_no_triangle(self):
         # A bridge, a triangle-free part and a pendant edge hang off the
