@@ -13,7 +13,8 @@ Commands::
 Reports are JSON on stdout; rationals are serialized as ``"p/q"`` strings,
 never as floats.  Exit code 0 means every asserted bound passed, 1 means a
 bound failed (or an internal guarantee broke), 2 means the invocation or
-input was unusable.
+input was unusable, or a run hit a resource limit: a node budget, memory,
+or recursion depth.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .generators import (
     gen_wheel,
 )
 from .graphio import ParseError, emit_graph, parse_graph
-from .haxell import DEFAULT_BUDGET, build_state, candidate_transversals
+from .haxell import DEFAULT_BUDGET, transversal_292
 from .krivelevich import transversal_2nustar
 from .planar import COMPLETE, reduce_and_certify
 
@@ -163,26 +164,22 @@ def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
 
 
 def _cmd_haxell(g: Multigraph, args: argparse.Namespace) -> dict:
-    st = build_state(g, budget=args.budget)
-    cands = candidate_transversals(st)
-    bounds = []
-    for c in cands:
-        bounds.append(
-            _bound(
-                f"candidate {c.label} size <= bound",
-                _rat(c.size_bound),
-                str(c.slot_size),
-                Fraction(c.slot_size) <= c.size_bound,
-            )
+    st, cands, best, limit = transversal_292(g, budget=args.budget)
+    bounds = [
+        _bound(
+            f"candidate {c.label} size <= bound",
+            _rat(c.size_bound),
+            str(c.certificate.weight),
+            c.certificate.weight <= c.size_bound,
         )
-    best = min(cands, key=lambda c: (c.slot_size, c.label))
-    limit = Fraction(73, 25) * st.nu
+        for c in cands
+    ]
     bounds.append(
         _bound(
             "min candidate <= (3 - 2/25) nu",
             _rat(limit),
-            str(best.slot_size),
-            Fraction(best.slot_size) <= limit,
+            str(best.certificate.weight),
+            best.certificate.weight <= limit,
         )
     )
     return {
@@ -372,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failed else 0
     except (ParseError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # Resource limits, like a spent budget: the input is too large to run.
+        detail = str(exc) or "resource limit reached"
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"guarantee violated: {exc}", file=sys.stderr)

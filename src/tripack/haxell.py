@@ -18,8 +18,7 @@ each type to take within the orbits' copy counts.  Every family yields
 such counts and every such count vector is realized by distinct copies,
 so the maxima, and whether a family reaches a required gain, are exactly
 those of the slot-level problem; the budget counts these multiplicity
-nodes.  Coverage is checked on classes too: a slot set meets every slot
-triangle unless some triangle keeps, on each side, a copy outside it.
+nodes.
 
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
@@ -29,10 +28,12 @@ The five constructions (labels ``a`` .. ``e``) have sizes at most
 in the state's scalars, each the size of one family over nu (g = gamma
 from ``b1``, b = beta from ``b2``, a = alpha from ``b_prime``, d = delta
 from ``b1_prime``, h = eta from ``i_family``, d0 = delta0 from
-``k_family``), and a fixed convex combination of these bounds
-shows that the smallest is at most ``(3 - 2/25) nu``.  Sizes count slots;
-the returned certificates are per-edge-class (taking a class costs its
-full capacity) and coincide with slot counts on simple graphs.
+``k_family``), and a fixed convex combination of these bounds shows that
+the smallest is at most ``(3 - 2/25) nu``.  Sizes count slots.  A
+candidate's cover is the full edge classes, whose copies all lie in its
+slot set, plus the capacity-0 edges: it verifies exactly when the slots
+meet every slot triangle, and weighs at most the slot count, which is at
+most the bound.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -108,8 +110,9 @@ class HaxellState:
     Only families are stored: ``b``, ``b2`` and ``b_prime`` as slot
     triangles, the anchored families as their anchors (``b1`` and
     ``b1_prime`` read the triangles back), and ``fmap`` assigns each member
-    of ``i_family`` its two rungs.  The scalars of the size bounds are
-    derived: each is a family size over nu, and 0 when nu is 0.
+    of ``i_family`` its two rungs.  ``k_family`` is derived through
+    ``e0``, and each scalar of the size bounds is a family size over nu,
+    and 0 when nu is 0.
     """
 
     graph: Multigraph
@@ -121,8 +124,19 @@ class HaxellState:
     anchors_b1_prime: tuple[AnchoredTriangle, ...]
     i_family: tuple[AnchoredTriangle, ...]
     i_prime: tuple[AnchoredTriangle, ...]
-    k_family: tuple[AnchoredTriangle, ...]
     fmap: Mapping[SlotTriangle, tuple[SlotEdge, SlotEdge]]
+
+    @cached_property
+    def e0(self) -> frozenset[SlotEdge]:
+        """``b_prime``'s slot edges off the partners of ``b1_prime``, plus the shared edges."""
+        hat = {a.partner for a in self.anchors_b1_prime}
+        kept = (e for m in self.b_prime if m not in hat for e in m.slot_edges)
+        return frozenset(kept).union(a.shared for a in self.anchors_b1_prime)
+
+    @cached_property
+    def k_family(self) -> tuple[AnchoredTriangle, ...]:
+        """The anchors of ``b1_prime`` whose rungs all lie in ``e0``."""
+        return tuple(a for a in self.anchors_b1_prime if self.e0.issuperset(a.rungs))
 
     def _per_nu(self, family: Sequence) -> Rational:
         return Fraction(len(family), self.nu) if self.nu else Fraction(0)
@@ -142,17 +156,16 @@ def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
     return [(u, v, j) for u, v, w in g.edges for j in range(w)]
 
 
-def _avoids(g: Multigraph, slots: Iterable[SlotEdge]) -> bool:
-    """Whether some slot triangle of ``g`` uses none of ``slots``.
+def _cover(g: Multigraph, slots: Iterable[SlotEdge]) -> TransversalCertificate:
+    """The edge classes with every copy in ``slots``, plus the free edges.
 
-    A slot triangle takes one copy per side, so one avoids ``slots``
-    exactly when every side of its triangle has fewer than its capacity of
-    copies in ``slots``: a count per edge class, not a list of the
-    ``w0 * w1 * w2`` slot triangles.
+    A slot triangle takes one copy per side, so ``slots`` meets all of them
+    exactly when each triangle has a side of capacity 0 or a full side:
+    exactly when this cover verifies.  It weighs at most ``len(slots)``.
     """
     used = Counter(e[:2] for e in slots)
-    w = g.weight_map
-    return any(all(used[e] < w[e] for e in t.edges) for t in g.triangles)
+    full = [e for e, c in used.items() if c == g.weight_map[e]]
+    return TransversalCertificate.from_edges(g, itertools.chain(full, g.free_edges))
 
 
 def _search_max_family(
@@ -280,12 +293,8 @@ def _expand_packing(mult: Mapping[Triangle, int]) -> list[SlotTriangle]:
 
 
 def _compress(g: Multigraph, slots: Iterable[SlotEdge]) -> Multigraph:
-    counts: dict[Edge, int] = {}
-    for u, v, _ in slots:
-        counts[(u, v)] = counts.get((u, v), 0) + 1
-    return Multigraph.from_edges(
-        g.n, ((u, v, c) for (u, v), c in sorted(counts.items()))
-    )
+    counts = Counter(e[:2] for e in slots)
+    return Multigraph.from_edges(g.n, ((u, v, c) for (u, v), c in counts.items()))
 
 
 def _max_i_family(
@@ -340,20 +349,14 @@ def _max_i_family(
     return tuple(members[i] for i in best), best_f
 
 
-def _slot_tri_from_edges(e1: SlotEdge, e2: SlotEdge, e3: SlotEdge) -> SlotTriangle:
-    verts = sorted({e1[0], e1[1], e2[0], e2[1], e3[0], e3[1]})
-    if len(verts) != 3:
+def _slot_tri_from_edges(*edges: SlotEdge) -> SlotTriangle:
+    # Three distinct pairs on three vertices are exactly a triangle's sides.
+    bypair = {e[:2]: e[2] for e in edges}
+    verts = sorted({x for pair in bypair for x in pair})
+    if len(verts) != 3 or len(bypair) != 3:
         raise InvariantViolation("three edges do not span a triangle")
     t = Triangle(*verts)
-    bypair = {(e[0], e[1]): e[2] for e in (e1, e2, e3)}
-    if len(bypair) != 3 or set(bypair) != set(t.edges):
-        raise InvariantViolation("three edges do not span a triangle")
     return SlotTriangle(t, tuple(bypair[p] for p in t.edges))  # type: ignore[arg-type]
-
-
-def _empty_state(g: Multigraph) -> HaxellState:
-    # nu = 0: every triangle has a capacity-0 edge, so no slot triangle exists.
-    return HaxellState(g, 0, (), (), (), (), (), (), (), (), {})
 
 
 def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
@@ -371,12 +374,13 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     """
     nu, cert = nu_exact(g)
     if nu == 0:
-        return _empty_state(g)
+        # Every triangle has a capacity-0 edge, so no slot triangle exists.
+        return HaxellState(g, 0, (), (), (), (), (), (), (), {})
     bud = _Budget(budget)
 
     b = tuple(_expand_packing(cert.multiplicities))
     eb = _slot_edges(b)
-    if _avoids(g, eb):
+    if not verify_transversal(g, _cover(g, eb)):
         raise InvariantViolation("a triangle avoids the maximum packing")
     # A copy's role is whether b uses it.
     in_b = eb.__contains__
@@ -420,16 +424,11 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     ihat = {a.partner for a in i_anchors}
     witness: list[SlotTriangle] = [m for m in bp if m not in ihat]
     for a in i_anchors:
-        f1, f2 = fmap[a.t]
-        x, y = a.shared[0], a.shared[1]
         own = {e[:2]: e for e in a.t.slot_edges}
         par = {e[:2]: e for e in a.partner.slot_edges}
-        witness.append(
-            _slot_tri_from_edges(own[norm_edge(x, a.apex)], par[norm_edge(x, a.partner_apex)], f1)
-        )
-        witness.append(
-            _slot_tri_from_edges(own[norm_edge(y, a.apex)], par[norm_edge(y, a.partner_apex)], f2)
-        )
+        for x, f in zip(a.shared[:2], fmap[a.t]):
+            sides = own[norm_edge(x, a.apex)], par[norm_edge(x, a.partner_apex)], f
+            witness.append(_slot_tri_from_edges(*sides))
     if not _slot_edges(witness) <= gp_slots:
         raise InvariantViolation("rung-witness family is not independent")
     if len(witness) != len(bp) + len(i_anchors) or len(witness) > nu_gp:
@@ -445,22 +444,16 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     if len(i_prime) > 2 * len(i_anchors):
         raise InvariantViolation("crowding family exceeds twice the rung family")
 
-    b1p_hat = {a.partner for a in b1p}
-    e0 = {e for m in bp if m not in b1p_hat for e in m.slot_edges}
-    e0.update(a.shared for a in b1p)
-
     return HaxellState(
         graph=g, nu=nu, b=b, b2=b2, b_prime=tuple(bp),
         anchors_b1=anchors_b1, anchors_b1_prime=b1p,
-        i_family=i_anchors, i_prime=i_prime,
-        k_family=tuple(a for a in b1p if set(a.rungs) <= e0),
-        fmap=fmap,
+        i_family=i_anchors, i_prime=i_prime, fmap=fmap,
     )
 
 
 @dataclass(frozen=True)
 class CandidateTransversal:
-    """One constructed cover: its certificate, slot size, and size bound."""
+    """One constructed cover: certificate weight <= ``slot_size`` <= ``size_bound``."""
 
     label: str
     certificate: TransversalCertificate
@@ -474,14 +467,11 @@ def _certify(
     slots: set[SlotEdge],
     bound: Rational,
 ) -> CandidateTransversal:
-    if _avoids(g, slots):
-        raise InvariantViolation(f"candidate {label} misses a triangle")
-    if len(slots) > bound:
-        raise InvariantViolation(f"candidate {label} exceeds its size bound")
-    classes = sorted({(u, v) for u, v, _ in slots} | set(g.free_edges))
-    cert = TransversalCertificate.from_edges(g, classes)
+    cert = _cover(g, slots)
     if not verify_transversal(g, cert):
-        raise InvariantViolation(f"candidate {label} fails class-level checking")
+        raise InvariantViolation(f"candidate {label} misses a triangle")
+    if not cert.weight <= len(slots) <= bound:
+        raise InvariantViolation(f"candidate {label} exceeds its size bound")
     return CandidateTransversal(label, cert, len(slots), bound)
 
 
@@ -536,11 +526,8 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     out.append(_certify(g, "d", cd, (3 * st.gamma + 3 * st.alpha - 2 * st.delta0) * nu))
 
     # e: the layered cover around the rung family.
-    b1p_hat = {a.partner for a in st.anchors_b1_prime}
-    e0 = {e for m in st.b_prime if m not in b1p_hat for e in m.slot_edges}
-    e0.update(a.shared for a in st.anchors_b1_prime)
     crowded = set(st.i_prime) | set(st.k_family)
-    ce = set(eb1) | e0
+    ce = eb1 | st.e0
     for a in st.anchors_b1_prime:
         if a in st.i_family:
             ce.update(a.t.slot_edges)
@@ -554,18 +541,28 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     return out
 
 
-def transversal_292(
-    g: Multigraph, *, budget: int = DEFAULT_BUDGET
-) -> TransversalCertificate:
-    """The smallest of the five candidate covers; at most ``(3 - 2/25) nu``.
+class HaxellCovers(NamedTuple):
+    """The state, its five candidate covers, the lightest, and the limit it meets."""
 
-    The fixed convex combination 1/5, 4/75, 8/75, 8/25, 8/25 of the five
-    size bounds collapses to ``(73/25) nu`` once ``alpha + eta <= 1 -
-    gamma`` holds, so the minimum is checked against that value exactly.
+    state: HaxellState
+    candidates: list[CandidateTransversal]
+    best: CandidateTransversal
+    limit: Rational
+
+
+def transversal_292(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellCovers:
+    """The five candidate covers and the lightest, which weighs at most ``(3 - 2/25) nu``.
+
+    Each candidate weighs at most its slot count, which is at most its size
+    bound.  The fixed convex combination 1/5, 4/75, 8/75, 8/25, 8/25 of the
+    five size bounds collapses to ``(73/25) nu`` once ``alpha + eta <= 1 -
+    gamma`` holds, so the lightest, ties going to the earlier label, is
+    checked against that limit exactly.
     """
     st = build_state(g, budget=budget)
     cands = candidate_transversals(st)
-    best = min(cands, key=lambda c: (c.slot_size, c.label))
-    if best.slot_size > Fraction(73, 25) * st.nu:
-        raise InvariantViolation("smallest candidate exceeds (3 - 2/25) nu")
-    return best.certificate
+    best = min(cands, key=lambda c: (c.certificate.weight, c.label))
+    limit = Fraction(73, 25) * st.nu
+    if best.certificate.weight > limit:
+        raise InvariantViolation("lightest candidate exceeds (3 - 2/25) nu")
+    return HaxellCovers(st, cands, best, limit)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tripack.cli
 import tripack.exact
 from tripack import (
     Multigraph,
@@ -275,8 +276,36 @@ class TestCommands:
             g, (tuple(e) for e in report["certificates"]["best"]["edges"])
         )
         assert verify_transversal(g, best)
-        size = min(c["slot_size"] for c in report["certificates"]["candidates"])
-        assert size <= Fraction(73, 25) * report["nu"]
+        cands = report["certificates"]["candidates"]
+        assert all(c["transversal"]["weight"] <= c["slot_size"] for c in cands)
+        size = min(c["slot_size"] for c in cands)
+        assert best.weight <= size <= Fraction(73, 25) * report["nu"]
+
+    def test_haxell_best_weight_meets_the_bound(self, capsys, monkeypatch):
+        # The best cover here used to weigh 23 while the report said 15.
+        code, text, _ = run_cli(capsys, ["generate", "--family", "random", "--n", "7",
+                                         "--m", "12", "--max-mult", "3", "--seed", "9"])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["haxell"], stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        report = json.loads(out)
+        assert report["nu"] == 6
+        assert 25 * report["certificates"]["best"]["weight"] <= 73 * report["nu"]
+        for c in report["certificates"]["candidates"]:
+            assert c["transversal"]["weight"] <= c["slot_size"] <= Fraction(c["size_bound"])
+        assert all(b["pass"] for b in report["bounds"])
+        assert report["bounds"][-1]["achieved"] == str(report["certificates"]["best"]["weight"])
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_limit_exits_2(self, capsys, monkeypatch, exc):
+        def exhausted(g):
+            raise exc()
+
+        monkeypatch.setattr(tripack.cli, "nu_exact", exhausted)
+        code, out, err = run_cli(capsys, ["solve"], stdin="p 3\ne 0 1 1\ne 0 2 1\ne 1 2 1\n",
+                                 monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {exc.__name__}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -19,7 +19,7 @@ from tripack.core import _Budget
 from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
 from tripack.haxell import (
     _all_slot_edges,
-    _avoids,
+    _cover,
     _expand_packing,
     _search_max_family,
     _share,
@@ -189,8 +189,8 @@ class TestFamilyAgainstReference:
             _search_max_family(g, host, no_role, any_triangle, _Budget(100), target=1)
 
 
-class TestAvoids:
-    def test_class_counts_match_the_listed_slot_triangles(self):
+class TestFullClassCover:
+    def test_verifies_exactly_when_the_slots_meet_every_slot_triangle(self):
         # Random slot sets of every size against a scan of every slot triangle.
         for seed, base in enumerate(atlas_with_triangle()):
             g = capacities_0_to_3(seed, base)
@@ -199,8 +199,10 @@ class TestAvoids:
             rng = random.Random(seed)
             for _ in range(4):
                 slots = set(rng.sample(all_slots, rng.randint(0, len(all_slots))))
-                want = any(reference_btype(st, slots) == 0 for st in tris)
-                assert _avoids(g, slots) == want
+                cover = _cover(g, slots)
+                avoided = any(reference_btype(st, slots) == 0 for st in tris)
+                assert verify_transversal(g, cover) == (not avoided)
+                assert cover.weight <= len(slots)
 
 
 class TestBuildState:
@@ -358,23 +360,23 @@ class TestCandidates:
 
 class TestTransversal292:
     def test_k4(self):
-        cert = transversal_292(gen_complete(4))
+        cert = transversal_292(gen_complete(4)).best.certificate
         assert cert.weight == 2
 
     def test_k5(self):
         g = gen_complete(5)
-        cert = transversal_292(g)
+        cert = transversal_292(g).best.certificate
         assert verify_transversal(g, cert)
         assert tau_exact(g)[0] <= cert.weight <= 5
 
     def test_triangle_free(self):
-        assert transversal_292(gen_cycle(5)).weight == 0
+        assert transversal_292(gen_cycle(5)).best.certificate.weight == 0
 
     def test_parallel_edges(self):
         g = Multigraph.from_edges(
             4, [(0, 1, 2), (0, 2, 2), (1, 2, 2), (0, 3, 1), (1, 3, 1), (2, 3, 1)]
         )
-        cert = transversal_292(g)
+        cert = transversal_292(g).best.certificate
         assert verify_transversal(g, cert)
 
     def test_random_multigraphs(self):
@@ -382,10 +384,25 @@ class TestTransversal292:
             n = 4 + seed % 3
             m = min(6 + seed % 5, n * (n - 1) // 2)
             g = gen_random(n, m, 3, seed)
-            cert = transversal_292(g)
+            cert = transversal_292(g).best.certificate
             assert verify_transversal(g, cert)
             assert cert.weight >= tau_exact(g)[0]
 
     def test_deterministic(self):
         g = gen_random(6, 9, 2, 13)
         assert transversal_292(g) == transversal_292(g)
+
+    @pytest.mark.parametrize("args, nu", [((7, 12, 3, 9), 6), ((8, 14, 2, 2), 5)])
+    def test_lightest_candidate_meets_the_bound_by_weight(self, args, nu):
+        # On the first graph, taking every class with a copy in the slot set
+        # gave a best cover of weight 23, against (73/25) nu = 438/25.  On
+        # the second, the fewest slots (c, 12) are not the lightest cover
+        # (a, weight 9).
+        g = gen_random(*args)
+        st, cands, best, limit = transversal_292(g)
+        assert st.nu == nu and limit == Fraction(73, 25) * nu
+        for c in cands:
+            assert verify_transversal(g, c.certificate)
+            assert c.certificate.weight <= c.slot_size <= c.size_bound
+        assert best.certificate.weight == min(c.certificate.weight for c in cands)
+        assert tau_exact(g)[0] <= best.certificate.weight <= limit
