@@ -360,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "generate":
             return _cmd_generate(args)
+        if args.command == "haxell" and args.budget < 1:
+            raise ValueError(f"--budget must be at least 1 node, got {args.budget}")
         g = _read_graph(args.input)
         report = {"command": args.command, "instance": _instance_json(g)}
         report.update(_COMMANDS[args.command](g, args))

@@ -185,16 +185,6 @@ class Multigraph:
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
 
-    def has_pair(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.weight_map
-
-    def weight_of(self, u: int, v: int) -> int:
-        e = norm_edge(u, v)
-        try:
-            return self.weight_map[e]
-        except KeyError:
-            raise ValueError(f"unknown edge {e}") from None
-
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:
     """A fresh sorted list of the triangles of ``g`` (see ``Multigraph.triangles``)."""

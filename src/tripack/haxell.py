@@ -1,24 +1,21 @@
 """Five candidate transversals built from a maximum packing.
 
-Everything here works on the expanded multigraph: an edge of capacity
-``w`` contributes ``w`` distinguishable parallel copies ("slots"), and a
-triangle is a choice of one slot per side.  Families of triangles are
-independent when pairwise slot-disjoint, which is exactly edge-disjointness
-counting multiplicity.  Every family maximization is an exact search on
-``core.run_search`` under a node budget; the bounds need true maxima, so
-running out of budget is an error, never a silent heuristic.
+An edge of capacity ``w`` stands for ``w`` parallel copies, and a triangle
+of copies takes one copy per side; a family of them is independent when
+no copy is used twice.  Nothing here lists copies.  Each family search
+gives every copy a *role* (say, whether the maximum packing uses it); the
+copies of one edge class with one role are interchangeable and form an
+*orbit*.  A *type* is a triangle with one orbit per side, and a family is
+a multiplicity per type, found by ``exact.max_type_packing`` within the
+orbits' sizes under a node budget.  Every such vector is realized by
+distinct copies, so the maxima are exactly those over single copies.
+The bounds need true maxima, so running out of budget is an error.
 
-The search never lists slot triangles, of which a triangle whose sides
-have capacity ``w`` has ``w**3``.  Each family is defined by one *role*
-per copy (for instance, whether the packing uses it), so copies of one
-edge class with the same role are interchangeable: they form an *orbit*.
-The items fall into *types* (a triangle, one orbit per side, a gain), and
-``exact.max_type_packing``, which also computes nu, chooses how many of
-each type to take within the orbits' copy counts.  Every family yields
-such counts and every such count vector is realized by distinct copies,
-so the maxima, and whether a family reaches a required gain, are exactly
-those of the slot-level problem; the budget counts these multiplicity
-nodes.
+A family takes the lowest unused ranks of each orbit, type by type, so a
+copy is named by its orbit and rank.  Only two steps read ranks: matching
+an anchored triangle to its partner, and the rung picks that decide
+``i_family`` and ``i_prime``.  Every family is checked as a packing of
+the graph it must fit.
 
 The five constructions (labels ``a`` .. ``e``) have sizes at most
 
@@ -29,32 +26,34 @@ in the state's scalars, each the size of one family over nu (g = gamma
 from ``b1``, b = beta from ``b2``, a = alpha from ``b_prime``, d = delta
 from ``b1_prime``, h = eta from ``i_family``, d0 = delta0 from
 ``k_family``), and a fixed convex combination of these bounds shows that
-the smallest is at most ``(3 - 2/25) nu``.  Sizes count slots.  A
-candidate's cover is the full edge classes, whose copies all lie in its
-slot set, plus the capacity-0 edges: it verifies exactly when the slots
-meet every slot triangle, and weighs at most the slot count, which is at
-most the bound.
+the smallest is at most ``(3 - 2/25) nu``.  Sizes count copies.  A
+candidate's copies are a count per edge class, and its cover is the full
+edge classes plus the capacity-0 edges: it verifies exactly when the
+copies meet every triangle of copies, and weighs at most the copy count,
+which is at most the bound.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     _Budget,
     Edge,
     InvariantViolation,
     Multigraph,
+    PackingCertificate,
     Rational,
     TransversalCertificate,
     Triangle,
     norm_edge,
     run_search,
+    verify_packing,
     verify_transversal,
 )
 from .cuts import cut_large
@@ -66,83 +65,68 @@ from .exact import max_type_packing, nu_exact
 #: (53 triangles) about 16.1M, nearly all in the ``b_prime`` surplus search.
 DEFAULT_BUDGET = 20_000_000
 
-SlotEdge = tuple[int, int, int]  # (u, v, copy index), u < v
+#: Per class, ``(role, length)`` runs of its copies in copy order.  Dropped
+#: copies leave no run, which keeps the order of the rest.
+Layout = dict[Edge, list[tuple[int, int]]]
 
 
-class SlotTriangle(NamedTuple):
-    """A triangle together with the parallel copy it uses on each side."""
+class Type(NamedTuple):
+    """A triangle with the role of each side's orbit, in ``tri.edges`` order."""
 
     tri: Triangle
-    slots: tuple[int, int, int]  # copy per edge of tri.edges order
-
-    @property
-    def slot_edges(self) -> tuple[SlotEdge, SlotEdge, SlotEdge]:
-        es = self.tri.edges
-        return (
-            (*es[0], self.slots[0]),
-            (*es[1], self.slots[1]),
-            (*es[2], self.slots[2]),
-        )
+    roles: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AnchoredTriangle:
-    """A triangle sharing exactly one edge with a family member.
+class Anchor(NamedTuple):
+    """A triangle sharing exactly the edge class ``shared`` with a family member ``partner``.
 
-    ``partner`` is that member, ``shared`` the common slot edge, ``apex``
-    and ``partner_apex`` the two vertices off the shared edge, and
-    ``rungs`` every host slot edge joining the apexes (empty when the
-    apexes coincide, which happens for parallel copies of one triple).
+    ``rung`` joins the two vertices off ``shared`` (None when they coincide),
+    and ``rungs`` counts its copies in the host of the finding search.
     """
 
-    t: SlotTriangle
-    partner: SlotTriangle
-    shared: SlotEdge
-    apex: int
-    partner_apex: int
-    rungs: tuple[SlotEdge, ...]
+    tri: Triangle
+    shared: Edge
+    partner: Triangle
+    rung: Edge | None
+    rungs: int
 
 
 @dataclass(frozen=True)
 class HaxellState:
     """The nested families driving the five constructions.
 
-    Only families are stored: ``b``, ``b2`` and ``b_prime`` as slot
-    triangles, the anchored families as their anchors (``b1`` and
-    ``b1_prime`` read the triangles back), and ``fmap`` assigns each member
-    of ``i_family`` its two rungs.  ``k_family`` is derived through
-    ``e0``, and each scalar of the size bounds is a family size over nu,
-    and 0 when nu is 0.
+    Only families are stored: ``b``, ``b2`` and ``b_prime`` as a
+    multiplicity per type, the anchored families ``b1`` and ``b1_prime`` as
+    a count per anchor, and of those the copies that take two private rungs
+    (``i_family``) or lose a side to one (``i_prime``).  ``k_family`` is
+    derived through ``e0``; each scalar is a family size over nu, or 0.
     """
 
     graph: Multigraph
     nu: int
-    b: tuple[SlotTriangle, ...]
-    b2: tuple[SlotTriangle, ...]
-    b_prime: tuple[SlotTriangle, ...]
-    anchors_b1: tuple[AnchoredTriangle, ...]
-    anchors_b1_prime: tuple[AnchoredTriangle, ...]
-    i_family: tuple[AnchoredTriangle, ...]
-    i_prime: tuple[AnchoredTriangle, ...]
-    fmap: Mapping[SlotTriangle, tuple[SlotEdge, SlotEdge]]
+    b: Counter[Type]
+    b2: Counter[Type]
+    b_prime: Counter[Type]
+    anchors_b1: Counter[Anchor]
+    anchors_b1_prime: Counter[Anchor]
+    i_family: Counter[Anchor]
+    i_prime: Counter[Anchor]
 
     @cached_property
-    def e0(self) -> frozenset[SlotEdge]:
-        """``b_prime``'s slot edges off the partners of ``b1_prime``, plus the shared edges."""
-        hat = {a.partner for a in self.anchors_b1_prime}
-        kept = (e for m in self.b_prime if m not in hat for e in m.slot_edges)
-        return frozenset(kept).union(a.shared for a in self.anchors_b1_prime)
+    def e0(self) -> Counter[Edge]:
+        """Copies of ``b_prime`` off the partners of ``b1_prime``, plus the shared copies."""
+        return _swap_partners(_slots(self.b_prime), self.anchors_b1_prime)
 
     @cached_property
-    def k_family(self) -> tuple[AnchoredTriangle, ...]:
+    def k_family(self) -> Counter[Anchor]:
         """The anchors of ``b1_prime`` whose rungs all lie in ``e0``."""
-        return tuple(a for a in self.anchors_b1_prime if self.e0.issuperset(a.rungs))
+        # e0 lies in the host, so it holds all rungs exactly when it holds as many.
+        return Counter({a: m for a, m in self.anchors_b1_prime.items()
+                        if a.rungs <= self.e0[a.rung]})
 
-    def _per_nu(self, family: Sequence) -> Rational:
-        return Fraction(len(family), self.nu) if self.nu else Fraction(0)
+    def _per_nu(self, family: Counter) -> Rational:
+        return Fraction(family.total(), self.nu) if self.nu else Fraction(0)
 
-    b1 = property(lambda self: tuple(a.t for a in self.anchors_b1))
-    b1_prime = property(lambda self: tuple(a.t for a in self.anchors_b1_prime))
     gamma = property(lambda self: self._per_nu(self.anchors_b1))
     beta = property(lambda self: self._per_nu(self.b2))
     alpha = property(lambda self: self._per_nu(self.b_prime))
@@ -152,87 +136,138 @@ class HaxellState:
     delta0 = property(lambda self: self._per_nu(self.k_family))
 
 
-def _all_slot_edges(g: Multigraph) -> list[SlotEdge]:
-    return [(u, v, j) for u, v, w in g.edges for j in range(w)]
+def _tally(groups: Iterable[tuple[Iterable[Hashable], int]]) -> Counter:
+    """``m`` of each key of each group, summed."""
+    out: Counter = Counter()
+    for keys, m in groups:
+        for k in keys:
+            out[k] += m
+    return out
 
 
-def _cover(g: Multigraph, slots: Iterable[SlotEdge]) -> TransversalCertificate:
-    """The edge classes with every copy in ``slots``, plus the free edges.
+def _slots(family: Mapping[Type, int], role: int | None = None) -> Counter[Edge]:
+    """Copies per class of a family, or of its sides with one role."""
+    return _tally(
+        ([e for e, r in zip(ty.tri.edges, ty.roles) if role in (None, r)], m)
+        for ty, m in family.items()
+    )
 
-    A slot triangle takes one copy per side, so ``slots`` meets all of them
-    exactly when each triangle has a side of capacity 0 or a full side:
-    exactly when this cover verifies.  It weighs at most ``len(slots)``.
+
+def _tris(family: Mapping) -> Counter[Triangle]:
+    """Copies per triangle of a family of types or anchors."""
+    return _tally(((key.tri,), m) for key, m in family.items())
+
+
+def _swap_partners(slots: Counter[Edge], anchors: Counter[Anchor]) -> Counter[Edge]:
+    """``slots`` less the copies of the anchors' partners, but with their shared copies."""
+    partners = _tally((a.partner.edges, m) for a, m in anchors.items())
+    return slots - partners + _tally(((a.shared,), m) for a, m in anchors.items())
+
+
+def _require_packing(h: Multigraph, tris: Mapping[Triangle, int], what: str = "family") -> None:
+    """Raise unless copies of ``tris`` fit into ``h`` with no copy used twice."""
+    try:
+        ok = verify_packing(h, PackingCertificate.from_map(tris))
+    except ValueError:  # a negative count, or a triangle missing from h
+        ok = False
+    if not ok:
+        raise InvariantViolation(f"{what} is not independent")
+
+
+def _compress(g: Multigraph, slots: Mapping[Edge, int]) -> Multigraph:
+    return Multigraph.from_edges(g.n, ((u, v, c) for (u, v), c in slots.items() if c > 0))
+
+
+def _cover(g: Multigraph, slots: Mapping[Edge, int]) -> TransversalCertificate:
+    """The edge classes with every copy counted in ``slots``, plus the free edges.
+
+    A triangle of copies takes one copy per side, so the copies meet all of
+    them exactly when each triangle has a side of capacity 0 or a full
+    side: exactly when this cover verifies.  It weighs at most the count.
     """
-    used = Counter(e[:2] for e in slots)
-    full = [e for e, c in used.items() if c == g.weight_map[e]]
+    if any(c > g.weight_map[e] for e, c in slots.items()):
+        raise InvariantViolation("a copy count exceeds its edge class")
+    full = [e for e, c in slots.items() if c and c == g.weight_map[e]]
     return TransversalCertificate.from_edges(g, itertools.chain(full, g.free_edges))
 
 
-def _search_max_family(
-    g: Multigraph,
-    host: Iterable[SlotEdge],
-    role: Callable[[SlotEdge], int],
-    gain: Callable[[tuple[int, ...]], int | None],
-    budget: _Budget,
-    *,
-    target: int = 0,
-) -> list[SlotTriangle]:
-    """Maximum-cardinality slot-disjoint family of triangles over ``host``.
+def _cut(
+    layout: Layout, family: Mapping[Type, int], role: Callable[[int, bool], int | None]
+) -> Layout:
+    """Split each orbit into the copies ``family`` took, its lowest ranks, and the rest.
 
-    The items are the slot triangles whose copies all lie in ``host`` and
-    whose roles, one per side in ``tri.edges`` order, have a gain; ``gain``
-    returns None to reject them.  With ``target`` the family must
-    additionally reach that total gain; gains are nonnegative and additive
-    because the family's slot edges are disjoint.
-
-    The search runs over classes of interchangeable copies, never over
-    items.  An *orbit* is the host copies of one edge class with one role,
-    and orbits are ordered by their lowest copy.  Whether a slot triangle
-    is an item, and its gain, depend only on its three roles, so swapping
-    two copies of one orbit maps the items onto themselves and keeps every
-    gain.  For the roles ``build_state`` uses, no coarser grouping exists:
-    copies of two orbits of one class never lie on items with the same
-    other two copies and gain, unless neither lies on any item.  A *type*
-    is a triangle, an orbit per side and a gain, taken in order of
-    triangle and then orbits; applying the swaps side by side, every
-    choice of one copy per side from a type's orbits is an item.
-    ``max_type_packing`` takes the orbits as resources, with their copy
-    counts as capacities.
-
-    Every family maps to a multiplicity vector within the orbit
-    capacities, and every such vector is realized by disjoint copies, so
-    the maximum size and whether ``target`` is reachable are exactly those
-    of the item-level problem.  The best vector is expanded lowest unused
-    copy first per orbit.
+    ``role(r, took)`` gives each part its new role, or None to drop it.
     """
-    copies: dict[tuple[Edge, int], list[int]] = {}
-    for u, v, j in sorted(host):
-        copies.setdefault(((u, v), role((u, v, j))), []).append(j)
-    orbit = {key: o for o, key in enumerate(copies)}
-    roles_of: dict[Edge, list[int]] = {}
-    for e, r in copies:
-        roles_of.setdefault(e, []).append(r)
+    drawn = _tally((zip(ty.tri.edges, ty.roles), m) for ty, m in family.items())
+    out: Layout = {}
+    for e, runs in layout.items():
+        left: dict[int, int] = {}
+        new: list[tuple[int, int]] = []
+        for r, n in runs:
+            head = min(n, left.setdefault(r, drawn[(e, r)]))
+            left[r] -= head
+            for nr, size in ((role(r, True), head), (role(r, False), n - head)):
+                if size and nr is not None:
+                    new.append((nr, size))
+        if new:
+            out[e] = new
+    return out
+
+
+def _position(layout: Layout, e: Edge, role: int, rank: int) -> int:
+    """Where the copy at ``rank`` in the orbit of ``role`` lies among the copies of ``e``."""
+    pos = 0
+    for r, n in layout[e]:
+        if r == role and rank < n:
+            return pos + rank
+        rank -= n if r == role else 0
+        pos += n
+    raise InvariantViolation("rank beyond its orbit")
+
+
+def _ranked(family: Mapping[Type, int]) -> Iterator[tuple[Type, int, tuple[int, ...]]]:
+    """Each type with its multiplicity and the rank its first copy takes in each side's orbit."""
+    drawn: Counter = Counter()
+    for ty, m in family.items():
+        keys = tuple(zip(ty.tri.edges, ty.roles))
+        yield ty, m, tuple(drawn[k] for k in keys)
+        for k in keys:
+            drawn[k] += m
+
+
+def _search_max_family(
+    g: Multigraph, layout: Layout, gain: Callable[[tuple[int, ...]], int | None],
+    budget: _Budget, *, target: int = 0,
+) -> Counter[Type]:
+    """Maximum family of independent triangles of the copies in ``layout``, per type.
+
+    A triangle of copies is an item when its roles, one per side, have a
+    gain (``gain`` returns None to reject it); with ``target`` the family
+    must also reach that total gain.  Copies of one orbit are
+    interchangeable, and for the roles ``build_state`` uses no coarser
+    grouping exists.  The types, in order of triangle and then of each
+    side's orbits by lowest copy, go to ``max_type_packing`` with the
+    orbits as resources of their sizes.
+    """
+    sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
+    roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}
+    index = {k: o for o, k in enumerate(sizes)}
     types = []
     for t in g.triangles:
         for roles in itertools.product(*(roles_of.get(e, ()) for e in t.edges)):
             gn = gain(roles)
             if gn is not None:
-                types.append((t, tuple(orbit[k] for k in zip(t.edges, roles)), gn))
+                types.append((Type(t, roles), gn))
     best = max_type_packing(
-        [orbits for _, orbits, _ in types],
-        [len(c) for c in copies.values()],
-        gains=[gn for _, _, gn in types],
+        [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types],
+        list(sizes.values()),
+        gains=[gn for _, gn in types],
         target=target,
         budget=budget,
     )
     if best is None:
         raise InvariantViolation("no family reaches the required surplus")
-    unused = [iter(c) for c in copies.values()]
-    return sorted(
-        SlotTriangle(tri, tuple(next(unused[o]) for o in orbits))  # type: ignore[arg-type]
-        for (tri, orbits, _), m in zip(types, best)
-        for _ in range(m)
-    )
+    return Counter({ty: m for (ty, _), m in zip(types, best) if m})
 
 
 def _share(k: int) -> Callable[[tuple[int, ...]], int | None]:
@@ -240,123 +275,100 @@ def _share(k: int) -> Callable[[tuple[int, ...]], int | None]:
     return lambda roles: 0 if sum(roles) == k else None
 
 
-def _slot_edges(members: Iterable[SlotTriangle]) -> set[SlotEdge]:
-    """The slot edges of a family, which must be pairwise slot-disjoint."""
-    edges: set[SlotEdge] = set()
-    for st in members:
-        es = st.slot_edges
-        if any(e in edges for e in es):
-            raise InvariantViolation("family is not slot-disjoint")
-        edges.update(es)
-    return edges
+def _anchors(found: Counter[Type], family: Counter[Type], family_role: int, host: Mapping) -> list:
+    """Anchor each copy in ``found`` to its partner in ``family``; no two share one.
 
-
-def _anchors(
-    g: Multigraph,
-    members: Iterable[SlotTriangle],
-    family: Sequence[SlotTriangle],
-    family_edges: set[SlotEdge],
-    host: frozenset[SlotEdge],
-) -> tuple[AnchoredTriangle, ...]:
-    """Anchor each type-1 triangle to its partner in ``family``; no two share one."""
-    out: list[AnchoredTriangle] = []
-    for st in members:
-        shared = [e for e in st.slot_edges if e in family_edges]
-        if len(shared) != 1:
+    A found copy shares its one side of nonzero role, whose rank names the
+    family copy that took it from the orbit of ``family_role``.  Returns
+    runs ``(type, first ranks, k0, k1, anchor)``: copies ``k0 .. k1 - 1`` of
+    the type.  ``host`` counts the copies of each class the search could use.
+    """
+    owners: dict[Edge, list[tuple[int, int, int, Triangle]]] = {}
+    for j, (ty, m, starts) in enumerate(_ranked(family)):
+        for e, r, s in zip(ty.tri.edges, ty.roles, starts):
+            if r == family_role:
+                owners.setdefault(e, []).append((s, s + m, j, ty.tri))
+    out = []
+    claimed: dict[int, list[tuple[int, int]]] = {}
+    for ty, m, starts in _ranked(found):
+        sides = [i for i, r in enumerate(ty.roles) if r]
+        if len(sides) != 1:
             raise InvariantViolation("anchored triangle must share exactly one edge")
-        e = shared[0]
-        partners = [m for m in family if e in m.slot_edges]
-        if len(partners) != 1:
+        e, lo = ty.tri.edges[sides[0]], starts[sides[0]]
+        covered = 0
+        for first, end, j, partner in owners.get(e, ()):
+            k0, k1 = max(first, lo), min(end, lo + m)
+            if k0 < k1:
+                covered += k1 - k0
+                claimed.setdefault(j, []).append((k0 - first, k1 - first))
+                apex, papex = (next(x for x in t if x not in e) for t in (ty.tri, partner))
+                rung = norm_edge(apex, papex) if apex != papex else None
+                a = Anchor(ty.tri, e, partner, rung, host.get(rung, 0))
+                out.append((ty, starts, k0 - lo, k1 - lo, a))
+        if covered != m:
             raise InvariantViolation("shared edge must belong to exactly one member")
-        partner = partners[0]
-        apex = next(x for x in st.tri if x not in e[:2])
-        papex = next(x for x in partner.tri if x not in e[:2])
-        lo, hi = (apex, papex) if apex < papex else (papex, apex)
-        rungs = tuple(
-            s for s in ((lo, hi, j) for j in range(g.weight_map.get((lo, hi), 0)))
-            if s in host
-        ) if apex != papex else ()
-        out.append(AnchoredTriangle(st, partner, e, apex, papex, rungs))
-    if len({a.partner for a in out}) != len(out):
-        raise InvariantViolation("two anchored triangles share a partner")
-    return tuple(out)
-
-
-def _expand_packing(mult: Mapping[Triangle, int]) -> list[SlotTriangle]:
-    """Assign parallel copies to a packing, lowest unused copy first."""
-    unused: dict[Edge, Iterator[int]] = defaultdict(itertools.count)
-    return [
-        SlotTriangle(t, tuple(next(unused[e]) for e in t.edges))  # type: ignore[arg-type]
-        for t in sorted(mult)
-        for _ in range(mult[t])
-    ]
-
-
-def _compress(g: Multigraph, slots: Iterable[SlotEdge]) -> Multigraph:
-    counts = Counter(e[:2] for e in slots)
-    return Multigraph.from_edges(g.n, ((u, v, c) for (u, v), c in counts.items()))
+    for spans in claimed.values():
+        spans.sort()
+        if any(p[1] > q[0] for p, q in zip(spans, spans[1:])):
+            raise InvariantViolation("two anchored triangles share a partner")
+    return out
 
 
 def _max_i_family(
-    members: Sequence[AnchoredTriangle],
-    bprime_edges: set[SlotEdge],
-    budget: _Budget,
-) -> tuple[tuple[AnchoredTriangle, ...], dict[SlotTriangle, tuple[SlotEdge, SlotEdge]]]:
-    """Largest subfamily admitting two private rungs off the packing.
+    runs: list, layout: Layout, budget: _Budget
+) -> tuple[Counter[Anchor], Counter[Anchor]]:
+    """Largest set of anchored copies admitting two private rungs off the packing.
 
-    Each selected triangle needs two rung slots outside the family edges;
-    rung pairs are mutually disjoint and avoid every selected triangle's
-    own edges.  Deterministic depth-first search.
+    Returns it with the anchored copies that lose a side to a chosen rung.
+    A copy's rungs are the role-0 copies of its rung class; rung pairs are
+    disjoint and avoid the sides of every chosen copy.  Depth-first over
+    the copies by triangle and copy positions, pairs lowest ranks first.
+    The lowest ranks of a rung orbit are sides of anchored copies and the
+    rest are free: of pairs that differ only in free ranks, which lead to
+    the same subtree, only the first is tried.
     """
-    pools = [
-        tuple(e for e in a.rungs if e not in bprime_edges) for a in members
-    ]
-    n = len(members)
+    copies = sorted(
+        (ty.tri, tuple(_position(layout, e, r, s + k) for e, r, s in sides),
+         frozenset((e, s + k) for e, r, s in sides if r == 0), a)
+        for ty, starts, k0, k1, a in runs
+        for sides in [list(zip(ty.tri.edges, ty.roles, starts))] for k in range(k0, k1)
+    )
+    holder = {x: i for i, c in enumerate(copies) for x in c[2]}
+    held = Counter(e for e, _ in holder)  # ranks 0 .. held[e] - 1 of each role-0 orbit
     best: list[int] = []
-    best_f: dict[SlotTriangle, tuple[SlotEdge, SlotEdge]] = {}
+    crowd: list[int] = []
     chosen: list[int] = []
-    fmap: dict[SlotTriangle, tuple[SlotEdge, SlotEdge]] = {}
-    taken_f: set[SlotEdge] = set()
-    member_edges: set[SlotEdge] = set()
+    taken, blocked = set(), set()
+    free_taken: Counter[Edge] = Counter()  # always the lowest free ranks
 
     def dfs(i: int) -> Iterator:
-        nonlocal best, best_f
-        if len(chosen) + (n - i) <= len(best):
+        nonlocal best, crowd
+        if len(chosen) + len(copies) - i <= len(best):
             return
-        a = members[i]
-        own = a.t.slot_edges
-        if not any(e in taken_f for e in own):
-            avail = [
-                e for e in pools[i]
-                if e not in taken_f and e not in member_edges and e not in own
-            ]
-            for f1, f2 in itertools.combinations(avail, 2):
-                taken_f.update((f1, f2))
-                member_edges.update(own)
+        _, _, own, a = copies[i]
+        if a.rung is not None and not taken & own:
+            r, used = a.rung, taken | blocked | own
+            avail = [(r, q) for q in range(held[r]) if (r, q) not in used]
+            free = sum(n for q, n in layout.get(r, ()) if q == 0) - held[r] - free_taken[r]
+            picks: list[tuple] = []
+            for j, x in enumerate(avail):
+                picks += [(x, y) for y in avail[j + 1:]] + [(x,)] * (free > 0)
+            for pick in picks + [()] * (free > 1):
+                taken.update(pick)
+                blocked.update(own)
+                free_taken[r] += 2 - len(pick)
                 chosen.append(i)
-                fmap[a.t] = (f1, f2)
                 if len(chosen) > len(best):
-                    best = list(chosen)
-                    best_f = dict(fmap)
+                    best, crowd = list(chosen), [holder[x] for x in taken]
                 yield dfs(i + 1)
-                del fmap[a.t]
                 chosen.pop()
-                member_edges.difference_update(own)
-                taken_f.difference_update((f1, f2))
+                free_taken[r] -= 2 - len(pick)
+                blocked.difference_update(own)
+                taken.difference_update(pick)
         yield dfs(i + 1)
 
     run_search(dfs(0), budget)
-    return tuple(members[i] for i in best), best_f
-
-
-def _slot_tri_from_edges(*edges: SlotEdge) -> SlotTriangle:
-    # Three distinct pairs on three vertices are exactly a triangle's sides.
-    bypair = {e[:2]: e[2] for e in edges}
-    verts = sorted({x for pair in bypair for x in pair})
-    if len(verts) != 3 or len(bypair) != 3:
-        raise InvariantViolation("three edges do not span a triangle")
-    t = Triangle(*verts)
-    return SlotTriangle(t, tuple(bypair[p] for p in t.edges))  # type: ignore[arg-type]
+    return Counter(copies[i][3] for i in best), Counter(copies[i][3] for i in crowd)
 
 
 def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
@@ -364,7 +376,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
 
     The sequence: a maximum packing ``b``; a maximum family ``b1`` of
     triangles sharing exactly one edge with it; in the graph without
-    ``b1``'s edges, a maximum family ``b2`` of share-two triangles, then a
+    ``b1``'s copies, a maximum family ``b2`` of share-two triangles, then a
     maximum family ``b_prime`` whose surplus of fresh edges matches
     ``b2``; anchored families ``b1_prime``, ``i`` (with its two-rung
     assignment), ``i_prime`` and ``k``.  Every structural guarantee the
@@ -374,81 +386,65 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     """
     nu, cert = nu_exact(g)
     if nu == 0:
-        # Every triangle has a capacity-0 edge, so no slot triangle exists.
-        return HaxellState(g, 0, (), (), (), (), (), (), (), {})
+        # Every triangle has a capacity-0 edge, so no triangle of copies exists.
+        return HaxellState(g, 0, *(Counter() for _ in range(7)))
     bud = _Budget(budget)
 
-    b = tuple(_expand_packing(cert.multiplicities))
-    eb = _slot_edges(b)
-    if not verify_transversal(g, _cover(g, eb)):
+    b = Counter({Type(t, (1, 1, 1)): m for t, m in cert.multiplicities.items()})
+    _require_packing(g, _tris(b))
+    if not verify_transversal(g, _cover(g, _slots(b))):
         raise InvariantViolation("a triangle avoids the maximum packing")
-    # A copy's role is whether b uses it.
-    in_b = eb.__contains__
-    all_slots = frozenset(_all_slot_edges(g))
-    b1 = _search_max_family(g, all_slots, in_b, _share(1), bud)
-    anchors_b1 = _anchors(g, b1, b, eb, all_slots)
+    # A copy's role is whether b uses it; b takes the lowest copies of each class.
+    layout = _cut({(u, v): [(1, w)] for u, v, w in g.edges if w}, b, lambda r, took: int(took))
+    b1 = _search_max_family(g, layout, _share(1), bud)
+    _require_packing(g, _tris(b1))
+    anchors_b1 = _tally(((a,), k1 - k0) for *_, k0, k1, a in _anchors(b1, b, 1, g.weight_map))
 
-    gp_slots = all_slots - _slot_edges(b1)
-    gp = _compress(g, gp_slots)
+    gp_layout = _cut(layout, b1, lambda r, took: None if took else r)
+    gp = _compress(g, Counter(g.weight_map) - _slots(b1))
     nu_gp, _ = nu_exact(gp)
-    if nu_gp != nu - len(anchors_b1):
+    if nu_gp != nu - anchors_b1.total():
         raise InvariantViolation("reduced packing number is off")
 
-    b2 = tuple(_search_max_family(g, gp_slots, in_b, _share(2), bud))
-    target = len(b2)
+    b2 = _search_max_family(g, gp_layout, _share(2), bud)
+    target = b2.total()
 
     def surplus(roles: tuple[int, ...]) -> int:  # fresh edges of a reduced triangle
         if sum(roles) < 2:
             raise InvariantViolation("reduced graph keeps a share-one triangle")
         return 3 - sum(roles)
 
-    bp = _search_max_family(g, gp_slots, in_b, surplus, bud, target=target)
-    ebp = _slot_edges(bp)
-    if len(ebp - eb) < target:
+    bp = _search_max_family(g, gp_layout, surplus, bud, target=target)
+    _require_packing(gp, _tris(bp))
+    if _slots(bp, 0).total() < target:
         raise InvariantViolation("family misses its fresh-edge surplus")
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
-    def on_bp(e: SlotEdge) -> int:
-        return (e in ebp) * (1 + (e in eb))
-
-    b1p = _anchors(
-        g, _search_max_family(g, gp_slots, on_bp, _share(1), bud), bp, ebp, gp_slots
-    )
-    i_anchors, fmap = _max_i_family(b1p, ebp, bud) if b1p else ((), {})
+    bp_layout = _cut(gp_layout, bp, lambda r, took: r + 1 if took else 0)
+    runs = _anchors(_search_max_family(g, bp_layout, _share(1), bud), bp, 0, gp.weight_map)
+    b1p = _tally(((a,), k1 - k0) for *_, k0, k1, a in runs)
+    i_family, i_prime = _max_i_family(runs, bp_layout, bud) if runs else (Counter(), Counter())
     # Two private rungs need a parallel pair somewhere in the reduced graph.
-    if i_anchors and not any(w >= 2 for _, _, w in gp.edges):
+    if i_family and not any(w >= 2 for _, _, w in gp.edges):
         raise InvariantViolation("rung family appeared without parallel pairs")
 
     # Independent-family witness for alpha + eta <= 1 - gamma: replace each
     # selected partner by the two triangles its rungs complete.
-    ihat = {a.partner for a in i_anchors}
-    witness: list[SlotTriangle] = [m for m in bp if m not in ihat]
-    for a in i_anchors:
-        own = {e[:2]: e for e in a.t.slot_edges}
-        par = {e[:2]: e for e in a.partner.slot_edges}
-        for x, f in zip(a.shared[:2], fmap[a.t]):
-            sides = own[norm_edge(x, a.apex)], par[norm_edge(x, a.partner_apex)], f
-            witness.append(_slot_tri_from_edges(*sides))
-    if not _slot_edges(witness) <= gp_slots:
-        raise InvariantViolation("rung-witness family is not independent")
-    if len(witness) != len(bp) + len(i_anchors) or len(witness) > nu_gp:
+    witness = _tris(bp)
+    for a, m in i_family.items():
+        witness[a.partner] -= m
+        apex, papex = (next(x for x in t if x not in a.shared) for t in (a.tri, a.partner))
+        for x in a.shared:
+            witness[Triangle.of(x, apex, papex)] += m
+    _require_packing(gp, witness, "rung-witness family")
+    if witness.total() != bp.total() + i_family.total() or witness.total() > nu_gp:
         raise InvariantViolation("rung-witness family breaks the packing cap")
-    if len(bp) + len(i_anchors) > nu - len(anchors_b1):
+    if bp.total() + i_family.total() > nu - anchors_b1.total():
         raise InvariantViolation("alpha + eta exceeds 1 - gamma")
-
-    all_f = {e for pair in fmap.values() for e in pair}
-    i_prime = tuple(
-        a for a in b1p
-        if a not in i_anchors and any(e in all_f for e in a.t.slot_edges)
-    )
-    if len(i_prime) > 2 * len(i_anchors):
+    if i_prime.total() > 2 * i_family.total():
         raise InvariantViolation("crowding family exceeds twice the rung family")
 
-    return HaxellState(
-        graph=g, nu=nu, b=b, b2=b2, b_prime=tuple(bp),
-        anchors_b1=anchors_b1, anchors_b1_prime=b1p,
-        i_family=i_anchors, i_prime=i_prime, fmap=fmap,
-    )
+    return HaxellState(g, nu, b, b2, bp, anchors_b1, b1p, i_family, i_prime)
 
 
 @dataclass(frozen=True)
@@ -462,81 +458,81 @@ class CandidateTransversal:
 
 
 def _certify(
-    g: Multigraph,
-    label: str,
-    slots: set[SlotEdge],
-    bound: Rational,
+    g: Multigraph, label: str, slots: Counter[Edge], bound: Rational
 ) -> CandidateTransversal:
     cert = _cover(g, slots)
     if not verify_transversal(g, cert):
         raise InvariantViolation(f"candidate {label} misses a triangle")
-    if not cert.weight <= len(slots) <= bound:
+    if not cert.weight <= slots.total() <= bound:
         raise InvariantViolation(f"candidate {label} exceeds its size bound")
-    return CandidateTransversal(label, cert, len(slots), bound)
+    return CandidateTransversal(label, cert, slots.total(), bound)
 
 
 def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
-    """The five constructed covers of ``st.graph``, each verified and within its bound."""
-    g = st.graph
-    nu = st.nu
-    eb, eb1, eb2, ebp, eb1p = (
-        _slot_edges(f) for f in (st.b, st.b1, st.b2, st.b_prime, st.b1_prime)
-    )
+    """The five constructed covers of ``st.graph``, each verified and within its bound.
+
+    Each cover's copies are counted per class, summed over parts that share
+    no copy by construction.
+    """
+    g, nu = st.graph, st.nu
+    eb1 = _tally((a.tri.edges, m) for a, m in st.anchors_b1.items())
+    gp = _compress(g, Counter(g.weight_map) - eb1)
+    families = (st.b, st.anchors_b1, st.b2, st.b_prime, st.anchors_b1_prime)
+    for h, family in zip((g, g, gp, gp, gp), families):
+        _require_packing(h, _tris(family))
     out: list[CandidateTransversal] = []
 
     # a: kept packing edges, shared edges, and all rungs of the anchors.
-    bhat1 = {a.partner for a in st.anchors_b1}
-    c1 = {e for m in st.b if m not in bhat1 for e in m.slot_edges}
-    c1.update(a.shared for a in st.anchors_b1)
-    ca = set(c1)
+    c1 = _swap_partners(_slots(st.b), st.anchors_b1)
+    ca = Counter(c1)
     for a in st.anchors_b1:
-        extra = [e for e in a.rungs if e not in c1]
-        if len(extra) > 2:
-            raise InvariantViolation("anchor keeps more than two free rungs")
-        ca.update(a.rungs)
+        if a.rungs:  # every copy of the rung class
+            if a.rungs - c1[a.rung] > 2:
+                raise InvariantViolation("anchor keeps more than two free rungs")
+            ca[a.rung] = a.rungs
     out.append(_certify(g, "a", ca, (3 - Fraction(2, 3) * st.gamma) * nu))
 
     # b: both side families plus the cheap half of the leftover packing edges.
-    h_slots = eb - eb1 - eb2
-    if len(h_slots) != 3 * nu - len(st.anchors_b1) - 2 * len(st.b2):
+    shared = _tally(((a.shared,), m) for a, m in st.anchors_b1.items())
+    h_slots = _slots(st.b) - shared - _slots(st.b2, 1)
+    if h_slots.total() != 3 * nu - st.anchors_b1.total() - 2 * st.b2.total():
         raise InvariantViolation("leftover packing-edge count is off")
-    cb = set(eb1) | set(eb2)
+    cb = eb1 + _slots(st.b2)
     if h_slots:
-        hg = _compress(g, h_slots)
-        crossing = {(u, v) for u, v, _ in cut_large(hg).cut_edges}
-        kept = {e for e in h_slots if (e[0], e[1]) not in crossing}
-        if 2 * len(kept) > len(h_slots):
+        crossing = {(u, v) for u, v, _ in cut_large(_compress(g, h_slots)).cut_edges}
+        kept = Counter({e: c for e, c in h_slots.items() if e not in crossing})
+        if 2 * kept.total() > h_slots.total():
             raise InvariantViolation("bipartite half is too small")
-        cb |= kept
-    out.append(_certify(
-        g, "b", cb, (Fraction(3, 2) + Fraction(5, 2) * st.gamma + 2 * st.beta) * nu
-    ))
+        cb += kept
+    bound = (Fraction(3, 2) + Fraction(5, 2) * st.gamma + 2 * st.beta) * nu
+    out.append(_certify(g, "b", cb, bound))
 
     # c: both anchored families plus the packing edges reused by b_prime.
-    cc = set(eb1) | set(eb1p) | (eb & ebp)
-    out.append(_certify(
-        g, "c", cc, (3 * st.gamma + 3 * st.delta + 3 * st.alpha - st.beta) * nu
-    ))
+    cc = eb1 + _tally((a.tri.edges, m) for a, m in st.anchors_b1_prime.items())
+    cc += _slots(st.b_prime, 1)
+    out.append(_certify(g, "c", cc, (3 * st.gamma + 3 * st.delta + 3 * st.alpha - st.beta) * nu))
 
     # d: drop the partners of the fully-surrounded anchors, keep their shared edges.
-    khat = {a.partner for a in st.k_family}
-    cd = set(eb1)
-    cd.update(e for m in st.b_prime if m not in khat for e in m.slot_edges)
-    cd.update(a.shared for a in st.k_family)
+    cd = eb1 + _swap_partners(_slots(st.b_prime), st.k_family)
     out.append(_certify(g, "d", cd, (3 * st.gamma + 3 * st.alpha - 2 * st.delta0) * nu))
 
-    # e: the layered cover around the rung family.
-    crowded = set(st.i_prime) | set(st.k_family)
-    ce = eb1 | st.e0
-    for a in st.anchors_b1_prime:
-        if a in st.i_family:
-            ce.update(a.t.slot_edges)
-            ce.update(a.partner.slot_edges)
-            ce.update(st.fmap[a.t])
-        elif a in crowded:
-            ce.update(a.partner.slot_edges)
-        else:
-            ce.update(a.rungs)
+    # e: the layered cover around the rung family.  Its copies add their
+    # own and their partner's unshared sides and two rungs, crowded copies
+    # their partner's unshared sides, and the rest every rung copy, which
+    # with b1's copies fill the rung class.
+    ce = eb1 + st.e0
+    full = []
+    for a, m in st.anchors_b1_prime.items():
+        n_i = st.i_family[a]
+        n_crowded = m - n_i if a in st.k_family else st.i_prime[a]
+        ce += _tally((
+            ([e for e in a.tri.edges if e != a.shared], n_i),
+            ([e for e in a.partner.edges if e != a.shared], n_i + n_crowded),
+            ((a.rung, a.rung), n_i),
+        ))
+        if n_i + n_crowded < m and a.rungs:
+            full.append(a.rung)
+    ce.update({r: g.weight_map[r] - ce[r] for r in full})
     out.append(_certify(g, "e", ce, (3 - st.delta + 4 * st.eta + st.delta0) * nu))
     return out
 

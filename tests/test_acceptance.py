@@ -19,6 +19,7 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
+from tripack.core import norm_edge
 from tripack.cuts import cut_connected, cut_large, independent_set_triangle_free
 from tripack.generators import (
     gen_apex,
@@ -148,7 +149,7 @@ def test_criterion_6_independent_set_lemma():
         s = independent_set_triangle_free(h, [1] * h.n)
         for i, a in enumerate(s):
             for b in s[i + 1:]:
-                assert not h.has_pair(a, b)
+                assert norm_edge(a, b) not in h.weight_map
         assert 4 * len(s) ** 2 >= h.n
     done("criterion 6: independent sets of size >= sqrt(v)/2 on 200 triangle-free graphs")
 

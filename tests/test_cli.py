@@ -40,7 +40,7 @@ class TestParse:
 
     def test_duplicate_lines_sum(self):
         g = parse_graph("p 3\ne 0 1 1\ne 1 0 2\n")
-        assert g.weight_of(0, 1) == 3
+        assert g.weight_map[(0, 1)] == 3
 
     def test_comments_and_blanks(self):
         g = parse_graph("# header\n\np 2\n# mid\ne 0 1 1\n")
@@ -263,6 +263,12 @@ class TestCommands:
         code, _, err = run_cli(capsys, ["haxell", "--input", str(path), "--budget", "10"])
         assert code == 2
         assert "node budget of 10 nodes" in err
+        # A budget below one node is refused before the input is read.
+        for budget in ("-5", "0"):
+            code, _, err = run_cli(capsys, ["haxell", "--input", "/nonexistent.graph",
+                                            "--budget", budget])
+            assert code == 2
+            assert f"--budget must be at least 1 node, got {budget}" in err
 
     @pytest.mark.parametrize("n, m", [(11, 30), (12, 34)])
     def test_haxell_parallel_copies_fit_the_budget(self, capsys, tmp_path, n, m):

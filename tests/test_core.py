@@ -20,6 +20,7 @@ from tripack import (
     verify_transversal,
     weight,
 )
+from tripack.core import norm_edge
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
 
 from oracles import atlas_with_triangle, rand_connected_multigraph, relabel
@@ -49,11 +50,11 @@ class TestMultigraph:
     def test_normalizes_pair_order(self):
         g = Multigraph.from_edges(3, [(2, 0, 5)])
         assert g.edges == ((0, 2, 5),)
-        assert g.weight_of(2, 0) == 5
+        assert g.weight_map[(0, 2)] == 5
 
     def test_zero_capacity_edge_is_kept(self):
         g = Multigraph.from_edges(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])
-        assert g.has_pair(0, 1)
+        assert (0, 1) in g.weight_map
         assert enumerate_triangles(g) == [tri(0, 1, 2)]
 
 
@@ -114,7 +115,10 @@ class TestDerivedCache:
                 (u, v)
                 for u, v, w in g.edges
                 if w == 0
-                and any(g.has_pair(u, x) and g.has_pair(v, x) for x in range(g.n) if x not in (u, v))
+                and any(
+                    norm_edge(u, x) in g.weight_map and norm_edge(v, x) in g.weight_map
+                    for x in range(g.n) if x not in (u, v)
+                )
             ]
             assert list(g.free_edges) == expected
 

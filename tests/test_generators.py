@@ -12,6 +12,7 @@ from tripack import (
     is_fractional_packing,
     is_fractional_transversal,
 )
+from tripack.core import norm_edge
 from tripack.generators import (
     gen_apex,
     gen_complete,
@@ -54,7 +55,7 @@ class TestGenGk:
         tris = enumerate_triangles(g)
         assert len(tris) == 5
         assert all(inst.heights[t] == 1 for t in tris)
-        assert g.has_pair(*inst.terminals)
+        assert norm_edge(*inst.terminals) in g.weight_map
 
     def test_level_two_counts(self):
         inst = gen_gk(2)

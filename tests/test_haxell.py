@@ -16,11 +16,18 @@ from tripack import (
     verify_transversal,
 )
 from tripack.core import _Budget
-from tripack.generators import gen_complete, gen_cycle, gen_random, gen_wheel
+from tripack.generators import (
+    gen_complete,
+    gen_cycle,
+    gen_random,
+    gen_wheel,
+    with_random_weights,
+)
 from tripack.haxell import (
-    _all_slot_edges,
+    Anchor,
+    Type,
     _cover,
-    _expand_packing,
+    _max_i_family,
     _search_max_family,
     _share,
     build_state,
@@ -28,12 +35,19 @@ from tripack.haxell import (
     transversal_292,
 )
 
+import oracles
 from oracles import (
+    AnchoredTriangle,
+    SlotTriangle,
+    _all_slot_edges,
+    _expand_packing,
     atlas_with_triangle,
     reference_btype,
+    reference_build_state,
     reference_max_family,
     reference_slot_triangles,
     reference_swap_rung_sizes,
+    reference_transversal_292,
     triangle_union,
 )
 
@@ -61,14 +75,19 @@ def disjoint_copies(g, count):
 # triangle of b1_prime, and each anchor gets its two rungs.
 K4_RUNGS = disjoint_copies(gen_random(4, 6, 2, 13), 8)
 
+HEAVY_K4 = Multigraph.from_edges(
+    4, [(u, v, 12 + (u + v) % 2) for u, v, _ in gen_complete(4).edges]
+)
+
 
 def max_family_size(g, role=no_role, gain=any_triangle):
-    host = frozenset(_all_slot_edges(g))
-    return len(_search_max_family(g, host, role, gain, _Budget(1_000_000)))
+    """The largest family when every copy of a class has that class's role."""
+    layout = {(u, v): [(role((u, v)), w)] for u, v, w in g.edges if w}
+    return _search_max_family(g, layout, gain, _Budget(1_000_000)).total()
 
 
 class TestMaxIndependentFamily:
-    """Maximum slot-disjoint families, as ``build_state`` searches them."""
+    """Maximum families of independent triangles of copies, as ``build_state`` searches them."""
 
     def test_k4_all_candidates(self):
         assert max_family_size(gen_complete(4)) == 1
@@ -81,7 +100,7 @@ class TestMaxIndependentFamily:
         base_edges = set(Triangle.of(0, 1, 2).edges)
 
         def in_base(e):
-            return e[:2] in base_edges
+            return int(e[:2] in base_edges)
 
         candidates = [
             st
@@ -93,8 +112,8 @@ class TestMaxIndependentFamily:
 
     def test_capacity_awareness(self):
         g = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
-        # Slots count copies: two slot-disjoint copies of the one triple
-        # fit, which is the packing number of the doubled triangle.
+        # Two independent copies of the one triple fit, which is the
+        # packing number of the doubled triangle.
         assert max_family_size(g) == 2 == nu_exact(g)[0]
 
     def test_1100_disjoint_triangles(self):
@@ -102,7 +121,7 @@ class TestMaxIndependentFamily:
 
 
 def family_cases(g):
-    """The four family searches of ``build_state``, with their slot-level items.
+    """The four family searches of the slot-level reference, with their items.
 
     Each case is the search's ``(host, role, gain, target)`` followed by the
     items and gains that the slot-level predicate selects from the listed
@@ -147,7 +166,7 @@ def family_cases(g):
 
 def assert_family_matches_reference(g, host, role, gain, target, items, gains):
     want = reference_max_family(items, gains=gains, target=target)
-    got = _search_max_family(g, host, role, gain, _Budget(1_000_000), target=target)
+    got = oracles._search_max_family(g, host, role, gain, _Budget(1_000_000), target=target)
     assert len(got) == len(want)
     assert set(got) <= set(items)
     edges = [e for st in got for e in st.slot_edges]
@@ -165,7 +184,7 @@ def capacities_0_to_3(seed, base):
 
 
 class TestFamilyAgainstReference:
-    """The multiplicity search over copy orbits against the item-level DFS."""
+    """The slot-level reference's orbit search against the item-level DFS."""
 
     def test_atlas_with_capacities_0_to_3(self):
         for seed, base in enumerate(atlas_with_triangle()):
@@ -186,7 +205,10 @@ class TestFamilyAgainstReference:
         g = gen_complete(4)
         host = frozenset(_all_slot_edges(g))
         with pytest.raises(InvariantViolation, match="surplus"):
-            _search_max_family(g, host, no_role, any_triangle, _Budget(100), target=1)
+            oracles._search_max_family(g, host, no_role, any_triangle, _Budget(100), target=1)
+        layout = {(u, v): [(0, w)] for u, v, w in g.edges}
+        with pytest.raises(InvariantViolation, match="surplus"):
+            _search_max_family(g, layout, any_triangle, _Budget(100), target=1)
 
 
 class TestFullClassCover:
@@ -199,24 +221,103 @@ class TestFullClassCover:
             rng = random.Random(seed)
             for _ in range(4):
                 slots = set(rng.sample(all_slots, rng.randint(0, len(all_slots))))
-                cover = _cover(g, slots)
+                cover = _cover(g, Counter(e[:2] for e in slots))
                 avoided = any(reference_btype(st, slots) == 0 for st in tris)
                 assert verify_transversal(g, cover) == (not avoided)
                 assert cover.weight <= len(slots)
 
 
+def reference_corpus():
+    """The graphs on which the construction must equal the slot-level reference."""
+    for seed, base in enumerate(atlas_with_triangle()):
+        yield capacities_0_to_3(seed, base)
+    for n in range(4, 10):
+        pairs = n * (n - 1) // 2
+        for mult, m in ((2, min(2 * n + 1, pairs)), (3, min(n + 3, pairs))):
+            for seed in range(4):
+                yield gen_random(n, m, mult, seed)
+    # The haxell graphs of the bb_search benchmark workload; R7,12-s takes
+    # the seed it gets in the corpus of workload seed 0.
+    for n, m in ((8, 14), (10, 25), (11, 30), (12, 34)):
+        for seed in range(3):
+            yield gen_random(n, m, 2, seed)
+    yield gen_random(7, 12, 2, random.Random("0:haxell7").randrange(2**31))
+    yield from (K4_RUNGS, HEAVY_K4)
+    for n in (5, 6):
+        yield with_random_weights(gen_complete(n), (1, 2, 3), seed=n)
+
+
+def scalars(st):
+    return (st.nu, st.gamma, st.beta, st.alpha, st.delta, st.eta, st.eta_prime, st.delta0)
+
+
+class TestAgainstSlotReference:
+    def test_counts_equal_the_slot_level_construction(self):
+        # The reference gives every copy its own object; the construction
+        # keeps counts per orbit and ranks only where copies are matched.
+        for g in reference_corpus():
+            got, want = transversal_292(g), reference_transversal_292(g)
+            assert scalars(got.state) == scalars(want.state)
+            assert got.candidates == want.candidates
+            assert got.best == want.best
+
+
+class TestRungFamily:
+    @pytest.mark.parametrize("rungs_a, rungs_b", [(1, 0), (2, 1), (3, 1), (3, 2), (4, 3)])
+    def test_rung_picks_match_the_slot_level_search(self, rungs_a, rungs_b):
+        # Anchored copy a = 012 shares 01 with its partner 013, so its rungs
+        # are the copies of 23 off b_prime.  Copy b = 234 shares 24 with 245
+        # and holds the lowest of those rungs; its own rungs lie on 35.  A
+        # rung pair of a that takes b's side crowds b, which no graph of the
+        # reference corpus does.
+        ta, tb = Triangle(0, 1, 2), Triangle(2, 3, 4)
+        layout = {(0, 1): [(1, 1)], (0, 2): [(0, 1)], (1, 2): [(0, 1)], (2, 3): [(0, rungs_a)],
+                  (2, 4): [(1, 1)], (3, 4): [(0, 1)], (3, 5): [(0, rungs_b)]}
+        a = Anchor(ta, (0, 1), Triangle(0, 1, 3), (2, 3), rungs_a)
+        b = Anchor(tb, (2, 4), Triangle(2, 4, 5), (3, 5), rungs_b)
+        runs = [(Type(ta, (1, 0, 0)), (0, 0, 0), 0, 1, a), (Type(tb, (0, 1, 0)), (0, 0, 0), 0, 1, b)]
+        i_family, i_prime = _max_i_family(runs, layout, _Budget(10_000))
+
+        first = (0, 0, 0)
+        members = [
+            AnchoredTriangle(SlotTriangle(ta, first), SlotTriangle(Triangle(0, 1, 3), first),
+                             (0, 1, 0), 2, 3, tuple((2, 3, j) for j in range(rungs_a))),
+            AnchoredTriangle(SlotTriangle(tb, first), SlotTriangle(Triangle(2, 4, 5), first),
+                             (2, 4, 0), 3, 5, tuple((3, 5, j) for j in range(rungs_b))),
+        ]
+        chosen, fmap = oracles._max_i_family(members, {(0, 1, 0), (2, 4, 0)}, _Budget(10_000))
+        picked = {e for pair in fmap.values() for e in pair}
+        crowded = [a for a in members if a not in chosen and picked.intersection(a.t.slot_edges)]
+        assert Counter(a.tri for a in i_family.elements()) == Counter(a.t.tri for a in chosen)
+        assert Counter(a.tri for a in i_prime.elements()) == Counter(a.t.tri for a in crowded)
+        assert (i_family.total(), i_prime.total()) == {
+            (1, 0): (0, 0), (2, 1): (1, 1), (3, 1): (1, 1), (3, 2): (2, 0), (4, 3): (2, 0)
+        }[rungs_a, rungs_b]
+
+    def test_copies_take_rungs_in_order_of_triangle_and_position(self):
+        # 012 (partner 013) and 267 (partner 367) both need the only two
+        # rungs on 23; the search meets 012 first, whatever order it gets.
+        ta, tc = Triangle(0, 1, 2), Triangle(2, 6, 7)
+        layout = {(0, 1): [(1, 1)], (0, 2): [(0, 1)], (1, 2): [(0, 1)], (2, 3): [(0, 2)],
+                  (2, 6): [(0, 1)], (2, 7): [(0, 1)], (6, 7): [(1, 1)]}
+        a = Anchor(ta, (0, 1), Triangle(0, 1, 3), (2, 3), 2)
+        c = Anchor(tc, (6, 7), Triangle(3, 6, 7), (2, 3), 2)
+        runs = [(Type(tc, (0, 0, 1)), (0, 0, 0), 0, 1, c), (Type(ta, (1, 0, 0)), (0, 0, 0), 0, 1, a)]
+        assert _max_i_family(runs, layout, _Budget(10_000)) == (Counter([a]), Counter())
+
+
 class TestBuildState:
     def test_triangle_free(self):
         st = build_state(gen_cycle(5))
-        assert st.nu == 0 and len(st.b) == 0
+        assert st.nu == 0 and not st.b
         assert st.gamma == 0
 
     def test_k4(self):
         st = build_state(gen_complete(4))
         assert st.nu == 1
-        assert len(st.b) == 1
+        assert st.b.total() == 1
         assert st.gamma == 1  # one share-one triangle fits
-        assert len(st.b1) == 1
+        assert st.anchors_b1.total() == 1
 
     def test_w5(self):
         st = build_state(gen_wheel(5))
@@ -263,26 +364,28 @@ class TestBuildState:
 
     def test_a_heavy_triangle_never_lists_its_slot_triangles(self):
         # Listing all w**3 slot triangles took 1.8 s and 72 MB at w = 40;
-        # w = 1000 would be 10**9 of them.
-        g = Multigraph.from_edges(3, [(0, 1, 1000), (0, 2, 1000), (1, 2, 1000)])
-        start = time.process_time()
-        st = build_state(g)
-        sizes = tuple(c.slot_size for c in candidate_transversals(st))
-        assert time.process_time() - start < 1
-        assert st.nu == 1000
-        assert sizes == (3000, 1000, 3000, 3000, 3000)
-        tracemalloc.start()
-        try:
-            candidate_transversals(build_state(g))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # one object per parallel copy took 2.8 s and 101 MB at w = 30000
+        # (`tripack haxell` in a child process).
+        for w in (1000, 10**9):
+            g = Multigraph.from_edges(3, [(0, 1, w), (0, 2, w), (1, 2, w)])
+            start = time.process_time()
+            st = build_state(g)
+            sizes = tuple(c.slot_size for c in candidate_transversals(st))
+            assert time.process_time() - start < 1
+            assert st.nu == w
+            assert sizes == (3 * w, w, 3 * w, 3 * w, 3 * w)
+            tracemalloc.start()
+            try:
+                candidate_transversals(build_state(g))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     def test_rung_family_on_disjoint_k4s(self):
         st = build_state(K4_RUNGS)
         assert st.nu == 16
-        assert len(st.anchors_b1_prime) == len(st.i_family) == 8
+        assert st.anchors_b1_prime.total() == st.i_family.total() == 8
         half = Fraction(1, 2)
         scalars = (st.gamma, st.beta, st.alpha, st.delta, st.eta, st.eta_prime, st.delta0)
         assert scalars == (0, half, half, half, half, 0, 0)
@@ -294,19 +397,17 @@ class TestBuildState:
         checked = 0
         for n, m in ((4, 6), (5, 10), (6, 13)):
             for seed in range(400):
-                st = build_state(gen_random(n, m, 2, seed))
+                st = reference_build_state(gen_random(n, m, 2, seed))
                 off_b1 = set(_all_slot_edges(st.graph)) - {e for t in st.b1 for e in t.slot_edges}
                 copies = Counter(e[:2] for e in off_b1)
                 if st.anchors_b1_prime and max(copies.values(), default=0) >= 2:
-                    assert max(reference_swap_rung_sizes(st)) <= len(st.i_family)
+                    rung_family = build_state(st.graph).i_family.total()
+                    assert max(reference_swap_rung_sizes(st)) <= rung_family
                     checked += 1
         assert checked >= 100
 
     def test_heavy_k4(self):
-        g = Multigraph.from_edges(
-            4, [(u, v, 12 + (u + v) % 2) for u, v, _ in gen_complete(4).edges]
-        )
-        st = build_state(g)
+        st = build_state(HEAVY_K4)
         sizes = tuple(c.slot_size for c in candidate_transversals(st))
         assert st.nu == 24 and sizes == (68, 28, 72, 72, 72)
 
