@@ -379,3 +379,24 @@ def dominates_sqrt(x: Rational, y: Rational) -> bool:
     if y < 0:
         raise ValueError("radicand must be nonnegative")
     return x >= 0 and x * x >= y
+
+
+def _on_edge(g: Multigraph) -> dict[Edge, list[int]]:
+    """The indices in ``g.triangles`` of the triangles through each edge."""
+    on: dict[Edge, list[int]] = {}
+    for j, t in enumerate(g.triangles):
+        for e in t.edges:
+            on.setdefault(e, []).append(j)
+    return on
+
+
+def _drop_redundant(g: Multigraph, cover: Iterable[Edge]) -> list[Edge]:
+    """Reverse-delete: drop each positive edge ``cover`` can spare, heaviest first (ties by edge)."""
+    wmap, on, keep = g.weight_map, _on_edge(g), set(cover)
+    hits = [sum(e in keep for e in t.edges) for t in g.triangles]
+    for e in sorted(keep, key=lambda e: (-wmap[e], e)):
+        if wmap[e] and all(hits[j] > 1 for j in on.get(e, ())):
+            keep.remove(e)
+            for j in on.get(e, ()):
+                hits[j] -= 1
+    return sorted(keep)

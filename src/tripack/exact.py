@@ -3,10 +3,11 @@
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
 branch and bound on ``core.run_search``, whose explicit stack bounds the
 depth only by memory; they take no node budget.  Both read the cached LP
-optimum ``g.lp`` for their bounds: ``nu_exact`` runs on
-``max_type_packing``, which also searches the Haxell families, and stops
-at ``floor(nustar)``; ``tau_exact`` prunes on the optimal packing's mass
-over the uncovered triangles and stops at ``ceil(nustar)``.
+optimum ``g.lp`` for an incumbent and their bounds, and search only when
+the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
+``max_type_packing``, which also searches the Haxell families, up to
+``floor(nustar)``; ``tau_exact`` covers greedily from y*, then prunes on
+x*'s mass over the uncovered triangles down to ``ceil(nustar)``.
 ``lp_optimal`` solves the fractional relaxation with a revised simplex,
 once per triangle-connected component: one sparse integer row of B^-1 per
 edge and one row of duals y, each over one positive denominator kept
@@ -33,6 +34,8 @@ from .core import (
     TransversalCertificate,
     Triangle,
     _Budget,
+    _drop_redundant,
+    _on_edge,
     incidence,
     is_fractional_packing,
     is_fractional_transversal,
@@ -298,6 +301,7 @@ def max_type_packing(
     target: int = 0,
     ceiling: int | None = None,
     budget: _Budget | None = None,
+    start: Sequence[int] | None = None,
 ) -> list[int] | None:
     """A multiplicity per type with the largest total within ``caps``.
 
@@ -314,8 +318,11 @@ def max_type_packing(
     room.  A subtree is cut when the total plus either bound cannot beat
     the incumbent, or the gain plus the rooms weighted by gain misses
     ``target``.  The search stops once the incumbent reaches the root's
-    bound or ``ceiling``, which must bound the optimum.  No cut removes a
-    strictly better leaf, so the result is the first optimum in branch
+    bound or ``ceiling``, which must bound the optimum.  The first
+    incumbent is ``start`` if given (it must fit ``caps`` and reach
+    ``target``, else ``InvariantViolation``), returned at once if it
+    reaches that stop.  No cut removes a strictly better leaf, so the
+    result is ``start`` if it is optimal, else the first optimum in branch
     order.  A draw updates only the later types sharing a resource with
     it; the budget pays one node per search node.
     """
@@ -369,6 +376,13 @@ def max_type_packing(
     stop = min(rest, resid // 3, rest if ceiling is None else ceiling)
     best: list[int] | None = [0] * n if target <= 0 else None
     best_size = 0 if target <= 0 else -1
+    if start is not None:
+        if (len(start) != n or min(start, default=0) < 0 or sum(m * w for m, w in zip(start, gain_of)) < target
+                or any(sum(start[k] for k in ks) > c for ks, c in zip(users, caps))):
+            raise InvariantViolation("start overdraws a resource or misses the target")
+        best, best_size = list(start), sum(start)
+        if best_size >= stop:
+            return best
     counts = [0] * n
 
     def dfs(i: int, size: int, gain: int) -> Iterator:
@@ -397,23 +411,35 @@ def max_type_packing(
     return best
 
 
+def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator of ``xs`` and their numerators over it."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """Maximum integral triangle packing with a verified certificate.
 
     ``max_type_packing`` with the edges as resources, each triangle as a
-    type, and the floor of the LP optimum ``g.lp`` as the ceiling.
-    Deterministic: the first maximum in canonical triangle order, largest
-    multiplicity first.
+    type and ``floor(nustar)`` as the ceiling, started from x* rounded
+    down and completed greedily: each triangle, by descending fractional
+    part of x* (ties by index), takes its residual room.  Deterministic:
+    that start if it is optimal, else the first maximum in branch order.
     """
     tris = g.triangles
     if not tris:
         return 0, PackingCertificate.empty()
     index = {(u, v): o for o, (u, v, _) in enumerate(g.edges)}
-    counts = max_type_packing(
-        [tuple(index[e] for e in t.edges) for t in tris],  # type: ignore[misc]
-        [w for _, _, w in g.edges],
-        ceiling=int(g.lp.value),
-    )
+    types = [tuple(index[e] for e in t.edges) for t in tris]  # type: ignore[misc]
+    den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
+    start, on = [x // den for x in num], _on_edge(g)
+    left = [w - sum(start[j] for j in on.get((u, v), ())) for u, v, w in g.edges]
+    for j in sorted(range(len(tris)), key=lambda j: (-(num[j] % den), j)):
+        m = min(left[o] for o in types[j])
+        start[j] += m
+        for o in types[j]:
+            left[o] -= m
+    counts = max_type_packing(types, [w for _, _, w in g.edges], ceiling=int(g.lp.value), start=start)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):
@@ -424,37 +450,34 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
 def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     """Minimum-weight triangle transversal with a verified certificate.
 
-    Edges of capacity 0 are taken for free.  The search branches on the
-    three edges of the first uncovered triangle, in order, and keeps only a
-    strictly lighter cover.  It is bounded by the LP optimum ``g.lp``: the
-    optimal packing x* restricted to the uncovered triangles is still a
-    fractional packing, so any cover of them weighs at least the ceiling of
-    their x* mass.  That mass is kept as an integer numerator over one
-    common denominator, lowered by the mass each branch newly covers.  A
-    subtree is cut when the weight so far plus this bound reaches the best
-    cover, and the search stops once the best cover weighs ``ceil(nustar)``.
-    No cut removes a strictly lighter leaf, so the result is the first
-    optimum in branch order.
+    Edges of capacity 0 are taken for free.  The first incumbent takes the
+    other edges by the LP optimum y* (largest first), then weight, then
+    edge, each if it covers a new triangle, and then ``_drop_redundant``.
+    The search branches on the three edges of the first uncovered triangle,
+    in order, and keeps only a strictly lighter cover.  The optimal packing
+    x* restricted to the uncovered triangles is a fractional packing, so
+    any cover of them weighs at least the ceiling of their x* mass (an
+    integer numerator over one common denominator).  A subtree is cut when
+    the weight so far plus this bound reaches the best cover; the search
+    stops, or never starts, once that weighs ``ceil(nustar)``.  No cut
+    removes a strictly lighter leaf, so the result is the incumbent if it
+    is optimal, else the first optimum in branch order.
     """
-    free_edges = g.free_edges
-    free_set = set(free_edges)
-    open_tris = [t for t in g.triangles if not any(e in free_set for e in t.edges)]
-    tri_edges = [t.edges for t in open_tris]
-    all_mask = (1 << len(open_tris)) - 1
-    on_edge: dict[Edge, list[int]] = {}
-    for j, es in enumerate(tri_edges):
-        for e in es:
-            on_edge.setdefault(e, []).append(j)
-    cover_mask = {e: sum(1 << i for i in js) for e, js in on_edge.items()}
-    wmap = g.weight_map
-    # x* vanishes on every triangle with a free edge.
-    xs = [g.lp.packing.triangle_value(t) for t in open_tris]
-    den = lcm(*(x.denominator for x in xs))
-    num = [x.numerator * (den // x.denominator) for x in xs]
+    tris, wmap, on = g.triangles, g.weight_map, _on_edge(g)
+    cover_mask = {e: sum(1 << j for j in js) for e, js in on.items()}
+    all_mask = (1 << len(tris)) - 1
+    # x* vanishes on every triangle with a free edge, and those start covered.
+    den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
+    free = sum(1 << j for j, t in enumerate(tris) if not all(wmap[e] for e in t.edges))
     stop = -(-sum(num) // den)
-
-    best_w = sum(wmap[e] for e in cover_mask) + 1
-    best_set: list[Edge] = []
+    y = dict(zip(on, _over_lcm([g.lp.transversal.edge_value(e) for e in on])[1]))
+    best_set, hit = list(g.free_edges), free
+    for e in sorted(on, key=lambda e: (-y[e], wmap[e], e)):
+        if cover_mask[e] & ~hit:
+            best_set.append(e)
+            hit |= cover_mask[e]
+    best_set = _drop_redundant(g, best_set)
+    best_w = sum(wmap[e] for e in best_set)
     chosen: list[Edge] = []
 
     def dfs(mask: int, wsum: int, rest: int, j: int) -> Iterator:
@@ -468,16 +491,16 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
             return
         while mask & (1 << j):
             j += 1
-        for e in tri_edges[j]:
-            mass = sum(num[i] for i in on_edge[e] if not mask >> i & 1)
+        for e in tris[j].edges:
+            mass = sum(num[i] for i in on[e] if not mask >> i & 1)
             chosen.append(e)
             yield dfs(mask | cover_mask[e], wsum + wmap[e], rest - mass, j)
             chosen.pop()
             if best_w == stop:
                 return
 
-    run_search(dfs(0, 0, sum(num), 0))
-    cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
+    run_search(dfs(free, 0, sum(num), 0))
+    cert = TransversalCertificate.from_edges(g, best_set + list(g.free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")
     return best_w, cert

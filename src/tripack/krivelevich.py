@@ -34,6 +34,7 @@ from .core import (
     Rational,
     TransversalCertificate,
     Triangle,
+    _drop_redundant,
     dominates_sqrt,
     verify_transversal,
 )
@@ -162,8 +163,8 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     Built from the LP optimum ``g.lp``.  Returns the empty certificate on
     triangle-free input, without solving the LP.  When the fractional
     optimum is 0 but triangles exist, they all ride on capacity-0 edges,
-    which are returned at zero cost.  The size bound is compared exactly by
-    squaring.
+    which are returned at zero cost.  Redundant edges are then dropped
+    (``core._drop_redundant``); the bound is compared exactly by squaring.
     """
     if not g.triangles:
         return TransversalCertificate.from_edges(g, ())
@@ -203,7 +204,7 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
         r_edges = [e for (u, v, _) in gp_items if (e := (u, v)) not in crossing]
 
     chosen = (set(part.B) - i_classes) | set(part.C) | set(r_edges) | set(g.free_edges)
-    cert = TransversalCertificate.from_edges(g, sorted(chosen))
+    cert = TransversalCertificate.from_edges(g, _drop_redundant(g, chosen))
     if not verify_transversal(g, cert):
         raise InvariantViolation("constructed edge set misses a triangle")
 

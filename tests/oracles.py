@@ -40,10 +40,19 @@ that faster or leaner code replaced and must agree with exactly:
   bounded by a greedy packing of edge-disjoint uncovered triangles,
   recollected at every node.  ``tau_exact`` replaced that bound with the
   LP optimum and must return the same value and certificate.
+- ``reference_nu_exact``, ``nu_exact``'s packing search started from the
+  empty packing.  ``nu_exact`` now starts it from ``reference_lp_packing``,
+  the rounding of x*, and must return the same value, and the same
+  certificate wherever that rounding is not optimal.  Likewise
+  ``tau_exact`` starts from ``reference_lp_cover``, a greedy cover from y*
+  cut down by ``reference_drop_redundant``, a reverse-delete that re-checks
+  every triangle.
 - ``reference_transversal_2nustar``, the Krivelevich cover that gave every
   parallel copy of a half-value edge its own conflict-graph vertex.
   ``tripack.krivelevich`` now weights one vertex per parallel class by
-  its capacity and must return the same certificate.
+  its capacity, and then drops redundant edges with
+  ``core._drop_redundant``; it must return the reference's certificate
+  after that same reverse-delete.
 - ``reference_gen_random``, the random-graph generator that listed every
   vertex pair before sampling.  ``tripack.generators.gen_random`` samples
   pair indices instead and must return the same graph.
@@ -1282,6 +1291,67 @@ def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")
     return best_w, cert
+
+
+def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
+    """The packing search of ``nu_exact`` started from the empty packing.
+
+    ``max_type_packing`` without ``start``: the first maximum in canonical
+    triangle order, largest multiplicity first.
+    """
+    tris = g.triangles
+    if not tris:
+        return 0, PackingCertificate.empty()
+    index = {(u, v): o for o, (u, v, _) in enumerate(g.edges)}
+    counts = max_type_packing(
+        [tuple(index[e] for e in t.edges) for t in tris],
+        [w for _, _, w in g.edges],
+        ceiling=int(g.lp.value),
+    )
+    assert counts is not None
+    cert = PackingCertificate.from_map(dict(zip(tris, counts)))
+    return cert.value, cert
+
+
+def reference_lp_packing(g: Multigraph) -> dict[Triangle, int]:
+    """The ν incumbent, on ``Fraction``s: floor(x*), then every triangle by
+    descending fractional part of x* (ties by canonical order) takes the
+    room its edges have left."""
+    x = g.lp.packing.triangle_value
+    start = {t: x(t).numerator // x(t).denominator for t in g.triangles}
+    left = dict(g.weight_map)
+    for t, m in start.items():
+        for e in t.edges:
+            left[e] -= m
+    for _, t in sorted((-(x(t) - start[t]), t) for t in g.triangles):
+        m = min(left[e] for e in t.edges)
+        start[t] += m
+        for e in t.edges:
+            left[e] -= m
+    return {t: m for t, m in start.items() if m}
+
+
+def reference_drop_redundant(g: Multigraph, cover: Iterable[Edge]) -> frozenset[Edge]:
+    """Reverse-delete by full re-checks: each edge of positive capacity,
+    heaviest first (ties by edge), goes when the rest still covers."""
+    keep = set(cover)
+    for e in sorted(keep, key=lambda e: (-g.weight_map[e], e)):
+        if g.weight_map[e] and all(any(f in keep and f != e for f in t.edges) for t in g.triangles):
+            keep.remove(e)
+    return frozenset(keep)
+
+
+def reference_lp_cover(g: Multigraph) -> frozenset[Edge]:
+    """The τ incumbent, on ``Fraction``s: the free edges, then each edge on a
+    triangle by y* (largest first), weight, edge, kept when it covers a
+    triangle not yet covered; then ``reference_drop_redundant``."""
+    y = g.lp.transversal.edge_value
+    edges = sorted({e for t in g.triangles for e in t.edges}, key=lambda e: (-y(e), g.weight_map[e], e))
+    cover = set(g.free_edges)
+    for e in edges:
+        if any(e in t.edges and cover.isdisjoint(t.edges) for t in g.triangles):
+            cover.add(e)
+    return reference_drop_redundant(g, cover)
 
 
 def reference_gen_random(n: int, m: int, max_mult: int, seed: int) -> Multigraph:

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import tripack.exact
 from tripack import (
     FractionalAssignment,
+    InvariantViolation,
     Multigraph,
     Triangle,
     enumerate_triangles,
@@ -17,6 +19,7 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
+from tripack.core import _drop_redundant, weight
 from tripack.exact import LPSolution, _simplex_packing, max_type_packing
 from tripack.generators import (
     gen_complete,
@@ -37,6 +40,10 @@ from oracles import (
     brute_tau,
     rand_connected_multigraph,
     rand_triangle_free,
+    reference_drop_redundant,
+    reference_lp_cover,
+    reference_lp_packing,
+    reference_nu_exact,
     reference_simplex_packing,
     reference_tau_exact,
     triangle_union,
@@ -147,28 +154,132 @@ class TestTauExact:
         assert verify_transversal(g, cert)
 
 
+def check_nu(g):
+    """ν against the search from the empty packing; True if the rounding of x* was optimal.
+
+    Where it was, the certificate is that rounding; elsewhere it is the
+    one the search from the empty packing returns.
+    """
+    value, cert = nu_exact(g)
+    reference = reference_nu_exact(g)
+    assert value == cert.value == reference[0]
+    assert verify_packing(g, cert)
+    start = reference_lp_packing(g)
+    if sum(start.values()) == value:
+        assert cert.multiplicities == start
+        return True
+    assert (value, cert) == reference
+    return False
+
+
+def check_tau(g):
+    """τ against the greedy-bounded search; True if the cover from y* was optimal."""
+    value, cert = tau_exact(g)
+    reference = reference_tau_exact(g)
+    assert value == cert.weight == reference[0]
+    assert verify_transversal(g, cert)
+    incumbent = reference_lp_cover(g)
+    if weight(g, incumbent) == value:
+        assert cert.edges == incumbent | set(g.free_edges)
+        return True
+    assert (value, cert) == reference
+    return False
+
+
+def atlas_0_to_3():
+    for seed, base in enumerate(atlas_with_triangle()):
+        rng = random.Random(seed)
+        yield Multigraph(base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges))
+
+
+def random_corpus():
+    for n in range(5, 12):
+        for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
+            for seed in range(4):
+                yield gen_random(n, m, mult, seed)
+
+
 class TestTauAgainstReference:
-    """The LP-bounded search returns the greedy-bounded search's first optimum."""
+    """The search from the cover read off y* returns the greedy-bounded
+    search's value, and its first optimum wherever that cover is not optimal."""
 
     def test_atlas_with_capacities_0_to_3(self):
-        for seed, base in enumerate(atlas_with_triangle()):
-            rng = random.Random(seed)
-            g = Multigraph(
-                base.n, tuple((u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in base.edges)
-            )
-            assert tau_exact(g) == reference_tau_exact(g)
+        for g in atlas_0_to_3():
+            check_tau(g)
 
     def test_random_multigraphs(self):
-        for n in range(5, 12):
-            for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
-                for seed in range(4):
-                    g = gen_random(n, m, mult, seed)
-                    assert tau_exact(g) == reference_tau_exact(g)
+        kinds = Counter(check_tau(g) for g in random_corpus())
+        assert kinds[True] >= 50 and kinds[False] >= 1
 
     @pytest.mark.parametrize("n", range(9, 15))
     def test_weighted_stacked(self, n):
-        g = with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1)
-        assert tau_exact(g) == reference_tau_exact(g)
+        check_tau(with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1))
+
+
+class TestIncumbents:
+    """ν and τ equal the brute-force and reference values wherever the LP
+    incumbents are optimal and wherever they are not."""
+
+    def test_atlas_against_brute_force(self):
+        kinds = Counter()
+        for g in atlas_0_to_3():
+            assert nu_exact(g)[0] == brute_nu(g)
+            assert tau_exact(g)[0] == brute_tau(g)
+            kinds[check_nu(g)] += 1
+        assert kinds[True] >= 100 and kinds[False] >= 1
+
+    def test_random_against_brute_force(self):
+        kinds = Counter()
+        for g in random_corpus():
+            if g.n <= 7:
+                assert nu_exact(g)[0] == brute_nu(g)
+                assert tau_exact(g)[0] == brute_tau(g)
+            kinds[check_nu(g)] += 1
+        assert kinds[True] >= 40 and kinds[False] >= 5
+
+    def test_weighted_stacked(self):
+        kinds = Counter()
+        for n in range(9, 15):
+            kinds[check_nu(with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1))] += 1
+        assert kinds[True] >= 1 and kinds[False] >= 1
+
+    def test_s13_rounding_falls_one_short(self):
+        g = with_random_weights(gen_stacked(13, seed=2), (1, 2, 3), seed=2)
+        assert sum(reference_lp_packing(g).values()) == 19
+        assert nu_exact(g)[0] == 20 == g.lp.value
+        assert not check_nu(g)
+
+    def test_reverse_delete_matches_full_rechecks(self):
+        for g in [*atlas_0_to_3(), *random_corpus()]:
+            cover = [e for t in g.triangles for e in t.edges]
+            assert set(_drop_redundant(g, cover)) == reference_drop_redundant(g, cover)
+
+    def test_start_that_overdraws_a_resource_raises(self):
+        types, caps = [(0, 1, 2), (0, 3, 4)], [1, 1, 1, 1, 1]
+        assert max_type_packing(types, caps, start=[1, 0]) == [1, 0]
+        for start in ([1, 1], [2, 0], [-1, 0], [1]):
+            with pytest.raises(InvariantViolation):
+                max_type_packing(types, caps, start=start)
+        with pytest.raises(InvariantViolation):
+            max_type_packing(types, caps, gains=[0, 1], target=1, start=[1, 0])
+
+    def test_start_below_the_stop_gives_way_to_the_first_optimum(self):
+        # One type overlaps two disjoint ones; from either single type the
+        # search finds the pair, as it does from the empty packing.
+        types, caps = [(0, 1, 2), (3, 4, 5), (0, 3, 6)], [1] * 7
+        assert max_type_packing(types, caps, start=[0, 0, 1]) == [1, 1, 0]
+        assert max_type_packing(types, caps, start=[1, 0, 0]) == [1, 1, 0]
+
+    def test_h8_rounding_is_optimal(self):
+        # The search from the empty packing ran for more than 200 s of CPU
+        # here (Python 3.11, shared 2-core x86 machine): x* is integral.
+        g = with_random_weights(gen_stacked(8, seed=1), (40, 50), seed=1)
+        g.lp
+        start = time.process_time()
+        value, cert = nu_exact(g)
+        assert time.process_time() - start < 1
+        assert value == 260 == g.lp.value
+        assert cert.multiplicities == reference_lp_packing(g)
 
 
 class TestLPOptimal:

@@ -6,18 +6,21 @@ import pytest
 from tripack import (
     FractionalAssignment,
     Multigraph,
+    TransversalCertificate,
     Triangle,
     dominates_sqrt,
     enumerate_triangles,
     lp_optimal,
     verify_transversal,
 )
+from tripack.core import _drop_redundant
 from tripack.exact import LPSolution
 from tripack.generators import (
     gen_apex,
     gen_complete,
     gen_cycle,
     gen_gk,
+    gen_random,
     gen_stacked,
     gen_wheel,
     with_random_weights,
@@ -173,13 +176,37 @@ class TestTransversal2NuStar:
             assert dominates_sqrt(2 * x - cert.weight, x / 16)
 
     def test_equals_slot_expanded_reference(self):
-        graphs = with_half_edges = 0
+        # The reference builds the cover before reverse-delete.
+        graphs = with_half_edges = trimmed = 0
         for g in _reference_corpus():
-            assert transversal_2nustar(g) == reference_transversal_2nustar(g)
+            built = reference_transversal_2nustar(g)
+            cert = transversal_2nustar(g)
+            assert cert == TransversalCertificate.from_edges(g, _drop_redundant(g, built.edges))
             graphs += 1
+            trimmed += cert != built
             part, _ = classify(g, g.lp)
             with_half_edges += any(g.weight_map[e] > 0 for e in part.B)
-        assert graphs >= 1000 and with_half_edges >= 40
+        assert graphs >= 1000 and with_half_edges >= 40 and trimmed >= 20
+
+    def test_no_positive_edge_can_be_dropped(self):
+        for g in _reference_corpus():
+            cert = transversal_2nustar(g)
+            for e in cert.edges:
+                if g.weight_map[e]:
+                    assert not verify_transversal(g, TransversalCertificate.from_edges(g, cert.edges - {e}))
+
+    @pytest.mark.parametrize(
+        "g, built, weight",
+        [
+            (gen_stacked(150, seed=1), 179, 150),
+            (gen_stacked(60, seed=1), 65, 59),
+            (gen_random(15, 52, 2, 0), 29, 24),
+        ],
+        ids=["S150", "S60", "R15,52-0"],
+    )
+    def test_reverse_delete_lightens_the_cover(self, g, built, weight):
+        assert reference_transversal_2nustar(g).weight == built
+        assert transversal_2nustar(g).weight == weight
 
     def test_w5_large_capacity_stays_small(self):
         # One conflict vertex per spoke class, not one per parallel copy.
