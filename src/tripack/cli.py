@@ -276,36 +276,33 @@ def _flag(args: argparse.Namespace, name: str) -> int:
     return value
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam == "gk":
-        g = gen_gk(_flag(args, "k")).graph
-    elif fam == "random":
-        g = gen_random(_flag(args, "n"), _flag(args, "m"), args.max_mult, args.seed)
-    elif fam == "apex":
-        if args.host == "petersen":
-            host = gen_petersen()
-        elif args.host == "cycle":
-            host = gen_cycle(_flag(args, "n"))
-        else:
-            raise ValueError(f"unknown apex host {args.host!r}")
-        g = gen_apex(host)
-    elif fam == "complete":
-        g = gen_complete(_flag(args, "n"))
-    elif fam == "cycle":
-        g = gen_cycle(_flag(args, "n"))
-    elif fam == "wheel":
-        # The rim size is --k, or --n when --k is absent.
-        g = gen_wheel(args.n if args.k is None and args.n is not None else _flag(args, "k"))
-    elif fam == "stacked":
-        g = gen_stacked(_flag(args, "n"), args.seed)
-    elif fam == "petersen":
-        g = gen_petersen()
-    elif fam == "octahedron":
-        g = gen_octahedron()
+def _apex(args: argparse.Namespace) -> Multigraph:
+    if args.host == "petersen":
+        host = gen_petersen()
+    elif args.host == "cycle":
+        host = gen_cycle(_flag(args, "n"))
     else:
-        raise ValueError(f"unknown family {fam!r}")
-    sys.stdout.write(emit_graph(g))
+        raise ValueError(f"unknown apex host {args.host!r}")
+    return gen_apex(host)
+
+
+#: ``generate --family`` name -> the graph it writes; the keys are also the parser's choices.
+_FAMILIES = {
+    "gk": lambda a: gen_gk(_flag(a, "k")).graph,
+    "complete": lambda a: gen_complete(_flag(a, "n")),
+    # The rim size is --k, or --n when --k is absent.
+    "wheel": lambda a: gen_wheel(a.n if a.k is None and a.n is not None else _flag(a, "k")),
+    "cycle": lambda a: gen_cycle(_flag(a, "n")),
+    "petersen": lambda a: gen_petersen(),
+    "octahedron": lambda a: gen_octahedron(),
+    "stacked": lambda a: gen_stacked(_flag(a, "n"), a.seed),
+    "random": lambda a: gen_random(_flag(a, "n"), _flag(a, "m"), a.max_mult, a.seed),
+    "apex": _apex,
+}
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    sys.stdout.write(emit_graph(_FAMILIES[args.family](args)))
     return 0
 
 
@@ -327,14 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a generated instance as graph text")
-    gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "gk", "complete", "wheel", "cycle", "petersen",
-            "octahedron", "stacked", "random", "apex",
-        ],
-    )
+    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
     gen.add_argument("--k", type=int, default=None, help="level (gk) or rim size (wheel)")
     gen.add_argument("--n", type=int, default=None, help="vertex count")
     gen.add_argument("--m", type=int, default=None, help="edge count (random)")

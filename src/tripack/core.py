@@ -108,9 +108,9 @@ class Multigraph:
     ``edges`` holds one entry per unordered pair, sorted lexicographically,
     each as ``(u, v, w)`` with ``u < v`` and integer capacity ``w >= 0``.
     Instances are immutable.  Derived objects (``weight_map``,
-    ``triangles``, ``free_edges``, ``lp``) are computed on first access and
-    cached on the instance; they never enter equality or hashing.  No
-    per-vertex table is kept, so the declared ``n`` costs no memory.
+    ``triangles``, ``free_edges``, ``incidence``, ``lp``) are cached on
+    first access, outside equality and hashing.  No per-vertex table is
+    kept, so the declared ``n`` costs no memory.
     """
 
     n: int
@@ -174,6 +174,11 @@ class Multigraph:
         return tuple(sorted({e for t in self.triangles for e in t.edges if wmap[e] == 0}))
 
     @cached_property
+    def incidence(self) -> "Incidence":
+        """The edge-triangle incidence ``incidence(self)``, which every solver reads."""
+        return incidence(self)
+
+    @cached_property
     def lp(self) -> "LPSolution":
         """The exact LP optimum ``exact.lp_optimal(self)``, which every solver reads."""
         # Imported on use because ``exact`` imports this module.
@@ -197,23 +202,42 @@ class Incidence:
 
     Rows are indexed by ``edges`` (canonical order), columns by
     ``triangles`` (canonical order).  ``columns[j]`` lists the three row
-    indices of triangle ``j``.
+    indices of triangle ``j`` and ``on_edge[i]`` the triangles on edge
+    ``i``.  ``components`` lists the triangle-connected components (linked
+    by shared edges); all lists ascend, components by lowest triangle.
     """
 
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
     columns: tuple[tuple[int, int, int], ...]
+    on_edge: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[int, ...], ...]
 
 
 def incidence(g: Multigraph) -> Incidence:
-    """Edge-triangle incidence of ``g``; every column has exactly three 1s."""
-    edges = tuple((u, v) for u, v, _ in g.edges)
+    """Edge-triangle incidence of ``g``; solvers read the cached ``Multigraph.incidence``."""
+    edges = tuple(g.weight_map)
     index = {e: i for i, e in enumerate(edges)}
-    tris = g.triangles
-    columns = tuple(
-        (index[t.edges[0]], index[t.edges[1]], index[t.edges[2]]) for t in tris
+    columns = tuple((index[a, b], index[a, c], index[b, c]) for a, b, c in g.triangles)
+    on: list[list[int]] = [[] for _ in edges]
+    root = list(range(len(edges)))  # union-find over the edges
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for j, col in enumerate(columns):
+        for i in col:
+            on[i].append(j)
+            root[find(i)] = find(col[0])
+    comps: dict[int, list[int]] = {}  # keyed by root, in order of lowest triangle
+    for j, col in enumerate(columns):
+        comps.setdefault(find(col[0]), []).append(j)
+    return Incidence(
+        edges, g.triangles, columns, tuple(map(tuple, on)), tuple(map(tuple, comps.values()))
     )
-    return Incidence(edges=edges, triangles=tris, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -381,22 +405,13 @@ def dominates_sqrt(x: Rational, y: Rational) -> bool:
     return x >= 0 and x * x >= y
 
 
-def _on_edge(g: Multigraph) -> dict[Edge, list[int]]:
-    """The indices in ``g.triangles`` of the triangles through each edge."""
-    on: dict[Edge, list[int]] = {}
-    for j, t in enumerate(g.triangles):
-        for e in t.edges:
-            on.setdefault(e, []).append(j)
-    return on
-
-
 def _drop_redundant(g: Multigraph, cover: Iterable[Edge]) -> list[Edge]:
     """Reverse-delete: drop each positive edge ``cover`` can spare, heaviest first (ties by edge)."""
-    wmap, on, keep = g.weight_map, _on_edge(g), set(cover)
-    hits = [sum(e in keep for e in t.edges) for t in g.triangles]
-    for e in sorted(keep, key=lambda e: (-wmap[e], e)):
-        if wmap[e] and all(hits[j] > 1 for j in on.get(e, ())):
+    inc, wmap, keep = g.incidence, g.weight_map, set(cover)
+    hits = [sum(e in keep for e in t.edges) for t in inc.triangles]
+    for _, e, on in sorted((-wmap[e], e, on) for e, on in zip(inc.edges, inc.on_edge) if e in keep):
+        if wmap[e] and all(hits[j] > 1 for j in on):
             keep.remove(e)
-            for j in on.get(e, ()):
+            for j in on:
                 hits[j] -= 1
     return sorted(keep)

@@ -14,7 +14,10 @@ edge and one row of duals y, each over one positive denominator kept
 divided by its gcd; triangle columns are priced from y and B^-1 only when
 needed.  The most negative reduced cost enters, and Bland's rule takes
 over during a long run of degenerate pivots, so the loop terminates; y is
-the dual optimum, so primal and dual values agree.
+the dual optimum, so primal and dual values agree.  All three read the
+graph's cached ``g.incidence``: the simplex loops over its components,
+``nu_exact`` and ``tau_exact`` use its triangles through each edge, and
+``tau_exact`` counts the chosen edges of each triangle.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .core import (
     Triangle,
     _Budget,
     _drop_redundant,
-    _on_edge,
-    incidence,
     is_fractional_packing,
     is_fractional_transversal,
     run_search,
@@ -88,8 +89,8 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     the entering column is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
     a ``slack -> rows`` index lists for those edges.
 
-    Triangles sharing an edge fall in one component (union-find over the
-    rows), and the pivot loop runs once per component on its own objective
+    Triangles sharing an edge fall in one component of ``g.incidence``,
+    and the pivot loop runs once per component on its own objective
     row; x, y and the value are merged.  The entering variable has the most
     negative reduced cost (Dantzig), ties to the lowest index in the
     canonical triangle-then-edge order.  After ``DEGENERATE_RUN`` degenerate
@@ -99,31 +100,16 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     objective, so no basis comes back and the loop ends.  The leaving row
     wins the ratio test, ties to the lowest basis index.
     """
-    inc = incidence(g)
-    tris = inc.triangles
+    inc = g.incidence
+    tris, comps = inc.triangles, inc.components
     if not tris:
         return {}, {}, Fraction(0)
 
-    used = sorted({e for col in inc.columns for e in col})
+    used = [e for e, on in enumerate(inc.on_edge) if on]
     row_of = {e: i for i, e in enumerate(used)}
     cols = [tuple(row_of[e] for e in col) for col in inc.columns]
     m = len(used)
     nt = len(tris)
-    root = list(range(m))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for a, b, c in cols:
-        r = find(a)
-        root[find(b)] = r
-        root[find(c)] = r
-    comps: dict[int, list[int]] = {}  # the triangles of each component, in order
-    for j, col in enumerate(cols):
-        comps.setdefault(find(col[0]), []).append(j)
 
     # Row i < m is row i of B^-1 and row m + k holds the duals y of
     # component k, all over the slack columns; entry e of row i is
@@ -134,7 +120,7 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     col_rows: list[set[int]] = [{i} for i in range(m)]
     basis = [nt + i for i in range(m)]
 
-    for obj, tids in enumerate(comps.values(), m):
+    for obj, tids in enumerate(comps, m):
         streak = 0  # degenerate pivots in a row
         while True:
             y, yden = rows[obj], den[obj]
@@ -426,20 +412,19 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     part of x* (ties by index), takes its residual room.  Deterministic:
     that start if it is optimal, else the first maximum in branch order.
     """
-    tris = g.triangles
+    inc = g.incidence
+    tris, types = inc.triangles, inc.columns
     if not tris:
         return 0, PackingCertificate.empty()
-    index = {(u, v): o for o, (u, v, _) in enumerate(g.edges)}
-    types = [tuple(index[e] for e in t.edges) for t in tris]  # type: ignore[misc]
     den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
-    start, on = [x // den for x in num], _on_edge(g)
-    left = [w - sum(start[j] for j in on.get((u, v), ())) for u, v, w in g.edges]
+    start, wts = [x // den for x in num], [w for _, _, w in g.edges]
+    left = [w - sum(start[j] for j in on) for w, on in zip(wts, inc.on_edge)]
     for j in sorted(range(len(tris)), key=lambda j: (-(num[j] % den), j)):
         m = min(left[o] for o in types[j])
         start[j] += m
         for o in types[j]:
             left[o] -= m
-    counts = max_type_packing(types, [w for _, _, w in g.edges], ceiling=int(g.lp.value), start=start)
+    counts = max_type_packing(types, wts, ceiling=int(g.lp.value), start=start)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):
@@ -463,43 +448,49 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     removes a strictly lighter leaf, so the result is the incumbent if it
     is optimal, else the first optimum in branch order.
     """
-    tris, wmap, on = g.triangles, g.weight_map, _on_edge(g)
-    cover_mask = {e: sum(1 << j for j in js) for e, js in on.items()}
-    all_mask = (1 << len(tris)) - 1
-    # x* vanishes on every triangle with a free edge, and those start covered.
+    inc, wts = g.incidence, [w for _, _, w in g.edges]
+    tris, edges, cols, on = inc.triangles, inc.edges, inc.columns, inc.on_edge
+    # Per triangle, how many of its edges are free or chosen; x* vanishes on
+    # every triangle with a free edge, and those start covered.
+    hits = [sum(not wts[i] for i in col) for col in cols]
     den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
-    free = sum(1 << j for j, t in enumerate(tris) if not all(wmap[e] for e in t.edges))
     stop = -(-sum(num) // den)
-    y = dict(zip(on, _over_lcm([g.lp.transversal.edge_value(e) for e in on])[1]))
-    best_set, hit = list(g.free_edges), free
-    for e in sorted(on, key=lambda e: (-y[e], wmap[e], e)):
-        if cover_mask[e] & ~hit:
-            best_set.append(e)
-            hit |= cover_mask[e]
+    y = _over_lcm([g.lp.transversal.edge_value(e) for e in edges])[1]
+    best_set, got = list(g.free_edges), hits.copy()
+    for i in sorted(range(len(edges)), key=lambda i: (-y[i], wts[i], i)):
+        if not all(got[j] for j in on[i]):
+            best_set.append(edges[i])
+            for j in on[i]:
+                got[j] += 1
     best_set = _drop_redundant(g, best_set)
-    best_w = sum(wmap[e] for e in best_set)
+    best_w = sum(g.weight_map[e] for e in best_set)
     chosen: list[Edge] = []
 
-    def dfs(mask: int, wsum: int, rest: int, j: int) -> Iterator:
-        # ``rest`` is the x* mass of the uncovered triangles, times ``den``.
+    def dfs(wsum: int, rest: int, j: int) -> Iterator:
+        # ``rest`` is the x* mass of the uncovered triangles, times ``den``,
+        # and every triangle before ``j`` is covered.
         nonlocal best_w, best_set
         if wsum - (-rest // den) >= best_w:
             return
-        if mask == all_mask:
+        while j < len(tris) and hits[j]:
+            j += 1
+        if j == len(tris):
             best_w = wsum
             best_set = list(chosen)
             return
-        while mask & (1 << j):
-            j += 1
-        for e in tris[j].edges:
-            mass = sum(num[i] for i in on[e] if not mask >> i & 1)
-            chosen.append(e)
-            yield dfs(mask | cover_mask[e], wsum + wmap[e], rest - mass, j)
+        for i in cols[j]:
+            mass = sum(num[k] for k in on[i] if not hits[k])
+            chosen.append(edges[i])
+            for k in on[i]:
+                hits[k] += 1
+            yield dfs(wsum + wts[i], rest - mass, j)
+            for k in on[i]:
+                hits[k] -= 1
             chosen.pop()
             if best_w == stop:
                 return
 
-    run_search(dfs(free, 0, sum(num), 0))
+    run_search(dfs(0, sum(num), 0))
     cert = TransversalCertificate.from_edges(g, best_set + list(g.free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")

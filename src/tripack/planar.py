@@ -18,10 +18,10 @@ their decrements finds a capacity of at least 1.
 
 Working state.  ``reduce_and_certify`` builds one private ``_Reducer`` from
 the input graph and mutates it in place for the whole run: capacities,
-adjacency sets, per-edge sets of live triangles, the step at which each
-triangle died, the running measure, and one min-heap of candidate
-witnesses per rule.  ``find_reduction`` and ``apply_step`` are views over
-a fresh state, so each rule is written once.
+adjacency sets, per-edge sets of live triangles (from ``g.incidence``),
+the step at which each triangle died, the running measure, and one
+min-heap of candidate witnesses per rule.  ``find_reduction`` and
+``apply_step`` are views over a fresh state, so each rule is written once.
 
 Worklist invariant.  Every witness that satisfies its rule is in that
 rule's heap.  At the start every candidate is pushed.  Afterwards,
@@ -111,10 +111,8 @@ class _Reducer:
         for u, v in self.cap:
             self.adj.setdefault(u, set()).add(v)
             self.adj.setdefault(v, set()).add(u)
-        self.tris: dict[Edge, set[Triangle]] = {e: set() for e in self.cap}
-        for t in g.triangles:
-            for e in t.edges:
-                self.tris[e].add(t)
+        inc = g.incidence
+        self.tris = {e: {inc.triangles[j] for j in on} for e, on in zip(inc.edges, inc.on_edge)}
         # Triangle -> index of the step that deleted one of its edges.
         self.died: dict[Triangle, int] = {}
         self.steps = 0
@@ -187,7 +185,8 @@ class _Reducer:
         """The neighborhood of ``v`` as a single chordless cycle, or None.
 
         Requires at least 3 neighbors, every neighbor adjacent to exactly two
-        others, and one closed walk through all of them.
+        others (so the walk from the first closes within ``k`` steps), and
+        one closed walk through all of them.
         """
         nset = self.adj[v]
         ns = sorted(nset)
@@ -207,8 +206,6 @@ class _Reducer:
             if nxt == start:
                 break
             order.append(nxt)
-            if len(order) > k:
-                return None
         if len(order) != k:
             return None
         return tuple(order)

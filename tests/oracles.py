@@ -8,7 +8,9 @@ that faster or leaner code replaced and must agree with exactly:
   revised simplex in ``tripack.exact`` replaced, one tableau per
   triangle-connected component.  It reads the same ``incidence`` and must
   take the same pivots: the most negative reduced cost, and Bland's rule
-  after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.
+  after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.  Its
+  components come from ``reference_components``, an O(T^2) scan over
+  pairs of triangles, which ``Incidence.components`` must equal.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
@@ -255,6 +257,31 @@ def relabel(g: Multigraph, perm: list[int]) -> Multigraph:
 REFERENCE_DEGENERATE_RUN = 20
 
 
+def reference_components(g: Multigraph) -> list[list[int]]:
+    """Triangle-connected components of ``g`` by an O(T^2) scan.
+
+    Two triangles are linked when they share an edge.  Each component lists
+    its indices in ``enumerate_triangles(g)`` in ascending order, and the
+    components come in order of their lowest triangle.
+    """
+    sides = [set(t.edges) for t in enumerate_triangles(g)]
+    comp_of = [-1] * len(sides)
+    comps = []
+    for s in range(len(sides)):
+        if comp_of[s] >= 0:
+            continue
+        comp_of[s] = s
+        stack = [s]
+        while stack:
+            j = stack.pop()
+            for k in range(len(sides)):
+                if comp_of[k] < 0 and sides[j] & sides[k]:
+                    comp_of[k] = s
+                    stack.append(k)
+        comps.append([j for j in range(len(sides)) if comp_of[j] == s])
+    return comps
+
+
 def reference_simplex_packing(
     g: Multigraph, degenerate_run: int | None = REFERENCE_DEGENERATE_RUN, log: list | None = None
 ) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
@@ -271,23 +298,10 @@ def reference_simplex_packing(
     lowest basis index.  ``log`` receives ``(bland, degenerate)`` per pivot.
     """
     inc = incidence(g)
-    tris = inc.triangles
     x: dict[Triangle, Fraction] = {}
     y: dict[Edge, Fraction] = {}
     value = Fraction(0)
-    comp_of = [-1] * len(tris)
-    for s in range(len(tris)):
-        if comp_of[s] >= 0:
-            continue
-        comp_of[s] = s
-        stack = [s]
-        while stack:
-            j = stack.pop()
-            for k in range(len(tris)):
-                if comp_of[k] < 0 and set(inc.columns[j]) & set(inc.columns[k]):
-                    comp_of[k] = s
-                    stack.append(k)
-        members = [j for j in range(len(tris)) if comp_of[j] == s]
+    for members in reference_components(g):
         cx, cy, cv = _reference_tableau(g, inc, members, degenerate_run, log)
         x.update(cx)
         y.update(cy)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tripack.cli
+import tripack.core
 import tripack.exact
 from tripack import (
     Multigraph,
@@ -201,23 +202,31 @@ class TestCommands:
         assert report["instance"]["triangles"] == 1
         assert all(b["pass"] for b in report["bounds"])
 
-    @pytest.mark.parametrize("command", ["lp", "kriv", "solve", "planar", "certify-chain"])
+    @pytest.mark.parametrize(
+        "command", ["lp", "kriv", "haxell", "solve", "planar", "certify-chain"]
+    )
     def test_one_lp_solve_per_command(self, capsys, monkeypatch, tmp_path, command):
         g = parse_graph("p 5\ne 0 1 2\ne 0 2 1\ne 1 2 3\ne 1 3 1\ne 2 3 2\n"
                         "e 0 4 1\ne 1 4 1\ne 3 4 2\n")
         path = tmp_path / "g.graph"
         path.write_text(emit_graph(g))
-        solved = []
-        real = tripack.exact._simplex_packing
+        solved, indexed = [], []
 
-        def counting(h):
-            solved.append(h)
-            return real(h)
+        def counting(real, calls):
+            def wrapper(h):
+                calls.append(h)
+                return real(h)
 
-        monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
+            return wrapper
+
+        monkeypatch.setattr(
+            tripack.exact, "_simplex_packing", counting(tripack.exact._simplex_packing, solved)
+        )
+        monkeypatch.setattr(tripack.core, "incidence", counting(tripack.core.incidence, indexed))
         code, _, _ = run_cli(capsys, [command, "--input", str(path)])
         assert code == 0
         assert solved.count(g) <= 1
+        assert indexed.count(g) <= 1
 
     def test_generate_random_deterministic(self, capsys):
         args = ["generate", "--family", "random", "--n", "6", "--m", "9",

@@ -23,7 +23,12 @@ from tripack import (
 from tripack.core import norm_edge
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
 
-from oracles import atlas_with_triangle, rand_connected_multigraph, relabel
+from oracles import (
+    atlas_with_triangle,
+    rand_connected_multigraph,
+    reference_components,
+    relabel,
+)
 
 
 def tri(a, b, c):
@@ -138,6 +143,41 @@ class TestIncidence:
     def test_triangle_free_has_no_columns(self):
         inc = incidence(gen_cycle(6))
         assert inc.columns == ()
+        assert inc.on_edge == ((),) * 6 and inc.components == ()
+
+    @staticmethod
+    def check_against_brute_force(g):
+        inc = incidence(g)
+        tris = enumerate_triangles(g)
+        assert inc.on_edge == tuple(
+            tuple(j for j, t in enumerate(tris) if e in t.edges) for e in inc.edges
+        )
+        assert inc.components == tuple(map(tuple, reference_components(g)))
+
+    def test_atlas(self):
+        for g in atlas_with_triangle():
+            self.check_against_brute_force(g)
+
+    def test_random_multigraphs(self):
+        several = 0
+        for seed in range(60):
+            g = rand_connected_multigraph(5 + seed % 6, seed % 7, 2, seed)
+            self.check_against_brute_force(g)
+            several += len(g.incidence.components) > 1
+        assert several >= 10
+
+    def test_components_interleave(self):
+        # Triangles (0,1,2) and (1,2,5) share edge (1,2); (0,3,4) lies between
+        # them in canonical order and shares only a vertex.
+        g = Multigraph.from_edges(
+            6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, 1), (0, 4, 1), (3, 4, 1),
+                (1, 5, 1), (2, 5, 1)],
+        )
+        inc = g.incidence
+        assert inc.triangles == (tri(0, 1, 2), tri(0, 3, 4), tri(1, 2, 5))
+        assert inc.components == ((0, 2), (1,))
+        assert inc.on_edge[inc.edges.index((1, 2))] == (0, 2)
+        assert g.incidence is inc
 
 
 class TestVerifyPacking:

@@ -1,10 +1,12 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import tripack.core
 import tripack.exact
 from tripack import (
     FractionalAssignment,
@@ -320,6 +322,16 @@ class TestLPOptimal:
         sol = lp_optimal(g)
         assert time.process_time() - start < 1
         assert sol.value == 5000 and len(sol.packing.triangle_values) == 5000
+        # One bitmask of covered triangles per edge made tau_exact's traced
+        # peak 12.7 MiB here; counts per triangle over g.incidence take 1.8 MiB.
+        g.lp
+        tracemalloc.start()
+        try:
+            tau = tau_exact(g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau == 5000 and peak < 4 * 2**20
 
     def test_g1(self):
         assert lp_optimal(gen_gk(1).graph).value == Fraction(5, 2)
@@ -343,7 +355,7 @@ class TestLPOptimal:
     def test_solvers_read_the_cached_optimum(self, monkeypatch):
         g = gen_wheel(5)
         sol = g.lp
-        solved = []
+        solved, indexed = [], []
         real = tripack.exact._simplex_packing
 
         def counting(h):
@@ -351,10 +363,11 @@ class TestLPOptimal:
             return real(h)
 
         monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
+        monkeypatch.setattr(tripack.core, "incidence", indexed.append)
         nu_exact(g)
         tau_exact(g)
         transversal_2nustar(g)
-        assert solved == []
+        assert solved == [] and indexed == []
         assert lp_optimal(g) == sol and solved == [g]
         assert g.lp is sol
 
