@@ -20,6 +20,7 @@ or recursion depth.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -316,7 +317,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: each parse starts from a fresh namespace, and
+    # building the tree costs more than many whole commands.
     top = argparse.ArgumentParser(
         prog="tripack",
         description="Exact triangle packing/covering with certified bounds.",

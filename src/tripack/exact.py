@@ -10,14 +10,17 @@ the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 x*'s mass over the uncovered triangles down to ``ceil(nustar)``.
 ``lp_optimal`` solves the fractional relaxation with a revised simplex,
 once per triangle-connected component: one sparse integer row of B^-1 per
-edge and one row of duals y, each over one positive denominator kept
-divided by its gcd; triangle columns are priced from y and B^-1 only when
-needed.  The most negative reduced cost enters, and Bland's rule takes
-over during a long run of degenerate pivots, so the loop terminates; y is
-the dual optimum, so primal and dual values agree.  All three read the
-graph's cached ``g.incidence``: the simplex loops over its components,
-``nu_exact`` and ``tau_exact`` use its triangles through each edge, and
-``tau_exact`` counts the chosen edges of each triangle.
+edge of the component and one row of duals y, each over one positive
+denominator kept divided by its gcd, built for the component and dropped
+after it.  The triangles' reduced costs are kept between pivots, and a
+pivot reprices only the triangles on the pivot row's support; a triangle
+column is built from B^-1 only when it enters.  The most negative reduced
+cost enters, ratio-test ties go to the sparsest row of B^-1, and Bland's
+rule takes over during a long run of degenerate pivots, so the loop
+terminates; y is the dual optimum, so primal and dual values agree.  All
+three read the graph's cached ``g.incidence``: the simplex loops over its
+components, ``nu_exact`` and ``tau_exact`` use its triangles through each
+edge, and ``tau_exact`` counts the chosen edges of each triangle.
 """
 
 from __future__ import annotations
@@ -81,62 +84,73 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
 
     Revised simplex on sparse integer rows, one per edge on a triangle (the
     other duals are 0).  Row ``i`` keeps only its B^-1 part, a ``slack ->
-    int`` map, and each objective row only the duals y.  Each has an
+    int`` map, and the objective row only the duals y.  Each has an
     integer right-hand side over one positive denominator, divided by their
     gcd (and the pivot entry's, for the pivot row) after every update.
-    Triangle columns are never stored: triangle j on edges e1, e2, e3 is
-    priced as ``y[e1] + y[e2] + y[e3] - den`` and a slack as ``y[e]``, and
-    the entering column is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
-    a ``slack -> rows`` index lists for those edges.
+    Triangle columns are never stored: the entering column of triangle j
+    on edges e1, e2, e3 is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
+    a ``slack -> rows`` index lists for those edges.  A slack is priced as
+    ``y[e]``.  The reduced cost ``y[e1] + y[e2] + y[e3] - den`` of every
+    triangle is kept between pivots: a pivot sets ``y' = (s*y - t*prow)/k``,
+    so each one becomes ``(s*d - t*(prow . a_j))/k``, and only the
+    triangles on an edge of the pivot row's support take the second term.
 
     Triangles sharing an edge fall in one component of ``g.incidence``,
-    and the pivot loop runs once per component on its own objective
-    row; x, y and the value are merged.  The entering variable has the most
-    negative reduced cost (Dantzig), ties to the lowest index in the
-    canonical triangle-then-edge order.  After ``DEGENERATE_RUN`` degenerate
-    pivots in a row, Bland's rule (the first negative in that order) picks
-    it until a pivot is nondegenerate.  Bland's rule cannot cycle, so every
-    degenerate run ends, and each nondegenerate pivot strictly raises the
-    objective, so no basis comes back and the loop ends.  The leaving row
-    wins the ratio test, ties to the lowest basis index.
+    and the pivot loop runs once per component, on rows built for it and
+    dropped after it; x, y and the value are merged.  The entering variable
+    has the most negative reduced cost (Dantzig), ties to the lowest index
+    in the canonical triangle-then-edge order.  After ``DEGENERATE_RUN``
+    degenerate pivots in a row, Bland's rule (the first negative in that
+    order) picks it until a pivot is nondegenerate.  Bland's rule cannot
+    cycle, so every degenerate run ends, and each nondegenerate pivot
+    strictly raises the objective, so no basis comes back and the loop
+    ends.  The leaving row wins the ratio test.  Ties go to the row of B^-1
+    with the fewest nonzeros, then the largest pivot entry, then the lowest
+    basis index (Markowitz 1957: a pivot costs about the entering column's
+    nonzeros times the pivot row's); under Bland's rule, straight to the
+    lowest basis index.
     """
     inc = g.incidence
-    tris, comps = inc.triangles, inc.components
-    if not tris:
-        return {}, {}, Fraction(0)
+    tris, edges, columns = inc.triangles, inc.edges, inc.columns
+    weight_map = g.weight_map
+    x: dict[Triangle, Fraction] = {}
+    ys: dict[Edge, Fraction] = {}
+    value: dict[int, int] = {}  # the objective's numerators, summed per denominator
+    for tids in inc.components:
+        used = sorted({e for j in tids for e in columns[j]})
+        m, nt = len(used), len(tids)
+        obj = m
+        row_of = dict(zip(used, range(m)))
+        cols = [(row_of[a], row_of[b], row_of[c]) for a, b, c in map(columns.__getitem__, tids)]
+        on: list[list[int]] = [[] for _ in used]  # the triangles on each slack's edge
+        for p, col in enumerate(cols):
+            for i in col:
+                on[i].append(p)
 
-    used = [e for e, on in enumerate(inc.on_edge) if on]
-    row_of = {e: i for i, e in enumerate(used)}
-    cols = [tuple(row_of[e] for e in col) for col in inc.columns]
-    m = len(used)
-    nt = len(tris)
-
-    # Row i < m is row i of B^-1 and row m + k holds the duals y of
-    # component k, all over the slack columns; entry e of row i is
-    # rows[i][e] / den[i].
-    rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{} for _ in comps]
-    rhs = [g.weight_map[inc.edges[e]] for e in used] + [0] * len(comps)
-    den = [1] * len(rows)
-    col_rows: list[set[int]] = [{i} for i in range(m)]
-    basis = [nt + i for i in range(m)]
-
-    for obj, tids in enumerate(comps, m):
+        # Row i < m is row i of B^-1 and row m holds the duals y, all over
+        # the slack columns; entry e of row i is rows[i][e] / den[i].  Basis
+        # index p < nt is triangle tids[p] and nt + e is slack e.
+        rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
+        rhs = [weight_map[edges[e]] for e in used] + [0]
+        den = [1] * (m + 1)
+        col_rows: list[set[int]] = [{i} for i in range(m)]
+        basis = list(range(nt, nt + m))
+        dn = [-1] * nt  # reduced cost of triangle tids[p], over den[obj]
         streak = 0  # degenerate pivots in a row
+
         while True:
-            y, yden = rows[obj], den[obj]
-            if streak < DEGENERATE_RUN:
+            y = rows[obj]
+            bland = streak >= DEGENERATE_RUN
+            if not bland:
                 # The most negative reduced cost; a slack must beat the
                 # triangles strictly, as they come first.
-                enter, low = -1, 0
-                for j in tids:
-                    a, b, c = cols[j]
-                    d = y.get(a, 0) + y.get(b, 0) + y.get(c, 0) - yden
-                    if d < low:
-                        enter, low = j, d
+                low = min(dn)
+                enter = dn.index(low) if low < 0 else -1
+                low = min(low, 0)
                 e = min(((v, e) for e, v in y.items() if v < low), default=(0, -1))[1]
             else:
                 # Bland: the first negative reduced cost.
-                enter = next((j for j in tids if sum(y.get(i, 0) for i in cols[j]) < yden), -1)
+                enter = next((p for p, d in enumerate(dn) if d < 0), -1)
                 e = -1 if enter >= 0 else min((e for e, v in y.items() if v < 0), default=-1)
             if e >= 0:
                 enter = nt + e
@@ -149,12 +163,12 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
                     v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
                     if v:
                         col[i] = v
-                col[obj] = col.get(obj, 0) - yden
+                col[obj] = dn[enter]
             else:
                 break
             # Row denominators cancel in b_i / a_i, so ratios compare as cross-
-            # multiplied numerators.  The objective row's entry is negative: it
-            # never leaves.
+            # multiplied numerators, and so do the pivot entries a_i / den_i.
+            # The objective row's entry is negative: it never leaves.
             leave = -1
             piv = 0
             for i, a in col.items():
@@ -164,6 +178,9 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
                         continue
                     lhs = rhs[i] * piv
                     cur = rhs[leave] * a
+                    if lhs == cur and not bland:
+                        # Markowitz: the sparser row, then the larger pivot.
+                        lhs, cur = (len(rows[i]), piv * den[i]), (len(rows[leave]), a * den[leave])
                     if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
                         leave, piv = i, a
             if leave < 0:
@@ -172,8 +189,9 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
             prhs = rhs[leave]
             streak = 0 if prhs else streak + 1
 
-            # row <- row * (piv/k) - prow * (f/k), k = gcd(piv, f): the entering
-            # column cancels and the denominator grows by piv/k.
+            # row <- (row * s - prow * t) / k, with s/t = piv/f in lowest
+            # terms: the entering column cancels, the denominator grows by s,
+            # and k is the gcd left over.
             for i, f in col.items():
                 if i == leave:
                     continue
@@ -197,13 +215,24 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
                         row[j] = -t * p
                         col_rows[j].add(i)
                 r -= t * prhs
-                if d != 1:
-                    k = gcd(d, r, *row.values())
-                    if k != 1:
-                        row = {j: v // k for j, v in row.items()}
-                        r //= k
-                        d //= k
+                k = gcd(d, r, *row.values()) if d != 1 else 1
+                if k != 1:
+                    row = {j: v // k for j, v in row.items()}
+                    r //= k
+                    d //= k
                 rows[i], rhs[i], den[i] = row, r, d
+                if i == obj:
+                    hit: dict[int, int] = {}  # prow . a_p, on the triangles it reaches
+                    for j, v in prow.items():
+                        for p in on[j]:
+                            hit[p] = hit.get(p, 0) + v
+                    if s != 1 or k != 1:
+                        old, dn = dn, [v * s // k for v in dn]
+                        for p, q in hit.items():
+                            dn[p] = (s * old[p] - t * q) // k
+                    else:
+                        for p, q in hit.items():
+                            dn[p] -= t * q
 
             # The pivot row divided by its pivot entry.
             k = gcd(prhs, piv, *prow.values())
@@ -213,10 +242,13 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
             den[leave] = piv // k
             basis[leave] = enter
 
-    x = {tris[b]: Fraction(rhs[i], den[i]) for i, b in enumerate(basis) if b < nt and rhs[i]}
-    ys = {inc.edges[used[e]]: Fraction(v, den[obj]) for obj in range(m, len(rows)) for e, v in rows[obj].items()}
-    value = sum((Fraction(rhs[obj], den[obj]) for obj in range(m, len(rows))), Fraction(0))
-    return x, dict(sorted(ys.items())), value
+        for i, b in enumerate(basis):
+            if b < nt and rhs[i]:
+                x[tris[tids[b]]] = Fraction(rhs[i], den[i])
+        for e, v in rows[obj].items():
+            ys[edges[used[e]]] = Fraction(v, den[obj])
+        value[den[obj]] = value.get(den[obj], 0) + rhs[obj]
+    return x, dict(sorted(ys.items())), sum((Fraction(v, d) for d, v in value.items()), Fraction(0))
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:

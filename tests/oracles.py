@@ -7,10 +7,11 @@ that faster or leaner code replaced and must agree with exactly:
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
   revised simplex in ``tripack.exact`` replaced, one tableau per
   triangle-connected component.  It reads the same ``incidence`` and must
-  take the same pivots: the most negative reduced cost, and Bland's rule
-  after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.  Its
-  components come from ``reference_components``, an O(T^2) scan over
-  pairs of triangles, which ``Incidence.components`` must equal.
+  take the same pivots: the most negative reduced cost, ratio-test ties
+  to the sparsest row, and Bland's rule after ``REFERENCE_DEGENERATE_RUN``
+  degenerate pivots in a row.  Its components come from
+  ``reference_components``, an O(T^2) scan over pairs of triangles, which
+  ``Incidence.components`` must equal.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
@@ -294,8 +295,11 @@ def reference_simplex_packing(
     reduced cost, ties to the lowest index in the canonical
     triangle-then-edge order; after ``degenerate_run`` degenerate pivots in
     a row (never, if None) the first negative enters instead, until a pivot
-    is nondegenerate.  The leaving row wins the ratio test, ties to the
-    lowest basis index.  ``log`` receives ``(bland, degenerate)`` per pivot.
+    is nondegenerate.  The leaving row wins the ratio test.  Ties go to the
+    row with the fewest nonzero slack entries, then the largest pivot entry,
+    then the lowest basis index; while the first negative enters, straight
+    to the lowest basis index.  ``log`` receives ``(bland, degenerate)`` per
+    pivot.
     """
     inc = incidence(g)
     x: dict[Triangle, Fraction] = {}
@@ -346,16 +350,15 @@ def _reference_tableau(
         enter = negative[0] if bland else min(negative, key=lambda j: obj[j])
         leave = -1
         best_ratio: Fraction | None = None
+        best_key: tuple | None = None
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
                 ratio = rows[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                nnz = sum(1 for v in rows[i][nt:nt + m] if v)
+                key = (basis[i],) if bland else (nnz, -a, basis[i])
+                if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and key < best_key):
+                    best_ratio, best_key = ratio, key
                     leave = i
         if leave < 0:
             raise InvariantViolation("packing LP is unbounded")

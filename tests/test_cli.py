@@ -351,3 +351,13 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        parser = tripack.cli._build_parser()
+        assert tripack.cli._build_parser() is parser
+        first = parser.parse_args(["haxell", "--budget", "7", "--input", "g.txt"])
+        again = parser.parse_args(["haxell"])
+        assert (first.budget, first.input) == (7, "g.txt")
+        assert (again.budget, again.input) == (tripack.cli.DEFAULT_BUDGET, "-")
+        assert parser.parse_args(["planar", "--skip-exact"]).skip_exact
+        assert not parser.parse_args(["planar"]).skip_exact

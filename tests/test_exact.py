@@ -197,7 +197,7 @@ def atlas_0_to_3():
 def random_corpus():
     for n in range(5, 12):
         for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
-            for seed in range(4):
+            for seed in range(8):
                 yield gen_random(n, m, mult, seed)
 
 
@@ -333,6 +333,21 @@ class TestLPOptimal:
             tracemalloc.stop()
         assert tau == 5000 and peak < 4 * 2**20
 
+    def test_20000_disjoint_triangles_allocate_one_component_at_a_time(self):
+        # Rows of B^-1 for every edge up front made the traced peak 50.2 MiB
+        # here; built per component, it is 5.0 MiB, of which the result
+        # takes 3.1 MiB.
+        g = triangle_union(20000)
+        g.incidence
+        tracemalloc.start()
+        try:
+            x, y, value = _simplex_packing(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 20000 and len(x) == len(y) == 20000
+        assert peak < 10 * 2**20
+
     def test_g1(self):
         assert lp_optimal(gen_gk(1).graph).value == Fraction(5, 2)
 
@@ -411,14 +426,16 @@ class TestSimplexAgainstReference:
                 g = with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=100 * n + seed)
                 assert _simplex_packing(g) == reference_simplex_packing(g)
 
-    def test_bland_fallback_on_k8(self):
-        # The unit K8 reaches 20 degenerate pivots in a row; two Bland
-        # pivots follow, the second nondegenerate, and they lead to another
+    def test_bland_fallback_on_k8(self, monkeypatch):
+        # With ratio-test ties to the sparsest row, no unit K4-K13 reaches 20
+        # degenerate pivots in a row, so the run is cut to 2 on both sides.
+        # The unit K8 then takes 9 Bland pivots, and they lead to another
         # optimal vertex than largest-coefficient pricing alone would.
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", 2)
         g = gen_complete(8)
         log = []
-        got = reference_simplex_packing(g, log=log)
-        assert sum(bland for bland, _ in log) == 2
+        got = reference_simplex_packing(g, degenerate_run=2, log=log)
+        assert sum(bland for bland, _ in log) == 9
         assert _simplex_packing(g) == got
         assert reference_simplex_packing(g, degenerate_run=None) != got
 
