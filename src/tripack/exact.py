@@ -6,8 +6,12 @@ depth only by memory; they take no node budget.  Both read the cached LP
 optimum ``g.lp`` for an incumbent and their bounds, and search only when
 the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 ``max_type_packing``, which also searches the Haxell families, up to
-``floor(nustar)``; ``tau_exact`` covers greedily from y*, then prunes on
-x*'s mass over the uncovered triangles down to ``ceil(nustar)``.
+``floor(nustar)``, pruning on y*'s price of the residual capacities;
+``tau_exact`` covers greedily from y*, then prunes on x*'s mass over the
+uncovered triangles down to ``ceil(nustar)``.  Both bounds are LP duality
+(each packing weighs at most any fractional cover, and each cover at least
+any fractional packing), so they cut only subtrees without a strictly
+better leaf and change no result, only the size of the tree.
 ``lp_optimal`` solves the fractional relaxation with a revised simplex,
 once per triangle-connected component: one sparse integer row of B^-1 per
 edge of the component and one row of duals y, each over one positive
@@ -109,6 +113,10 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     basis index (Markowitz 1957: a pivot costs about the entering column's
     nonzeros times the pivot row's); under Bland's rule, straight to the
     lowest basis index.
+
+    A component of one triangle skips the loop and takes its one pivot in
+    closed form: x is the smallest capacity (omitted when 0), y is 1 on the
+    lowest-index edge of that capacity, and the value grows by it.
     """
     inc = g.incidence
     tris, edges, columns = inc.triangles, inc.edges, inc.columns
@@ -117,6 +125,15 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     ys: dict[Edge, Fraction] = {}
     value: dict[int, int] = {}  # the objective's numerators, summed per denominator
     for tids in inc.components:
+        if len(tids) == 1:
+            # The one pivot the loop would make: the triangle enters, and
+            # the ratio test ties (all entries 1) go to the lowest index.
+            w, e = min((weight_map[edges[e]], e) for e in columns[tids[0]])
+            if w:
+                x[tris[tids[0]]] = Fraction(w)
+            ys[edges[e]] = Fraction(1)
+            value[1] = value.get(1, 0) + w
+            continue
         used = sorted({e for j in tids for e in columns[j]})
         m, nt = len(used), len(tids)
         obj = m
@@ -320,6 +337,7 @@ def max_type_packing(
     ceiling: int | None = None,
     budget: _Budget | None = None,
     start: Sequence[int] | None = None,
+    dual: Sequence[Fraction] | None = None,
 ) -> list[int] | None:
     """A multiplicity per type with the largest total within ``caps``.
 
@@ -333,33 +351,44 @@ def max_type_packing(
     total.  With a type's room its smallest residual capacity, the types
     not yet branched on add at most (a) their summed rooms and (b) a third
     of the residual capacity of the resources they use while they have
-    room.  A subtree is cut when the total plus either bound cannot beat
-    the incumbent, or the gain plus the rooms weighted by gain misses
-    ``target``.  The search stops once the incumbent reaches the root's
-    bound or ``ceiling``, which must bound the optimum.  The first
-    incumbent is ``start`` if given (it must fit ``caps`` and reach
-    ``target``, else ``InvariantViolation``), returned at once if it
-    reaches that stop.  No cut removes a strictly better leaf, so the
-    result is ``start`` if it is optimal, else the first optimum in branch
-    order.  A draw updates only the later types sharing a resource with
-    it; the budget pays one node per search node.
+    room.  ``dual`` gives each resource a price y_o >= 0 such that every
+    type's prices sum to at least 1 (an LP dual; else
+    ``InvariantViolation``); then (b) is also at most the sum of y_o times
+    the residual capacity over those resources, since each triangle there
+    pays at least 1 and draws only on them.  A subtree is cut when the
+    total plus either bound cannot beat the incumbent, or the gain plus the
+    rooms weighted by gain misses ``target``.  The search stops once the
+    incumbent reaches the root's bound or ``ceiling``, which must bound the
+    optimum.  The first incumbent is ``start`` if given (it must fit
+    ``caps`` and reach ``target``, else ``InvariantViolation``), returned
+    at once if it reaches that stop.  No cut removes a strictly better
+    leaf, so the result is ``start`` if it is optimal, else the first
+    optimum in branch order: the same with or without ``dual``, which only
+    shrinks the tree.  A draw updates only the later types sharing a
+    resource with it; the budget pays one node per search node.
     """
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
     caps = list(caps)
+    # Bound (b) by y: the prices as integers over one denominator.
+    yden, price = _over_lcm(dual) if dual else (1, [])
+    if dual is not None and (len(dual) != len(caps) or min(price, default=0) < 0
+                             or any(sum(price[o] for o in t) < yden for t in types)):
+        raise InvariantViolation("dual is negative, of the wrong length or prices some type below 1")
     users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource
     for j, t in enumerate(types):
         for o in t:
             users[o].append(j)
     later = [sorted({k for o in t for k in users[o] if k > j}) for j, t in enumerate(types)]
     # Over the types not yet branched on: rooms, bound (a) and its gain-weighted
-    # twin, the residual capacity of (b), and how many with room use each resource.
+    # twin, the residual capacity of (b) and its y-weighted twin, and how many
+    # with room use each resource.
     room = [0] * n
-    rest = rest_gain = resid = 0
+    rest = rest_gain = resid = yres = 0
     live = [0] * len(caps)
 
     def set_room(k: int, r: int) -> None:
-        nonlocal rest, rest_gain, resid
+        nonlocal rest, rest_gain, resid, yres
         old = room[k]
         if r == old:
             return
@@ -373,16 +402,20 @@ def max_type_packing(
                 live[o] += d
                 if not (was and live[o]):
                     resid += d * caps[o]
+                    if price:
+                        yres += d * caps[o] * price[o]
 
     def draw(j: int, m: int) -> None:
         """Take ``m`` more triangles of type ``j`` (give back when negative)."""
-        nonlocal resid
+        nonlocal resid, yres
         if not m:
             return
         for o in types[j]:
             caps[o] -= m
             if live[o]:
                 resid -= m
+                if price:
+                    yres -= m * price[o]
         for k in later[j]:
             a, b, c = types[k]
             r = min(caps[a], caps[b], caps[c])
@@ -392,6 +425,8 @@ def max_type_packing(
     for k, (a, b, c) in enumerate(types):
         set_room(k, min(caps[a], caps[b], caps[c]))
     stop = min(rest, resid // 3, rest if ceiling is None else ceiling)
+    if price:
+        stop = min(stop, yres // yden)
     best: list[int] | None = [0] * n if target <= 0 else None
     best_size = 0 if target <= 0 else -1
     if start is not None:
@@ -406,6 +441,8 @@ def max_type_packing(
     def dfs(i: int, size: int, gain: int) -> Iterator:
         nonlocal best, best_size
         if size + min(rest, resid // 3) <= best_size or gain + rest_gain < target:
+            return
+        if price and size + yres // yden <= best_size:
             return
         while i < n and room[i] == 0:
             i += 1
@@ -441,8 +478,12 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     ``max_type_packing`` with the edges as resources, each triangle as a
     type and ``floor(nustar)`` as the ceiling, started from x* rounded
     down and completed greedily: each triangle, by descending fractional
-    part of x* (ties by index), takes its residual room.  Deterministic:
-    that start if it is optimal, else the first maximum in branch order.
+    part of x* (ties by index), takes its residual room.  When that start
+    misses the ceiling, the search also gets y* as its ``dual``: a subtree
+    is cut once its packing plus y*'s price of the capacity left cannot
+    beat the incumbent.  Deterministic: that start if it is optimal, else
+    the first maximum in branch order, with or without y*, so the
+    certificate does not depend on the bound.
     """
     inc = g.incidence
     tris, types = inc.triangles, inc.columns
@@ -456,7 +497,9 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
         start[j] += m
         for o in types[j]:
             left[o] -= m
-    counts = max_type_packing(types, wts, ceiling=int(g.lp.value), start=start)
+    ceiling = int(g.lp.value)
+    dual = [g.lp.transversal.edge_value(e) for e in inc.edges] if sum(start) < ceiling else None
+    counts = max_type_packing(types, wts, ceiling=ceiling, start=start, dual=dual)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):

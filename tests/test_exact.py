@@ -21,7 +21,7 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
-from tripack.core import _drop_redundant, weight
+from tripack.core import _Budget, _drop_redundant, weight
 from tripack.exact import LPSolution, _simplex_packing, max_type_packing
 from tripack.generators import (
     gen_complete,
@@ -101,6 +101,17 @@ class TestTypePackingAgainstBruteForce:
             if expected is not None and seed % 2:
                 ceiling = sum(expected) + rng.randint(0, 2)
             got = max_type_packing(types, caps, gains=gains, target=target, ceiling=ceiling)
+            # A dual only shrinks the tree: the uniform third, and a random
+            # one raised until every type costs at least 1.
+            third = [Fraction(1, 3)] * nres
+            dual = [Fraction(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(nres)]
+            for t in types:
+                short = 1 - sum(dual[o] for o in t)
+                if short > 0:
+                    dual[t[0]] += short
+            for y in (third, dual):
+                kw = dict(gains=gains, target=target, ceiling=ceiling, dual=y)
+                assert max_type_packing(types, caps, **kw) == got, seed
             if expected is None:
                 assert got is None, seed
                 continue
@@ -108,6 +119,16 @@ class TestTypePackingAgainstBruteForce:
             for o, c in enumerate(caps):
                 assert sum(m for t, m in zip(types, got) if o in t) <= c
             assert sum(m * g for m, g in zip(got, gains)) >= target
+
+    def test_infeasible_dual_raises(self):
+        types, caps = [(0, 1, 2), (0, 3, 4)], [1] * 5
+        third = [Fraction(1, 3)] * 5
+        assert max_type_packing(types, caps, dual=third) == [1, 0]
+        below = third[:4] + [Fraction(1, 4)]  # the second type costs 11/12
+        negative = [Fraction(1), Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1)]
+        for dual in (below, negative, third[:4], third + [Fraction(0)]):
+            with pytest.raises(InvariantViolation):
+                max_type_packing(types, caps, dual=dual)
 
 
 class TestTauExact:
@@ -250,6 +271,40 @@ class TestIncumbents:
         assert sum(reference_lp_packing(g).values()) == 19
         assert nu_exact(g)[0] == 20 == g.lp.value
         assert not check_nu(g)
+
+    def test_dual_bound_keeps_the_counts(self):
+        # The search with y* as its dual returns what it returns without,
+        # from the empty packing and from the rounded x*, in fewer nodes
+        # on some graphs and never in more.
+        stacked = [with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1) for n in range(9, 15)]
+        fewer = Counter()
+        for g in [*atlas_0_to_3(), *random_corpus(), *stacked]:
+            inc = g.incidence
+            if not inc.triangles:
+                continue
+            caps = [w for _, _, w in g.edges]
+            dual = [g.lp.transversal.edge_value(e) for e in inc.edges]
+            rounded = reference_lp_packing(g)
+            for start in (None, [rounded.get(t, 0) for t in inc.triangles]):
+                kw = dict(ceiling=int(g.lp.value), start=start)
+                plain, priced = _Budget(10**9), _Budget(10**9)
+                got = max_type_packing(inc.columns, caps, dual=dual, budget=priced, **kw)
+                assert got == max_type_packing(inc.columns, caps, budget=plain, **kw)
+                assert priced.remaining >= plain.remaining
+                fewer[start is None] += priced.remaining > plain.remaining
+        assert fewer[True] >= 20 and fewer[False] >= 5
+
+    @pytest.mark.parametrize("n, nu", [(18, 23), (20, 27)], ids=["S18w", "S20w"])
+    def test_dual_bound_closes_the_search(self, n, nu):
+        # Bounded only by a third of the residual capacity, these took about
+        # 14 s and 72 s of CPU (Python 3.11, shared 2-core x86 machine).
+        g = with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1)
+        g.lp
+        start = time.process_time()
+        value, cert = nu_exact(g)
+        assert time.process_time() - start < 2
+        assert value == cert.value == nu < g.lp.value
+        assert verify_packing(g, cert)
 
     def test_reverse_delete_matches_full_rechecks(self):
         for g in [*atlas_0_to_3(), *random_corpus()]:
@@ -438,6 +493,25 @@ class TestSimplexAgainstReference:
         assert sum(bland for bland, _ in log) == 9
         assert _simplex_packing(g) == got
         assert reference_simplex_packing(g, degenerate_run=None) != got
+
+    def test_one_triangle_components_in_closed_form(self):
+        # Lone triangles with tied and zero capacities, among components of
+        # several triangles, take the one pivot the loop would make.
+        shapes = [(1, 1, 1), (0, 0, 0), (2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 0, 0), (2, 3, 2), (0, 1, 2)]
+        for seed in range(40):
+            rng = random.Random(seed)
+            items, n = [], 0
+            for _ in range(rng.randint(2, 7)):
+                if rng.random() < 0.6:
+                    caps = rng.choice(shapes) if seed % 2 else tuple(rng.randint(0, 3) for _ in range(3))
+                    items += [(n + u, n + v, w) for (u, v), w in zip(((0, 1), (0, 2), (1, 2)), caps)]
+                    n += 3
+                else:
+                    h = rand_connected_multigraph(6, 7, 3, seed + n)
+                    items += [(n + u, n + v, w) for u, v, w in h.edges]
+                    n += h.n
+            g = Multigraph.from_edges(n, items)
+            assert _simplex_packing(g) == reference_simplex_packing(g), seed
 
     def test_edges_on_no_triangle(self):
         # A bridge, a triangle-free part and a pendant edge hang off the
