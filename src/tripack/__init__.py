@@ -12,7 +12,6 @@ from .core import (
     BudgetExceeded,
     Edge,
     FractionalAssignment,
-    Incidence,
     InvariantViolation,
     Multigraph,
     PackingCertificate,
@@ -20,8 +19,6 @@ from .core import (
     TransversalCertificate,
     Triangle,
     dominates_sqrt,
-    enumerate_triangles,
-    incidence,
     is_fractional_packing,
     is_fractional_transversal,
     verify_packing,
@@ -35,7 +32,6 @@ __all__ = [
     "BudgetExceeded",
     "Edge",
     "FractionalAssignment",
-    "Incidence",
     "InvariantViolation",
     "LPSolution",
     "Multigraph",
@@ -47,8 +43,6 @@ __all__ = [
     "Triangle",
     "dominates_sqrt",
     "emit_graph",
-    "enumerate_triangles",
-    "incidence",
     "is_fractional_packing",
     "is_fractional_transversal",
     "lp_optimal",

@@ -248,64 +248,44 @@ def cut_connected(g: Multigraph) -> EdgeCut:
 
 
 def _balanced_shore(vertices: list[int], adj: _Adj) -> set[int]:
-    """A derandomized balanced bipartition meeting the expectation bound.
+    """A derandomized balanced bipartition with cut at least ``e/2 + e/(2v)``.
 
     Conditional expectations over the uniform random ``floor(v/2)``-subset:
-    vertices are placed one at a time (ascending id) on the side that
-    maximizes the expected crossing count of the final balanced cut.  The
-    result has cut size at least ``e/2 + e/(2v)``.
+    vertices are placed in ascending order, going in only when that strictly
+    raises the expected crossing weight of the final balanced cut.  With
+    ``a`` slots left in and ``b`` out, ``r = a + b``, that expectation is
+    ``cut + (to_in*b + to_out*a)/r + free*2ab/(r(r-1))`` over four running
+    totals: the weight crossing among placed vertices, from placed in- and
+    out-vertices to unplaced ones, and among unplaced ones.  A placement
+    moves only the new vertex's edges, so the pass is O(e) work.
     """
-    v = len(vertices)
-    slots_in = v // 2
-    slots_out = v - slots_in
-    placed: dict[int, bool] = {}
 
-    edge_list = [
-        (x, y, m) for x in vertices for y, m in adj[x].items() if x < y
-    ]
-
-    def expected(cur_in: int, cur_out: int) -> Fraction:
-        a = slots_in - cur_in
-        b = slots_out - cur_out
+    def expected(cut: int, to_in: int, to_out: int, free: int, a: int, b: int) -> Fraction:
         r = a + b
-        total = Fraction(0)
-        for x, y, m in edge_list:
-            px = placed.get(x)
-            py = placed.get(y)
-            if px is not None and py is not None:
-                if px != py:
-                    total += m
-            elif px is None and py is None:
-                if r >= 2:
-                    total += m * Fraction(2 * a * b, r * (r - 1))
-            else:
-                anchored_in = px if px is not None else py
-                if r >= 1:
-                    total += m * Fraction(b if anchored_in else a, r)
-        return total
+        return (cut + Fraction(to_in * b + to_out * a, max(r, 1))  # r < 2: a*b == 0
+                + Fraction(2 * free * a * b, max(r * (r - 1), 1)))
 
-    cur_in = cur_out = 0
-    baseline = expected(0, 0)
+    v = len(vertices)
+    e = sum(sum(adj[x].values()) for x in vertices) // 2
+    a, b = v // 2, v - v // 2  # slots left in and out
+    totals = (0, 0, 0, e)  # cut, to_in, to_out, free
+    baseline = expected(*totals, a, b)
+    side: dict[int, bool] = {}
     for x in vertices:
-        gain_in = gain_out = None
-        if cur_in < slots_in:
-            placed[x] = True
-            gain_in = expected(cur_in + 1, cur_out)
-        if cur_out < slots_out:
-            placed[x] = False
-            gain_out = expected(cur_in, cur_out + 1)
-        if gain_out is None or (gain_in is not None and gain_in > gain_out):
-            placed[x] = True
-            cur_in += 1
-        else:
-            placed[x] = False
-            cur_out += 1
-    shore = {x for x, side in placed.items() if side}
-    e = sum(m for _, _, m in edge_list)
-    achieved = _cut_size(shore, adj)
-    if v >= 1 and Fraction(achieved) < baseline:
+        w = {True: 0, False: 0, None: 0}  # x's weight to placed in, placed out, unplaced
+        for y, m in adj[x].items():
+            w[side.get(y)] += m
+        cut, to_in, to_out, free = totals
+        to_in, to_out, free = to_in - w[True], to_out - w[False], free - w[None]
+        if_in = (cut + w[False], to_in + w[None], to_out, free)
+        if_out = (cut + w[True], to_in, to_out + w[None], free)
+        side[x] = a > 0 and (b == 0 or expected(*if_in, a - 1, b) > expected(*if_out, a, b - 1))
+        totals, a, b = (if_in, a - 1, b) if side[x] else (if_out, a, b - 1)
+    shore = {x for x in vertices if side[x]}
+    achieved = Fraction(_cut_size(shore, adj))
+    if achieved < baseline:
         raise InvariantViolation("derandomized cut fell below its expectation")
-    if Fraction(achieved) < Fraction(e, 2) + Fraction(e, 2 * v):
+    if achieved < Fraction(e, 2) + Fraction(e, 2 * v):
         raise InvariantViolation("balanced cut below the expectation bound")
     return shore
 

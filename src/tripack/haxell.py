@@ -59,10 +59,10 @@ from .core import (
 from .cuts import cut_large
 from .exact import max_type_packing, nu_exact
 
-#: Search-node allowance for one state build.  Suited to about 50 triangles
-#: of capacity at most 2: ``gen_random(14, 46, 2, s)`` (46 and 56 triangles)
-#: needs at most 15K nodes for s = 0, 1, and ``gen_random(15, 52, 2, 0)``
-#: (53 triangles) about 16.1M, nearly all in the ``b_prime`` surplus search.
+#: Search-node allowance for one state build, for about 50 triangles of
+#: capacity at most 2.  ``build_state`` spends 2,384 and 14,026 nodes on
+#: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 363,371 on
+#: ``gen_random(15, 52, 2, 0)`` and 185,839 on ``gen_random(15, 52, 2, 3)``.
 DEFAULT_BUDGET = 20_000_000
 
 #: Per class, ``(role, length)`` runs of its copies in copy order.  Dropped

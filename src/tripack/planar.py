@@ -297,22 +297,17 @@ def _path_cover_spokes(
 ) -> list[int]:
     """Rim vertices covering the uncovered cycle edges, alternating greedily.
 
-    Edge ``i`` joins ``cycle[i]`` and ``cycle[(i+1) % k]``.  A full cycle
-    needs ``ceil(k/2)`` vertices; otherwise the uncovered edges split into
-    paths, each path of ``m`` edges needing ``ceil(m/2)``.
+    Edge ``i`` joins ``cycle[i]`` and ``cycle[(i+1) % k]``.  The uncovered
+    edges split into paths, each path of ``m`` edges needing ``ceil(m/2)``;
+    a fully uncovered cycle is one path of ``k`` edges starting at edge 0.
     """
     k = len(cycle)
-    if len(uncovered) == k:
-        chosen = [cycle[2 * i + 1] for i in range(k // 2)]
-        if k % 2 == 1:
-            chosen.append(cycle[0])
-        return chosen
+    order = sorted(uncovered)
     chosen = []
-    for i in sorted(uncovered):
-        if (i - 1) % k in uncovered:
-            continue  # not a segment start
+    starts = [i for i in order if (i - 1) % k not in uncovered] or order[:1]
+    for i in starts:
         m = 1
-        while (i + m) % k in uncovered:
+        while m < k and (i + m) % k in uncovered:
             m += 1
         # segment edges i .. i+m-1 over vertices cycle[i..i+m]
         chosen.extend(cycle[(i + 1 + 2 * j) % k] for j in range((m + 1) // 2))

@@ -16,6 +16,10 @@ that faster or leaner code replaced and must agree with exactly:
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
   same shore.
+- ``reference_balanced_shore``, the derandomized balanced cut that summed
+  the conditional expectation over every edge for each candidate
+  placement.  ``tripack.cuts`` keeps four running totals instead and must
+  return the same shore.
 - ``reference_reduction_steps`` and ``reference_reduce_and_certify``, the
   planar engine that rescans and rebuilds the whole graph at every step and
   checks every triangle when it minimalizes a cover.  ``tripack.planar``
@@ -79,11 +83,16 @@ from tripack import (
     Rational,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
-    incidence,
     verify_transversal,
 )
-from tripack.core import _Budget, dominates_sqrt, norm_edge, run_search
+from tripack.core import (
+    _Budget,
+    dominates_sqrt,
+    enumerate_triangles,
+    incidence,
+    norm_edge,
+    run_search,
+)
 from tripack.cuts import (
     _components,
     _cut_size,
@@ -477,6 +486,72 @@ def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, 
 
     run_search(solve(vertices, adj))
     return results.pop()
+
+
+def reference_balanced_shore(vertices: list[int], adj: dict[int, dict[int, int]]) -> set[int]:
+    """A derandomized balanced bipartition meeting the expectation bound.
+
+    Conditional expectations over the uniform random ``floor(v/2)``-subset:
+    vertices are placed one at a time (ascending id) on the side that
+    maximizes the expected crossing count of the final balanced cut.  The
+    result has cut size at least ``e/2 + e/(2v)``.
+
+    Reference: every candidate placement re-sums the whole expectation, a
+    ``Fraction`` term per edge, so a run takes O(v*e) time.
+    """
+    v = len(vertices)
+    slots_in = v // 2
+    slots_out = v - slots_in
+    placed: dict[int, bool] = {}
+
+    edge_list = [
+        (x, y, m) for x in vertices for y, m in adj[x].items() if x < y
+    ]
+
+    def expected(cur_in: int, cur_out: int) -> Fraction:
+        a = slots_in - cur_in
+        b = slots_out - cur_out
+        r = a + b
+        total = Fraction(0)
+        for x, y, m in edge_list:
+            px = placed.get(x)
+            py = placed.get(y)
+            if px is not None and py is not None:
+                if px != py:
+                    total += m
+            elif px is None and py is None:
+                if r >= 2:
+                    total += m * Fraction(2 * a * b, r * (r - 1))
+            else:
+                anchored_in = px if px is not None else py
+                if r >= 1:
+                    total += m * Fraction(b if anchored_in else a, r)
+        return total
+
+    cur_in = cur_out = 0
+    baseline = expected(0, 0)
+    for x in vertices:
+        gain_in = gain_out = None
+        if cur_in < slots_in:
+            placed[x] = True
+            gain_in = expected(cur_in + 1, cur_out)
+        if cur_out < slots_out:
+            placed[x] = False
+            gain_out = expected(cur_in, cur_out + 1)
+        if gain_out is None or (gain_in is not None and gain_in > gain_out):
+            placed[x] = True
+            cur_in += 1
+        else:
+            placed[x] = False
+            cur_out += 1
+    shore = {x for x, side in placed.items() if side}
+    e = sum(m for _, _, m in edge_list)
+    achieved = _cut_size(shore, adj)
+    if v >= 1 and Fraction(achieved) < baseline:
+        raise InvariantViolation("derandomized cut fell below its expectation")
+    if Fraction(achieved) < Fraction(e, 2) + Fraction(e, 2 * v):
+        raise InvariantViolation("balanced cut below the expectation bound")
+    return shore
 
 
 def _reference_triangles_per_edge(g: Multigraph) -> dict[Edge, list[Triangle]]:

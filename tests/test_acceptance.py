@@ -12,14 +12,13 @@ import pytest
 from tripack import (
     Multigraph,
     dominates_sqrt,
-    enumerate_triangles,
     lp_optimal,
     nu_exact,
     tau_exact,
     verify_packing,
     verify_transversal,
 )
-from tripack.core import norm_edge
+from tripack.core import enumerate_triangles, norm_edge
 from tripack.cuts import cut_connected, cut_large, independent_set_triangle_free
 from tripack.generators import (
     gen_apex,

@@ -12,15 +12,13 @@ from tripack import (
     Rational,
     TransversalCertificate,
     Triangle,
-    enumerate_triangles,
-    incidence,
     is_fractional_packing,
     is_fractional_transversal,
     verify_packing,
     verify_transversal,
     weight,
 )
-from tripack.core import norm_edge
+from tripack.core import enumerate_triangles, incidence, norm_edge
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
 
 from oracles import (

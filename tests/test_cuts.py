@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from tripack import Multigraph, dominates_sqrt
 from tripack.core import norm_edge
 from tripack.cuts import (
     EdgeCut,
+    _balanced_shore,
     _components,
     _cut_connected_shore,
     _positive_adj,
@@ -18,13 +20,14 @@ from tripack.cuts import (
     cut_large,
     independent_set_triangle_free,
 )
-from tripack.generators import gen_complete, gen_cycle, gen_petersen
+from tripack.generators import gen_complete, gen_cycle, gen_petersen, with_random_weights
 
 from oracles import (
     brute_max_cut,
     brute_max_independent_set,
     rand_connected_multigraph,
     rand_triangle_free,
+    reference_balanced_shore,
     reference_cut_connected_shore,
 )
 
@@ -219,3 +222,33 @@ class TestCutLarge:
         e = n - 1
         assert dominates_sqrt(Fraction(cut.size) - Fraction(e, 2), Fraction(e, 16))
         assert peak < 8_000_000
+
+    def test_balanced_shore_equals_summing_reference(self):
+        # Whole graphs, isolated vertices and several components included.
+        dense = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 16)
+            density = rng.uniform(0.2, 0.9)
+            g = Multigraph.from_edges(n, [
+                (u, v, rng.randint(1, 5))
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < density
+            ])
+            vertices = list(range(n))
+            adj = _positive_adj(g, vertices)
+            before = copy.deepcopy(adj)
+            assert _balanced_shore(vertices, adj) == reference_balanced_shore(vertices, before)
+            assert adj == before
+            dense += n * n < 4 * g.total_weight  # cut_large's balanced-branch test
+        assert dense >= 1500
+
+    def test_weighted_k150_in_one_pass(self):
+        # The balanced branch; summing the expectation over every edge for
+        # each placement took 19 s on a 2-core Xeon VM (Python 3.11).
+        g = with_random_weights(gen_complete(150), (1, 2, 3), seed=1)
+        start = time.process_time()
+        cut = cut_large(g)
+        assert time.process_time() - start < 2
+        e = g.total_weight
+        assert dominates_sqrt(Fraction(cut.size) - Fraction(e, 2), Fraction(e, 16))

@@ -13,7 +13,6 @@ from tripack import (
     InvariantViolation,
     Multigraph,
     Triangle,
-    enumerate_triangles,
     lp_optimal,
     nu_exact,
     tau_exact,
@@ -21,7 +20,7 @@ from tripack import (
     verify_packing,
     verify_transversal,
 )
-from tripack.core import _Budget, _drop_redundant, weight
+from tripack.core import _Budget, _drop_redundant, enumerate_triangles, weight
 from tripack.exact import LPSolution, _simplex_packing, max_type_packing
 from tripack.generators import (
     gen_complete,

@@ -8,11 +8,10 @@ import pytest
 
 from tripack import (
     Multigraph,
-    enumerate_triangles,
     is_fractional_packing,
     is_fractional_transversal,
 )
-from tripack.core import norm_edge
+from tripack.core import enumerate_triangles, norm_edge
 from tripack.generators import (
     gen_apex,
     gen_complete,

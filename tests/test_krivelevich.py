@@ -9,11 +9,10 @@ from tripack import (
     TransversalCertificate,
     Triangle,
     dominates_sqrt,
-    enumerate_triangles,
     lp_optimal,
     verify_transversal,
 )
-from tripack.core import _drop_redundant
+from tripack.core import _drop_redundant, enumerate_triangles
 from tripack.exact import LPSolution
 from tripack.generators import (
     gen_apex,

@@ -37,6 +37,7 @@ from tripack.planar import (
 )
 
 from oracles import (
+    _reference_spokes,
     atlas_with_triangle,
     reference_reduce_and_certify,
     reference_reduction_steps,
@@ -177,6 +178,7 @@ class TestPathCoverSpokes:
                 for picked in itertools.combinations(range(k), r):
                     uncovered = set(picked)
                     chosen = _path_cover_spokes(cycle, uncovered)
+                    assert chosen == _reference_spokes(cycle, uncovered)
                     for i in uncovered:
                         assert {cycle[i], cycle[(i + 1) % k]} & set(chosen)
                     if r == k:
