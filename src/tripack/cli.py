@@ -36,7 +36,7 @@ from .core import (
     dominates_sqrt,
 )
 # lp_optimal is unused, but perfbench's tracer tests look it up in this module.
-from .exact import lp_optimal, nu_exact, tau_exact  # noqa: F401
+from .exact import LPSolution, lp_optimal, nu_exact, tau_exact  # noqa: F401
 from .generators import (
     gen_apex,
     gen_complete,
@@ -49,7 +49,7 @@ from .generators import (
     gen_wheel,
 )
 from .graphio import ParseError, emit_graph, parse_graph
-from .haxell import DEFAULT_BUDGET, transversal_292
+from .haxell import DEFAULT_BUDGET, SCALARS, transversal_292
 from .krivelevich import transversal_2nustar
 from .planar import COMPLETE, reduce_and_certify
 
@@ -92,8 +92,17 @@ def _fractional_json(f: FractionalAssignment) -> dict:
     }
 
 
+def _certificates(pc: PackingCertificate, tc: TransversalCertificate) -> dict:
+    return {"packing": _packing_json(pc), "transversal": _transversal_json(tc)}
+
+
 def _bound(name: str, claimed: str, achieved: str, ok: bool | None) -> dict:
     return {"name": name, "claimed": claimed, "achieved": achieved, "pass": ok}
+
+
+def _duality(sol: LPSolution) -> dict:
+    p, t = sol.packing.value, sol.transversal.value
+    return _bound("strong duality", _rat(p), _rat(t), p == t)
 
 
 def _instance_json(g: Multigraph) -> dict:
@@ -120,10 +129,7 @@ def _cmd_solve(g: Multigraph, args: argparse.Namespace) -> dict:
             _bound("nu <= tau", str(tau), str(nu), nu <= tau),
             _bound("tau <= 3 nu", str(3 * nu), str(tau), tau <= 3 * nu),
         ],
-        "certificates": {
-            "packing": _packing_json(pc),
-            "transversal": _transversal_json(tc),
-        },
+        "certificates": _certificates(pc, tc),
     }
 
 
@@ -131,14 +137,7 @@ def _cmd_lp(g: Multigraph, args: argparse.Namespace) -> dict:
     sol = g.lp
     return {
         "nustar": _rat(sol.value),
-        "bounds": [
-            _bound(
-                "strong duality",
-                _rat(sol.packing.value),
-                _rat(sol.transversal.value),
-                sol.packing.value == sol.transversal.value,
-            )
-        ],
+        "bounds": [_duality(sol)],
         "certificates": {
             "fractional_packing": _fractional_json(sol.packing),
             "fractional_transversal": _fractional_json(sol.transversal),
@@ -150,51 +149,22 @@ def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
     nustar = g.lp.value
     cert = transversal_2nustar(g)
     ok = dominates_sqrt(2 * nustar - cert.weight, nustar / 16)
+    claimed = f"2*({_rat(nustar)}) - sqrt({_rat(nustar)})/4"
     return {
         "nustar": _rat(nustar),
-        "bounds": [
-            _bound(
-                "cover <= 2 nustar - sqrt(nustar)/4",
-                f"2*({_rat(nustar)}) - sqrt({_rat(nustar)})/4",
-                str(cert.weight),
-                ok,
-            )
-        ],
+        "bounds": [_bound("cover <= 2 nustar - sqrt(nustar)/4", claimed, str(cert.weight), ok)],
         "certificates": {"transversal": _transversal_json(cert)},
     }
 
 
 def _cmd_haxell(g: Multigraph, args: argparse.Namespace) -> dict:
     st, cands, best, limit = transversal_292(g, budget=args.budget)
-    bounds = [
-        _bound(
-            f"candidate {c.label} size <= bound",
-            _rat(c.size_bound),
-            str(c.certificate.weight),
-            c.certificate.weight <= c.size_bound,
-        )
-        for c in cands
-    ]
-    bounds.append(
-        _bound(
-            "min candidate <= (3 - 2/25) nu",
-            _rat(limit),
-            str(best.certificate.weight),
-            best.certificate.weight <= limit,
-        )
-    )
+    rows = [(f"candidate {c.label} size <= bound", c.size_bound, c.certificate.weight) for c in cands]
+    rows.append(("min candidate <= (3 - 2/25) nu", limit, best.certificate.weight))
     return {
         "nu": st.nu,
-        "scalars": {
-            "gamma": _rat(st.gamma),
-            "beta": _rat(st.beta),
-            "alpha": _rat(st.alpha),
-            "delta": _rat(st.delta),
-            "eta": _rat(st.eta),
-            "eta_prime": _rat(st.eta_prime),
-            "delta0": _rat(st.delta0),
-        },
-        "bounds": bounds,
+        "scalars": {name: _rat(getattr(st, name)) for name in SCALARS},
+        "bounds": [_bound(name, _rat(bound), str(w), w <= bound) for name, bound, w in rows],
         "certificates": {
             "candidates": [
                 {
@@ -212,22 +182,9 @@ def _cmd_haxell(g: Multigraph, args: argparse.Namespace) -> dict:
 
 def _cmd_planar(g: Multigraph, args: argparse.Namespace) -> dict:
     pc, tc, status = reduce_and_certify(g)
-    bounds = [
-        _bound(
-            "cover weight <= 2 packing",
-            str(2 * pc.value),
-            str(tc.weight),
-            tc.weight <= 2 * pc.value if status == COMPLETE else None,
-        )
-    ]
-    report: dict = {
-        "status": status,
-        "bounds": bounds,
-        "certificates": {
-            "packing": _packing_json(pc),
-            "transversal": _transversal_json(tc),
-        },
-    }
+    ok = tc.weight <= 2 * pc.value if status == COMPLETE else None
+    bounds = [_bound("cover weight <= 2 packing", str(2 * pc.value), str(tc.weight), ok)]
+    report: dict = {"status": status, "bounds": bounds, "certificates": _certificates(pc, tc)}
     if not args.skip_exact:
         nu, _ = nu_exact(g)
         tau, _ = tau_exact(g)
@@ -238,35 +195,28 @@ def _cmd_planar(g: Multigraph, args: argparse.Namespace) -> dict:
     return report
 
 
+#: The chain's bounds that need nu and tau, in report order.
+_CHAIN = ("tau >= nustar", "nustar >= nu", "2 nu >= nustar")
+
+
 def _cmd_chain(g: Multigraph, args: argparse.Namespace) -> dict:
     sol = g.lp
     nustar = sol.value
     report: dict = {"nustar": _rat(nustar)}
-    bounds = [
-        _bound(
-            "strong duality",
-            _rat(sol.packing.value),
-            _rat(sol.transversal.value),
-            sol.packing.value == sol.transversal.value,
-        )
-    ]
     if args.skip_exact:
-        bounds.append(_bound("tau >= nustar", _rat(nustar), "unchecked", None))
-        bounds.append(_bound("nustar >= nu", _rat(nustar), "unchecked", None))
-        bounds.append(_bound("2 nu >= nustar", _rat(nustar), "unchecked", None))
+        rows = [(_rat(nustar), "unchecked", None)] * len(_CHAIN)
     else:
         nu, pc = nu_exact(g)
         tau, tc = tau_exact(g)
         report["nu"] = nu
         report["tau"] = tau
-        bounds.append(_bound("tau >= nustar", _rat(nustar), str(tau), Fraction(tau) >= nustar))
-        bounds.append(_bound("nustar >= nu", str(nu), _rat(nustar), nustar >= nu))
-        bounds.append(_bound("2 nu >= nustar", _rat(nustar), str(2 * nu), 2 * nu >= nustar))
-        report["certificates"] = {
-            "packing": _packing_json(pc),
-            "transversal": _transversal_json(tc),
-        }
-    report["bounds"] = bounds
+        report["certificates"] = _certificates(pc, tc)
+        rows = [
+            (_rat(nustar), str(tau), Fraction(tau) >= nustar),
+            (str(nu), _rat(nustar), nustar >= nu),
+            (_rat(nustar), str(2 * nu), 2 * nu >= nustar),
+        ]
+    report["bounds"] = [_duality(sol)] + [_bound(name, *row) for name, row in zip(_CHAIN, rows)]
     return report
 
 

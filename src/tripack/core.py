@@ -40,18 +40,22 @@ class BudgetExceeded(RuntimeError):
 
 
 class _Budget:
-    __slots__ = ("limit", "remaining")
+    __slots__ = ("limit", "remaining", "search", "start")
 
     def __init__(self, limit: int):
-        self.limit = limit
-        self.remaining = limit
+        self.limit = self.remaining = limit
+        self.begin("family")
+
+    def begin(self, search: str) -> "_Budget":
+        """Charge the nodes from here on to ``search``; returns the budget."""
+        self.search, self.start = search, self.remaining
+        return self
 
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExceeded(
-                f"family search exceeded its node budget of {self.limit} nodes"
-            )
+            raise BudgetExceeded(f"{self.search} search ran past the node budget of {self.limit}"
+                                 f" nodes after spending {self.start} of them")
 
 
 def run_search(root: Iterator[Iterator], budget: _Budget | None = None) -> None:
@@ -257,10 +261,6 @@ class PackingCertificate:
         if any(m < 0 for m in clean.values()):
             raise ValueError("negative triangle multiplicity")
         return cls(clean, sum(clean.values()))
-
-    @classmethod
-    def empty(cls) -> "PackingCertificate":
-        return cls({}, 0)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,9 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
     other duals are 0).  Row ``i`` keeps only its B^-1 part, a ``slack ->
     int`` map, and the objective row only the duals y.  Each has an
     integer right-hand side over one positive denominator, divided by their
-    gcd (and the pivot entry's, for the pivot row) after every update.
+    gcd after every update.  The pivot row over its pivot entry is already
+    in lowest terms: row ``r`` of B^-1 over ``d`` has ``r B = d e_i``, so
+    gcd(r) divides d, and gcd(d, rhs, r) = 1 forces gcd(rhs, r) = 1.
     Triangle columns are never stored: the entering column of triangle j
     on edges e1, e2, e3 is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
     a ``slack -> rows`` index lists for those edges.  A slack is priced as
@@ -251,12 +253,7 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
                         for p, q in hit.items():
                             dn[p] -= t * q
 
-            # The pivot row divided by its pivot entry.
-            k = gcd(prhs, piv, *prow.values())
-            if k != 1:
-                rows[leave] = {j: v // k for j, v in prow.items()}
-                rhs[leave] = prhs // k
-            den[leave] = piv // k
+            den[leave] = piv  # prow over piv is in lowest terms already, as the docstring shows
             basis[leave] = enter
 
         for i, b in enumerate(basis):
@@ -488,7 +485,7 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     inc = g.incidence
     tris, types = inc.triangles, inc.columns
     if not tris:
-        return 0, PackingCertificate.empty()
+        return 0, PackingCertificate.from_map({})
     den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
     start, wts = [x // den for x in num], [w for _, _, w in g.edges]
     left = [w - sum(start[j] for j in on) for w, on in zip(wts, inc.on_edge)]

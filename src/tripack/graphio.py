@@ -67,7 +67,7 @@ def parse_graph(text: str) -> Multigraph:
             raise ParseError(lineno, f"unknown line kind {kind!r}")
     if n is None:
         raise ParseError(1, "missing 'p' line")
-    return Multigraph.from_edges(n, ((u, v, w) for (u, v), w in acc.items()))
+    return Multigraph(n, tuple((*e, w) for e, w in sorted(acc.items())))
 
 
 def emit_graph(g: Multigraph) -> str:

@@ -136,6 +136,10 @@ class HaxellState:
     delta0 = property(lambda self: self._per_nu(self.k_family))
 
 
+#: The scalars of a ``HaxellState``, in report order.
+SCALARS = ("gamma", "beta", "alpha", "delta", "eta", "eta_prime", "delta0")
+
+
 def _tally(groups: Iterable[tuple[Iterable[Hashable], int]]) -> Counter:
     """``m`` of each key of each group, summed."""
     out: Counter = Counter()
@@ -391,12 +395,11 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     bud = _Budget(budget)
 
     b = Counter({Type(t, (1, 1, 1)): m for t, m in cert.multiplicities.items()})
-    _require_packing(g, _tris(b))
     if not verify_transversal(g, _cover(g, _slots(b))):
         raise InvariantViolation("a triangle avoids the maximum packing")
     # A copy's role is whether b uses it; b takes the lowest copies of each class.
     layout = _cut({(u, v): [(1, w)] for u, v, w in g.edges if w}, b, lambda r, took: int(took))
-    b1 = _search_max_family(g, layout, _share(1), bud)
+    b1 = _search_max_family(g, layout, _share(1), bud.begin("b1"))
     _require_packing(g, _tris(b1))
     anchors_b1 = _tally(((a,), k1 - k0) for *_, k0, k1, a in _anchors(b1, b, 1, g.weight_map))
 
@@ -406,7 +409,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     if nu_gp != nu - anchors_b1.total():
         raise InvariantViolation("reduced packing number is off")
 
-    b2 = _search_max_family(g, gp_layout, _share(2), bud)
+    b2 = _search_max_family(g, gp_layout, _share(2), bud.begin("b2"))
     target = b2.total()
 
     def surplus(roles: tuple[int, ...]) -> int:  # fresh edges of a reduced triangle
@@ -414,16 +417,17 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
             raise InvariantViolation("reduced graph keeps a share-one triangle")
         return 3 - sum(roles)
 
-    bp = _search_max_family(g, gp_layout, surplus, bud, target=target)
+    bp = _search_max_family(g, gp_layout, surplus, bud.begin("b_prime"), target=target)
     _require_packing(gp, _tris(bp))
     if _slots(bp, 0).total() < target:
         raise InvariantViolation("family misses its fresh-edge surplus")
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
     bp_layout = _cut(gp_layout, bp, lambda r, took: r + 1 if took else 0)
-    runs = _anchors(_search_max_family(g, bp_layout, _share(1), bud), bp, 0, gp.weight_map)
+    runs = _anchors(_search_max_family(g, bp_layout, _share(1), bud.begin("b1_prime")), bp, 0, gp.weight_map)
     b1p = _tally(((a,), k1 - k0) for *_, k0, k1, a in runs)
-    i_family, i_prime = _max_i_family(runs, bp_layout, bud) if runs else (Counter(), Counter())
+    i_family, i_prime = (_max_i_family(runs, bp_layout, bud.begin("rung family")) if runs
+                         else (Counter(), Counter()))
     # Two private rungs need a parallel pair somewhere in the reduced graph.
     if i_family and not any(w >= 2 for _, _, w in gp.edges):
         raise InvariantViolation("rung family appeared without parallel pairs")

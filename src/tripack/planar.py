@@ -16,6 +16,14 @@ its lexicographically first witness (edges as sorted pairs, vertices by id).
 So rules 2-4 are examined only when no edge has capacity 0, and each of
 their decrements finds a capacity of at least 1.
 
+Steps of rules 2 and 3 come in runs.  Their decrements delete nothing, so
+the witness stays first until an edge reaches 0 and rule 1 applies: rule 2
+repeats ``k`` times, ``k`` the smallest capacity on its triangle; rule 3
+also stops once its edge drops below 2, after ``k = min(cap(e) // 2,
+smallest flank)`` steps.  One ``ReductionStep`` with ``times = k`` and ``k``
+times the unit decrements stands for the run, and the unwinding packs its
+triangles ``k`` times, so the cost does not grow with the capacities.
+
 Working state.  ``reduce_and_certify`` builds one private ``_Reducer`` from
 the input graph and mutates it in place for the whole run: capacities,
 adjacency sets, per-edge sets of live triangles (from ``g.incidence``),
@@ -90,7 +98,7 @@ INCOMPLETE = "incomplete"
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One applicable rewrite with its witness and weight decrements."""
+    """One applicable rewrite, ``times`` times over, with its witness and total decrements."""
 
     kind: str
     witness_edge: Edge | None = None
@@ -98,6 +106,7 @@ class ReductionStep:
     triangles: tuple[Triangle, ...] = ()
     weight_deltas: Mapping[Edge, int] = field(default_factory=dict)
     cycle: tuple[int, ...] = ()
+    times: int = 1
 
 
 class _Reducer:
@@ -140,11 +149,13 @@ class _Reducer:
         if ts is None or len(ts) != 1:
             return None
         (t,) = ts
+        k = min(self.cap[x] for x in t.edges)
         return ReductionStep(
             kind=SINGLE_TRIANGLE_EDGE,
             witness_edge=e,
             triangles=(t,),
-            weight_deltas={x: 1 for x in t.edges},
+            weight_deltas={x: k for x in t.edges},
+            times=k,
         )
 
     def _double_triangle_heavy_edge(self, e: Edge) -> ReductionStep | None:
@@ -153,13 +164,15 @@ class _Reducer:
             return None
         tris = tuple(sorted(ts))
         flanks = [x for t in tris for x in t.edges if x != e]
-        deltas = {x: 1 for x in flanks}
-        deltas[e] = 2
+        k = min(self.cap[e] // 2, *(self.cap[x] for x in flanks))
+        deltas = {x: k for x in flanks}
+        deltas[e] = 2 * k
         return ReductionStep(
             kind=DOUBLE_TRIANGLE_HEAVY_EDGE,
             witness_edge=e,
             triangles=tris,
             weight_deltas=deltas,
+            times=k,
         )
 
     def _cycle_neighborhood(self, v: int) -> ReductionStep | None:
@@ -277,7 +290,7 @@ class _Reducer:
 
 def find_reduction(g: Multigraph) -> ReductionStep | None:
     """The first applicable rule, scanning kinds in order and witnesses
-    lexicographically; None when nothing applies."""
+    lexicographically, as a run; None when nothing applies."""
     return _Reducer(g).next_step()
 
 
@@ -352,7 +365,7 @@ class _Unwinding:
 
     def _pack(self, step: ReductionStep) -> None:
         for t in step.triangles:
-            self.packing[t] = self.packing.get(t, 0) + 1
+            self.packing[t] = self.packing.get(t, 0) + step.times
 
     def extend(self, step: ReductionStep, level: int) -> None:
         """Lift both certificates through step ``level``.

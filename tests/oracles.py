@@ -1393,7 +1393,7 @@ def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """
     tris = g.triangles
     if not tris:
-        return 0, PackingCertificate.empty()
+        return 0, PackingCertificate.from_map({})
     index = {(u, v): o for o, (u, v, _) in enumerate(g.edges)}
     counts = max_type_packing(
         [tuple(index[e] for e in t.edges) for t in tris],

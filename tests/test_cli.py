@@ -8,6 +8,7 @@ import tripack.cli
 import tripack.core
 import tripack.exact
 from tripack import (
+    InvariantViolation,
     Multigraph,
     TransversalCertificate,
     emit_graph,
@@ -261,6 +262,45 @@ class TestCommands:
                                monkeypatch=monkeypatch)
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 3\np 3\n", "line 2: duplicate 'p' line"),
+            ("p 3 4\n", "line 1: expected 'p <n>'"),
+            ("# n\np three\n", "line 2: bad vertex count 'three'"),
+            ("p -1\n", "line 1: vertex count must be nonnegative"),
+            ("p 3\ne 0 1\n", "line 2: expected 'e <u> <v> <w>'"),
+            ("p 3\ne 0 1 1\ne 0 x 1\n", "line 3: bad integer in 'e 0 x 1'"),
+            ("# only\n# comments\n", "line 1: missing 'p' line"),
+        ],
+    )
+    def test_malformed_input_exits_2_and_names_its_line(self, capsys, monkeypatch, text, message):
+        code, out, err = run_cli(capsys, ["lp"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_broken_guarantee_exits_1(self, capsys, monkeypatch):
+        def broken(g):
+            raise InvariantViolation("packing certificate failed verification")
+
+        monkeypatch.setattr(tripack.cli, "nu_exact", broken)
+        code, out, err = run_cli(capsys, ["solve"], stdin=emit_graph(gen_complete(4)),
+                                 monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert err == "guarantee violated: packing certificate failed verification\n"
+
+    def test_failed_bound_prints_the_report_and_exits_1(self, capsys, monkeypatch):
+        # Every edge of K4 weighs 6, above 2 nustar - sqrt(nustar)/4 at nustar = 2.
+        def heavy(g):
+            return TransversalCertificate.from_edges(g, g.weight_map)
+
+        monkeypatch.setattr(tripack.cli, "transversal_2nustar", heavy)
+        code, out, err = run_cli(capsys, ["kriv"], stdin=emit_graph(gen_complete(4)),
+                                 monkeypatch=monkeypatch)
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["bounds"][0]["pass"] is False
+        assert report["certificates"]["transversal"]["weight"] == 6
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["lp", "--input", "/nonexistent.graph"])

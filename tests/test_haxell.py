@@ -349,6 +349,20 @@ class TestBuildState:
         with pytest.raises(BudgetExceeded):
             build_state(g, budget=nodes - 1)
 
+    @pytest.mark.parametrize("g, budget, search, spent", [
+        (gen_random(8, 14, 2, 0), 3, "b1", 3),
+        (gen_complete(6), 10, "b2", 9),
+        (gen_complete(6), 30, "b_prime", 4),
+        (gen_complete(6), 57, "b1_prime", 0),
+        (K4_RUNGS, 59_980, "rung family", 16),
+    ])
+    def test_budget_exceeded_names_the_search(self, g, budget, search, spent):
+        # The budget is shared: each search gets what the ones before it left.
+        with pytest.raises(BudgetExceeded) as exc:
+            build_state(g, budget=budget)
+        assert str(exc.value) == (f"{search} search ran past the node budget of {budget} nodes"
+                                  f" after spending {spent} of them")
+
     def test_1100_disjoint_triangles(self):
         assert build_state(triangle_union(1100)).nu == 1100
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -66,16 +67,27 @@ def _oracle_corpus() -> list[Multigraph]:
     ]))
     corpus += [_capacities_012(gen_stacked(n, n), n) for n in (8, 15, 25)]
     corpus += [gen_random(n, m, 3, s) for n, m in ((8, 16), (10, 25)) for s in range(4)]
+    # Capacities up to 20, so that rules 2 and 3 run many times in a row.
+    corpus += [with_random_weights(gen_stacked(n, n), (1, 5, 20), n) for n in (8, 12)]
     return corpus
 
 
+def _unit_steps(steps: list[ReductionStep]) -> list[ReductionStep]:
+    """Each run of ``times`` steps expanded into the unit steps it stands for."""
+    return [
+        replace(s, times=1, weight_deltas={e: d // s.times for e, d in s.weight_deltas.items()})
+        for s in steps for _ in range(s.times)
+    ]
+
+
 def _engine_steps(g: Multigraph) -> list[ReductionStep]:
+    """The engine's steps, with its runs expanded into unit steps."""
     r = _Reducer(g)
     steps = []
     while (step := r.next_step()) is not None:
         r.apply(step)
         steps.append(step)
-    return steps
+    return _unit_steps(steps)
 
 
 class TestFindReduction:
@@ -125,6 +137,22 @@ class TestFindReduction:
         assert step.witness_edge == (0, 1)
         assert step.weight_deltas[(0, 1)] == 2
 
+    def test_runs_repeat_one_witness(self):
+        # Rule 2 repeats until an edge of its triangle reaches 0.
+        step = find_reduction(Multigraph.from_edges(3, [(0, 1, 7), (0, 2, 4), (1, 2, 9)]))
+        assert step.kind == SINGLE_TRIANGLE_EDGE and step.times == 4
+        assert step.weight_deltas == {(0, 1): 4, (0, 2): 4, (1, 2): 4}
+        # Rule 3 repeats until a flank reaches 0 or its edge drops below 2.
+        caps = {(0, 1): 9, (0, 2): 5, (0, 3): 5, (1, 2): 4, (1, 3): 6, (2, 3): 7}
+        for heavy, times in ((9, 4), (7, 3), (2, 1)):
+            g = Multigraph.from_edges(4, [(u, v, heavy if (u, v) == (0, 1) else w)
+                                          for (u, v), w in caps.items()])
+            step = find_reduction(g)
+            assert step.kind == "double_triangle_heavy_edge" and step.times == times
+            assert step.weight_deltas[(0, 1)] == 2 * times
+            assert _engine_steps(g) == reference_reduction_steps(g)
+            assert reduce_and_certify(g) == reference_reduce_and_certify(g)
+
     def test_steps_shrink_measure(self):
         cur = with_random_weights(gen_wheel(6), (1, 2, 3), 3)
         steps = 0
@@ -153,7 +181,7 @@ class TestAgainstReference:
             while (step := find_reduction(cur)) is not None:
                 steps.append(step)
                 cur = apply_step(cur, step)
-            assert steps == reference_reduction_steps(g)
+            assert _unit_steps(steps) == reference_reduction_steps(g)
 
 
 def _segment_lengths(k: int, uncovered: set[int]) -> list[int]:
@@ -261,6 +289,15 @@ class TestReduceAndCertify:
         if packed is not None:
             # packing <= nu <= tau <= cover, so nu = tau = 400.
             assert p.value == c.weight == packed
+
+    def test_one_triangle_of_capacity_10_to_the_9(self):
+        # One step per unit of capacity ran to 7.7 GB here; the run is one step.
+        g = Multigraph.from_edges(3, [(0, 1, 10**9), (0, 2, 10**9), (1, 2, 10**9)])
+        assert find_reduction(g).times == 10**9
+        start = time.process_time()
+        p, c, status = reduce_and_certify(g)
+        assert time.process_time() - start < 1
+        assert (status, p.value, c.weight) == (COMPLETE, 10**9, 10**9)
 
     def test_huge_declared_vertex_count(self):
         # Only the vertices on an edge are walked: 10**6 declared vertices
