@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .exact import LPSolution
@@ -224,7 +225,15 @@ def incidence(g: Multigraph) -> Incidence:
     index = {e: i for i, e in enumerate(edges)}
     columns = tuple((index[a, b], index[a, c], index[b, c]) for a, b, c in g.triangles)
     on: list[list[int]] = [[] for _ in edges]
-    root = list(range(len(edges)))  # union-find over the edges
+    for j, col in enumerate(columns):
+        for i in col:
+            on[i].append(j)
+    return Incidence(edges, g.triangles, columns, tuple(map(tuple, on)), _components(columns, len(edges)))
+
+
+def _components(columns: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:
+    """The columns linked by shared resources ``0 .. size-1``, each ascending, by lowest column."""
+    root = list(range(size))  # union-find over the resources
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -232,16 +241,13 @@ def incidence(g: Multigraph) -> Incidence:
             i = root[i]
         return i
 
-    for j, col in enumerate(columns):
+    for col in columns:
         for i in col:
-            on[i].append(j)
             root[find(i)] = find(col[0])
-    comps: dict[int, list[int]] = {}  # keyed by root, in order of lowest triangle
+    comps: dict[int, list[int]] = {}  # keyed by root, in order of lowest column
     for j, col in enumerate(columns):
         comps.setdefault(find(col[0]), []).append(j)
-    return Incidence(
-        edges, g.triangles, columns, tuple(map(tuple, on)), tuple(map(tuple, comps.values()))
-    )
+    return tuple(map(tuple, comps.values()))
 
 
 @dataclass(frozen=True)
@@ -343,12 +349,12 @@ class FractionalAssignment:
                     raise ValueError(f"unknown triangle {tuple(t)}")
             if x != 0:
                 clean[t] = x
-        return cls(clean, None, sum(clean.values(), Fraction(0)))
+        den, num = _over_lcm(clean.values())
+        return cls(clean, None, Fraction(sum(num), den))
 
     @classmethod
     def on_edges(cls, g: Multigraph, values: Mapping[Edge, Rational]) -> "FractionalAssignment":
         clean: dict[Edge, Rational] = {}
-        total = Fraction(0)
         for e, y in sorted(values.items()):
             y = Fraction(y)
             if y < 0:
@@ -357,8 +363,8 @@ class FractionalAssignment:
                 raise ValueError(f"unknown edge {e}")
             if y != 0:
                 clean[e] = y
-                total += y * g.weight_map[e]
-        return cls(None, clean, total)
+        den, num = _over_lcm(clean.values())
+        return cls(None, clean, Fraction(sum(y * g.weight_map[e] for e, y in zip(clean, num)), den))
 
     def triangle_value(self, t: Triangle) -> Rational:
         assert self.triangle_values is not None
@@ -369,30 +375,36 @@ class FractionalAssignment:
         return self.edge_values.get(e, Fraction(0))
 
 
+def _over_lcm(xs: Iterable[Rational]) -> tuple[int, list[int]]:
+    """A common denominator of ``xs`` and their numerators over it."""
+    xs = list(xs)
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def is_fractional_packing(g: Multigraph, f: FractionalAssignment) -> bool:
     """Exact feasibility for the packing constraints ``load(e) <= w(e)``."""
     if f.triangle_values is None:
         raise ValueError("assignment is not on triangles")
-    load: dict[Edge, Rational] = {}
-    for t, x in f.triangle_values.items():
+    den, num = _over_lcm(f.triangle_values.values())
+    load: dict[Edge, int] = {}  # over den
+    for t, x in zip(f.triangle_values, num):
         if x < 0:
             return False
         for e in t.edges:
-            load[e] = load.get(e, Fraction(0)) + x
-    return all(load[e] <= g.weight_map[e] for e in load)
+            load[e] = load.get(e, 0) + x
+    return all(load[e] <= g.weight_map[e] * den for e in load)
 
 
 def is_fractional_transversal(g: Multigraph, f: FractionalAssignment) -> bool:
     """Exact feasibility: every triangle's edge values sum to at least 1."""
     if f.edge_values is None:
         raise ValueError("assignment is not on edges")
-    if any(y < 0 for y in f.edge_values.values()):
+    den, num = _over_lcm(f.edge_values.values())
+    if min(num, default=0) < 0:
         return False
-    one = Fraction(1)
-    for t in g.triangles:
-        if sum((f.edge_value(e) for e in t.edges), Fraction(0)) < one:
-            return False
-    return True
+    y = dict(zip(f.edge_values, num))  # over den
+    return all(sum(y.get(e, 0) for e in t.edges) >= den for t in g.triangles)
 
 
 def dominates_sqrt(x: Rational, y: Rational) -> bool:

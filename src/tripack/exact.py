@@ -12,27 +12,33 @@ uncovered triangles down to ``ceil(nustar)``.  Both bounds are LP duality
 (each packing weighs at most any fractional cover, and each cover at least
 any fractional packing), so they cut only subtrees without a strictly
 better leaf and change no result, only the size of the tree.
-``lp_optimal`` solves the fractional relaxation with a revised simplex,
-once per triangle-connected component: one sparse integer row of B^-1 per
-edge of the component and one row of duals y, each over one positive
-denominator kept divided by its gcd, built for the component and dropped
-after it.  The triangles' reduced costs are kept between pivots, and a
-pivot reprices only the triangles on the pivot row's support; a triangle
-column is built from B^-1 only when it enters.  The most negative reduced
-cost enters, ratio-test ties go to the sparsest row of B^-1, and Bland's
-rule takes over during a long run of degenerate pivots, so the loop
-terminates; y is the dual optimum, so primal and dual values agree.  All
-three read the graph's cached ``g.incidence``: the simplex loops over its
-components, ``nu_exact`` and ``tau_exact`` use its triangles through each
-edge, and ``tau_exact`` counts the chosen edges of each triangle.
+``lp_optimal`` solves the fractional relaxation on ``_simplex_packing``, an
+exact revised simplex on the resource model of ``max_type_packing``: each
+column draws one unit from three resources of given capacities, here a
+triangle from its edges (``haxell`` solves its type systems on it too).
+It runs once per component of columns sharing resources: one sparse
+integer row of B^-1 per resource of the component and one row of duals y,
+each over one positive denominator kept divided by its gcd, built for the
+component and dropped after it.  The columns' reduced costs are kept
+between pivots, and a pivot reprices only the columns on the pivot row's
+support; a column is built from B^-1 only when it enters.  Columns are
+ranked by degree, fewest neighbors first, so that B^-1 fills slowly.  The
+most negative reduced cost enters, ratio-test ties go to the sparsest row
+of B^-1, and Bland's rule takes over during a long run of degenerate
+pivots, so the loop terminates; y is the dual optimum, so primal and dual
+values agree.  All three read the graph's cached ``g.incidence``: the
+simplex loops over its components, ``nu_exact`` and ``tau_exact`` use its
+triangles through each edge, and ``tau_exact`` counts the chosen edges of
+each triangle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Edge,
@@ -45,6 +51,7 @@ from .core import (
     Triangle,
     _Budget,
     _drop_redundant,
+    _over_lcm,
     is_fractional_packing,
     is_fractional_transversal,
     run_search,
@@ -83,78 +90,91 @@ class TightSets:
 DEGENERATE_RUN = 20
 
 
-def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
-    """Maximize the fractional packing; return (x, y, value) exactly.
+def _simplex_packing(
+    columns: Sequence[tuple[int, int, int]], caps: Sequence[int], components: Iterable[Sequence[int]]
+) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction]:
+    """Maximize ``sum x`` with ``x >= 0`` and each resource's load within its capacity.
 
-    Revised simplex on sparse integer rows, one per edge on a triangle (the
-    other duals are 0).  Row ``i`` keeps only its B^-1 part, a ``slack ->
-    int`` map, and the objective row only the duals y.  Each has an
-    integer right-hand side over one positive denominator, divided by their
-    gcd after every update.  The pivot row over its pivot entry is already
-    in lowest terms: row ``r`` of B^-1 over ``d`` has ``r B = d e_i``, so
-    gcd(r) divides d, and gcd(d, rhs, r) = 1 forces gcd(rhs, r) = 1.
-    Triangle columns are never stored: the entering column of triangle j
-    on edges e1, e2, e3 is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
-    a ``slack -> rows`` index lists for those edges.  A slack is priced as
-    ``y[e]``.  The reduced cost ``y[e1] + y[e2] + y[e3] - den`` of every
-    triangle is kept between pivots: a pivot sets ``y' = (s*y - t*prow)/k``,
-    so each one becomes ``(s*d - t*(prow . a_j))/k``, and only the
-    triangles on an edge of the pivot row's support take the second term.
+    Column ``j`` draws one unit from each of the three distinct resources
+    ``columns[j]``, and resource ``o`` holds ``caps[o]`` units; the pivot
+    loop runs once per entry of ``components``, a partition of the columns
+    into groups sharing no resource.  Returns (x by column, y by resource,
+    value) exactly, omitting zeros of x and the duals of resources on no
+    column, which are 0.
 
-    Triangles sharing an edge fall in one component of ``g.incidence``,
-    and the pivot loop runs once per component, on rows built for it and
-    dropped after it; x, y and the value are merged.  The entering variable
-    has the most negative reduced cost (Dantzig), ties to the lowest index
-    in the canonical triangle-then-edge order.  After ``DEGENERATE_RUN``
-    degenerate pivots in a row, Bland's rule (the first negative in that
-    order) picks it until a pivot is nondegenerate.  Bland's rule cannot
-    cycle, so every degenerate run ends, and each nondegenerate pivot
-    strictly raises the objective, so no basis comes back and the loop
-    ends.  The leaving row wins the ratio test.  Ties go to the row of B^-1
-    with the fewest nonzeros, then the largest pivot entry, then the lowest
-    basis index (Markowitz 1957: a pivot costs about the entering column's
+    Revised simplex on sparse integer rows, one per resource of the
+    component, built for it and dropped after it.  Row ``i`` keeps only its
+    B^-1 part, a ``slack -> int`` map, and the objective row only the duals
+    y.  Each has an integer right-hand side over one positive denominator,
+    divided by their gcd after every update.  The pivot row over its pivot
+    entry is already in lowest terms: row ``r`` of B^-1 over ``d`` has ``r
+    B = d e_i``, so gcd(r) divides d, and gcd(d, rhs, r) = 1 forces gcd(rhs,
+    r) = 1.  Columns are never stored: the entering column of j on
+    resources e1, e2, e3 is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
+    a ``slack -> rows`` index lists for those resources.  A slack is priced
+    as ``y[e]``.  The reduced cost ``y[e1] + y[e2] + y[e3] - den`` of every
+    column is kept between pivots: a pivot sets ``y' = (s*y - t*prow)/k``,
+    so each one becomes ``(s*d - t*(prow . a_j))/k``, and only the columns
+    on a resource of the pivot row's support take the second term.
+
+    Order.  A component's columns are ranked by their degree, the number of
+    the component's columns drawing on each of their resources, summed
+    (ties by index), and its slacks follow them by resource.  The entering
+    variable has the most negative reduced cost (Dantzig), ties to the
+    lowest rank.  After ``DEGENERATE_RUN`` degenerate pivots in a row,
+    Bland's rule (the first negative by rank) picks it until a pivot is
+    nondegenerate.  Bland's rule cannot cycle under any fixed order, so
+    every degenerate run ends, and each nondegenerate pivot strictly raises
+    the objective, so no basis comes back and the loop ends.  The leaving
+    row wins the ratio test.  Ties go to the row of B^-1 with the fewest
+    nonzeros, then the largest pivot entry, then the lowest-ranked basic
+    variable (Markowitz 1957: a pivot costs about the entering column's
     nonzeros times the pivot row's); under Bland's rule, straight to the
-    lowest basis index.
+    lowest rank.  Columns of low degree enter first, which is the
+    minimum-degree order of sparse elimination (Tinney and Walker 1967): a
+    column meeting few others spreads B^-1 over few rows, where the hub
+    columns of a stacked triangulation, entering first under ties by index,
+    filled it densely.  When every degree is equal, as on a complete graph,
+    the ranks are the indices.
 
-    A component of one triangle skips the loop and takes its one pivot in
+    A component of one column skips the loop and takes its one pivot in
     closed form: x is the smallest capacity (omitted when 0), y is 1 on the
-    lowest-index edge of that capacity, and the value grows by it.
+    lowest-index resource of that capacity, and the value grows by it.
     """
-    inc = g.incidence
-    tris, edges, columns = inc.triangles, inc.edges, inc.columns
-    weight_map = g.weight_map
-    x: dict[Triangle, Fraction] = {}
-    ys: dict[Edge, Fraction] = {}
+    x: dict[int, Fraction] = {}
+    ys: dict[int, Fraction] = {}
     value: dict[int, int] = {}  # the objective's numerators, summed per denominator
-    for tids in inc.components:
+    for tids in components:
         if len(tids) == 1:
-            # The one pivot the loop would make: the triangle enters, and
-            # the ratio test ties (all entries 1) go to the lowest index.
-            w, e = min((weight_map[edges[e]], e) for e in columns[tids[0]])
+            # The one pivot the loop would make: the column enters, and the
+            # ratio test ties (all entries 1) go to the lowest index.
+            w, e = min((caps[e], e) for e in columns[tids[0]])
             if w:
-                x[tris[tids[0]]] = Fraction(w)
-            ys[edges[e]] = Fraction(1)
+                x[tids[0]] = Fraction(w)
+            ys[e] = Fraction(1)
             value[1] = value.get(1, 0) + w
             continue
-        used = sorted({e for j in tids for e in columns[j]})
+        deg = Counter(e for j in tids for e in columns[j])
+        tids = sorted(tids, key=lambda j: (sum(map(deg.__getitem__, columns[j])), j))
+        used = sorted(deg)
         m, nt = len(used), len(tids)
         obj = m
         row_of = dict(zip(used, range(m)))
         cols = [(row_of[a], row_of[b], row_of[c]) for a, b, c in map(columns.__getitem__, tids)]
-        on: list[list[int]] = [[] for _ in used]  # the triangles on each slack's edge
+        on: list[list[int]] = [[] for _ in used]  # the columns on each slack's resource
         for p, col in enumerate(cols):
             for i in col:
                 on[i].append(p)
 
         # Row i < m is row i of B^-1 and row m holds the duals y, all over
         # the slack columns; entry e of row i is rows[i][e] / den[i].  Basis
-        # index p < nt is triangle tids[p] and nt + e is slack e.
+        # index p < nt is column tids[p] and nt + e is slack e.
         rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
-        rhs = [weight_map[edges[e]] for e in used] + [0]
+        rhs = [caps[e] for e in used] + [0]
         den = [1] * (m + 1)
         col_rows: list[set[int]] = [{i} for i in range(m)]
         basis = list(range(nt, nt + m))
-        dn = [-1] * nt  # reduced cost of triangle tids[p], over den[obj]
+        dn = [-1] * nt  # reduced cost of column tids[p], over den[obj]
         streak = 0  # degenerate pivots in a row
 
         while True:
@@ -162,7 +182,7 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
             bland = streak >= DEGENERATE_RUN
             if not bland:
                 # The most negative reduced cost; a slack must beat the
-                # triangles strictly, as they come first.
+                # columns strictly, as they come first.
                 low = min(dn)
                 enter = dn.index(low) if low < 0 else -1
                 low = min(low, 0)
@@ -241,7 +261,7 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
                     d //= k
                 rows[i], rhs[i], den[i] = row, r, d
                 if i == obj:
-                    hit: dict[int, int] = {}  # prow . a_p, on the triangles it reaches
+                    hit: dict[int, int] = {}  # prow . a_p, on the columns it reaches
                     for j, v in prow.items():
                         for p in on[j]:
                             hit[p] = hit.get(p, 0) + v
@@ -258,24 +278,26 @@ def _simplex_packing(g: Multigraph) -> tuple[dict[Triangle, Fraction], dict[Edge
 
         for i, b in enumerate(basis):
             if b < nt and rhs[i]:
-                x[tris[tids[b]]] = Fraction(rhs[i], den[i])
+                x[tids[b]] = Fraction(rhs[i], den[i])
         for e, v in rows[obj].items():
-            ys[edges[used[e]]] = Fraction(v, den[obj])
+            ys[used[e]] = Fraction(v, den[obj])
         value[den[obj]] = value.get(den[obj], 0) + rhs[obj]
-    return x, dict(sorted(ys.items())), sum((Fraction(v, d) for d, v in value.items()), Fraction(0))
+    return x, ys, sum((Fraction(v, d) for d, v in value.items()), Fraction(0))
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:
     """Exact rational optimum of the fractional packing/transversal pair.
 
-    The LP is always feasible and bounded (the zero packing and the all-1
-    transversal are feasible), so this never fails.  The result is
+    ``_simplex_packing`` with the triangles as columns and the edges as
+    resources.  The LP is always feasible and bounded (the zero packing and
+    the all-1 transversal are feasible), so this never fails.  The result is
     deterministic for a given graph.  Each call solves afresh; solvers read
     the cached ``Multigraph.lp`` instead.
     """
-    x, y, value = _simplex_packing(g)
-    packing = FractionalAssignment.on_triangles(g, x)
-    transversal = FractionalAssignment.on_edges(g, y)
+    inc = g.incidence
+    x, y, value = _simplex_packing(inc.columns, [w for _, _, w in g.edges], inc.components)
+    packing = FractionalAssignment.on_triangles(g, {inc.triangles[j]: v for j, v in x.items()})
+    transversal = FractionalAssignment.on_edges(g, {inc.edges[e]: v for e, v in y.items()})
     if not (packing.value == transversal.value == value):
         raise InvariantViolation("strong duality violated by solver output")
     if not is_fractional_packing(g, packing):
@@ -288,41 +310,49 @@ def lp_optimal(g: Multigraph) -> LPSolution:
 def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
     """Edges and triangles whose LP constraints hold with equality.
 
-    Requires an optimal pair (equal values).  Complementary slackness is
-    asserted: a positive transversal value forces its edge tight, and a
-    positive packing value forces its triangle tight; a violation means the
-    pair was not optimal and is reported as a solver bug.
+    Requires an optimal pair: equal values, and both assignments feasible,
+    which is checked while the tight sets are collected (``ValueError``
+    otherwise).  Complementary slackness is asserted: a positive
+    transversal value forces its edge tight, and a positive packing value
+    forces its triangle tight; a violation means the pair was not optimal
+    and is reported as a solver bug.
     """
     if s.packing.value != s.transversal.value:
         raise ValueError("not an optimal pair: primal and dual values differ")
-    if not (is_fractional_packing(g, s.packing) and is_fractional_transversal(g, s.transversal)):
-        raise ValueError("not an optimal pair: assignment infeasible")
-    load: dict[Edge, Fraction] = {}
-    assert s.packing.triangle_values is not None
-    for t, x in s.packing.triangle_values.items():
+    xs, ys = s.packing.triangle_values, s.transversal.edge_values
+    if xs is None or ys is None:
+        raise ValueError("not an optimal pair: assignments not on triangles and edges")
+    (xden, xnum), (yden, ynum) = _over_lcm(xs.values()), _over_lcm(ys.values())
+    infeasible = "not an optimal pair: assignment infeasible"
+    if min(xnum, default=0) < 0 or min(ynum, default=0) < 0:
+        raise ValueError(infeasible)
+    load: dict[Edge, int] = {}  # over xden
+    for t, x in zip(xs, xnum):
         for e in t.edges:
-            load[e] = load.get(e, Fraction(0)) + x
-    tight_edges = tuple(
-        (u, v)
-        for u, v, w in g.edges
-        if load.get((u, v), Fraction(0)) == w
-    )
-    tight_edge_set = set(tight_edges)
-    one = Fraction(1)
-    tight_tris = tuple(
-        t
-        for t in g.triangles
-        if sum((s.transversal.edge_value(e) for e in t.edges), Fraction(0)) == one
-    )
-    tight_tri_set = set(tight_tris)
-    assert s.transversal.edge_values is not None
-    for e, y in s.transversal.edge_values.items():
-        if y > 0 and e not in tight_edge_set:
+            load[e] = load.get(e, 0) + x
+    tight_edges = []
+    for u, v, w in g.edges:
+        slack = w * xden - load.get((u, v), 0)
+        if slack < 0:
+            raise ValueError(infeasible)
+        if not slack:
+            tight_edges.append((u, v))
+    y = dict(zip(ys, ynum))  # over yden
+    tight_tris = []
+    for t in g.triangles:
+        surplus = sum(y.get(e, 0) for e in t.edges) - yden
+        if surplus < 0:
+            raise ValueError(infeasible)
+        if not surplus:
+            tight_tris.append(t)
+    tight_edge_set, tight_tri_set = set(tight_edges), set(tight_tris)
+    for e, v in zip(ys, ynum):
+        if v > 0 and e not in tight_edge_set:
             raise InvariantViolation(f"complementary slackness fails at edge {e}")
-    for t, x in s.packing.triangle_values.items():
-        if x > 0 and t not in tight_tri_set:
+    for t, v in zip(xs, xnum):
+        if v > 0 and t not in tight_tri_set:
             raise InvariantViolation(f"complementary slackness fails at triangle {tuple(t)}")
-    return TightSets(tight_edges=tight_edges, tight_triangles=tight_tris)
+    return TightSets(tight_edges=tuple(tight_edges), tight_triangles=tuple(tight_tris))
 
 
 def max_type_packing(
@@ -461,12 +491,6 @@ def max_type_packing(
 
     run_search(dfs(0, 0, 0), budget)
     return best
-
-
-def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """A common denominator of ``xs`` and their numerators over it."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:

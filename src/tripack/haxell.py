@@ -44,6 +44,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     _Budget,
+    _components,
     Edge,
     InvariantViolation,
     Multigraph,
@@ -57,12 +58,12 @@ from .core import (
     verify_transversal,
 )
 from .cuts import cut_large
-from .exact import max_type_packing, nu_exact
+from .exact import _simplex_packing, max_type_packing, nu_exact
 
 #: Search-node allowance for one state build, for about 50 triangles of
-#: capacity at most 2.  ``build_state`` spends 2,384 and 14,026 nodes on
-#: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 363,371 on
-#: ``gen_random(15, 52, 2, 0)`` and 185,839 on ``gen_random(15, 52, 2, 3)``.
+#: capacity at most 2.  ``build_state`` spends 344 and 630 nodes on
+#: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 7,205 on
+#: ``gen_random(15, 52, 2, 0)`` and 97,673 on ``gen_random(15, 52, 2, 3)``.
 DEFAULT_BUDGET = 20_000_000
 
 #: Per class, ``(role, length)`` runs of its copies in copy order.  Dropped
@@ -251,7 +252,13 @@ def _search_max_family(
     interchangeable, and for the roles ``build_state`` uses no coarser
     grouping exists.  The types, in order of triangle and then of each
     side's orbits by lowest copy, go to ``max_type_packing`` with the
-    orbits as resources of their sizes.
+    orbits as resources of their sizes.  The search also gets the optimal
+    dual y* of the types' LP relaxation, solved on the simplex that solves
+    the triangle LP: it maximizes the number of triangles and drops gains
+    and ``target``, which only loosens it.  Priced by y*, every type costs
+    at least 1, so a subtree is cut once its family plus y*'s price of the
+    orbits left cannot beat the incumbent; the family found is the same
+    with or without y*, which only shrinks the tree.
     """
     sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
     roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}
@@ -262,12 +269,16 @@ def _search_max_family(
             gn = gain(roles)
             if gn is not None:
                 types.append((Type(t, roles), gn))
+    cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
+    caps = list(sizes.values())
+    y = _simplex_packing(cols, caps, _components(cols, len(caps)))[1]
     best = max_type_packing(
-        [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types],
-        list(sizes.values()),
+        cols,
+        caps,
         gains=[gn for _, gn in types],
         target=target,
         budget=budget,
+        dual=[y.get(o, Fraction(0)) for o in range(len(caps))],
     )
     if best is None:
         raise InvariantViolation("no family reaches the required surplus")

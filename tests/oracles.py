@@ -7,11 +7,11 @@ that faster or leaner code replaced and must agree with exactly:
 - ``reference_simplex_packing``, the dense ``Fraction`` tableau that the
   revised simplex in ``tripack.exact`` replaced, one tableau per
   triangle-connected component.  It reads the same ``incidence`` and must
-  take the same pivots: the most negative reduced cost, ratio-test ties
-  to the sparsest row, and Bland's rule after ``REFERENCE_DEGENERATE_RUN``
-  degenerate pivots in a row.  Its components come from
-  ``reference_components``, an O(T^2) scan over pairs of triangles, which
-  ``Incidence.components`` must equal.
+  take the same pivots, in the same minimum-degree column order: the most
+  negative reduced cost, ratio-test ties to the sparsest row, and Bland's
+  rule after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.  Its
+  components come from ``reference_components``, an O(T^2) scan over
+  pairs of triangles, which ``Incidence.components`` must equal.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
@@ -300,14 +300,17 @@ def reference_simplex_packing(
     Dense reference: every tableau entry is a ``Fraction``.  Triangles that
     share an edge, directly or through others, form one component, and each
     component gets its own tableau over its triangles and their edges (all
-    other dual values are 0).  The entering variable has the most negative
-    reduced cost, ties to the lowest index in the canonical
-    triangle-then-edge order; after ``degenerate_run`` degenerate pivots in
-    a row (never, if None) the first negative enters instead, until a pivot
-    is nondegenerate.  The leaving row wins the ratio test.  Ties go to the
-    row with the fewest nonzero slack entries, then the largest pivot entry,
-    then the lowest basis index; while the first negative enters, straight
-    to the lowest basis index.  ``log`` receives ``(bland, degenerate)`` per
+    other dual values are 0).  The tableau's triangle columns are sorted by
+    degree: over a triangle's edges, the sum of how many of the
+    component's triangles contain each edge, ties by canonical index.  Its
+    edge columns follow in canonical order.  The entering variable has the
+    most negative reduced cost, ties to the lowest column; after
+    ``degenerate_run`` degenerate pivots in a row (never, if None) the
+    first negative enters instead, until a pivot is nondegenerate.  The
+    leaving row wins the ratio test.  Ties go to the row with the fewest
+    nonzero slack entries, then the largest pivot entry, then the lowest
+    basic column; while the first negative enters, straight to the lowest
+    basic column.  ``log`` receives ``(bland, degenerate)`` per
     pivot.
     """
     inc = incidence(g)
@@ -325,7 +328,9 @@ def reference_simplex_packing(
 def _reference_tableau(
     g: Multigraph, inc, members: list[int], degenerate_run: int | None, log: list | None
 ) -> tuple[dict[Triangle, Fraction], dict[Edge, Fraction], Fraction]:
-    used_rows = sorted({i for j in members for i in inc.columns[j]})
+    deg = Counter(i for j in members for i in inc.columns[j])
+    members = sorted(members, key=lambda j: (sum(deg[i] for i in inc.columns[j]), j))
+    used_rows = sorted(deg)
     row_of = {orig: i for i, orig in enumerate(used_rows)}
     m = len(used_rows)
     nt = len(members)

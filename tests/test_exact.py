@@ -51,6 +51,13 @@ from oracles import (
 )
 
 
+def simplex(g):
+    """``_simplex_packing`` on the triangle/edge LP of ``g``, keyed by triangles and edges."""
+    inc = g.incidence
+    x, y, value = _simplex_packing(inc.columns, [w for *_, w in g.edges], inc.components)
+    return {inc.triangles[j]: v for j, v in x.items()}, {inc.edges[e]: v for e, v in y.items()}, value
+
+
 def doubled(g):
     return Multigraph.from_edges(g.n, ((u, v, 2 * w) for u, v, w in g.edges))
 
@@ -262,11 +269,11 @@ class TestIncumbents:
     def test_weighted_stacked(self):
         kinds = Counter()
         for n in range(9, 15):
-            kinds[check_nu(with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1))] += 1
+            kinds[check_nu(with_random_weights(gen_stacked(n, seed=2), (1, 2, 3), seed=2))] += 1
         assert kinds[True] >= 1 and kinds[False] >= 1
 
     def test_s13_rounding_falls_one_short(self):
-        g = with_random_weights(gen_stacked(13, seed=2), (1, 2, 3), seed=2)
+        g = with_random_weights(gen_stacked(13, seed=11), (1, 2, 3), seed=11)
         assert sum(reference_lp_packing(g).values()) == 19
         assert nu_exact(g)[0] == 20 == g.lp.value
         assert not check_nu(g)
@@ -395,7 +402,7 @@ class TestLPOptimal:
         g.incidence
         tracemalloc.start()
         try:
-            x, y, value = _simplex_packing(g)
+            x, y, value = _simplex_packing(g.incidence.columns, [w for *_, w in g.edges], g.incidence.components)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -404,6 +411,27 @@ class TestLPOptimal:
 
     def test_g1(self):
         assert lp_optimal(gen_gk(1).graph).value == Fraction(5, 2)
+
+    def test_value_survives_relabelling(self):
+        # The column order follows the labels; the optimum must not.
+        s60 = with_random_weights(gen_stacked(60, seed=1), (1, 2, 3), seed=1)
+        for g, value in ((gen_gk(3).graph, gk_optimum(3)), (s60, 101)):
+            assert lp_optimal(g).value == value
+            for seed in range(5):
+                perm = list(range(g.n))
+                random.Random(seed).shuffle(perm)
+                h = Multigraph.from_edges(g.n, ((perm[u], perm[v], w) for u, v, w in g.edges))
+                assert lp_optimal(h).value == value
+
+    def test_stacked_500_within_a_second(self):
+        # Ties by triangle index put the hub triangles of a stacked
+        # triangulation first and filled B^-1 densely: 1.4-1.6 s of CPU
+        # (Python 3.11, shared 2-core x86 machine); by degree, 0.3 s.
+        g = gen_stacked(500, seed=1)
+        g.incidence
+        start = time.process_time()
+        assert lp_optimal(g).value == 498
+        assert time.process_time() - start < 1
 
     def test_c5(self):
         sol = lp_optimal(gen_cycle(5))
@@ -427,9 +455,9 @@ class TestLPOptimal:
         solved, indexed = [], []
         real = tripack.exact._simplex_packing
 
-        def counting(h):
-            solved.append(h)
-            return real(h)
+        def counting(*args):
+            solved.append(args)
+            return real(*args)
 
         monkeypatch.setattr(tripack.exact, "_simplex_packing", counting)
         monkeypatch.setattr(tripack.core, "incidence", indexed.append)
@@ -437,7 +465,7 @@ class TestLPOptimal:
         tau_exact(g)
         transversal_2nustar(g)
         assert solved == [] and indexed == []
-        assert lp_optimal(g) == sol and solved == [g]
+        assert lp_optimal(g) == sol and len(solved) == 1 and solved[0][0] is g.incidence.columns
         assert g.lp is sol
 
 
@@ -455,30 +483,30 @@ class TestSimplexAgainstReference:
                 G.number_of_nodes(), ((u, v, rng.randint(0, 3)) for u, v in G.edges())
             )
             if enumerate_triangles(g):
-                assert _simplex_packing(g) == reference_simplex_packing(g)
+                assert simplex(g) == reference_simplex_packing(g)
 
     def test_random_multigraphs(self):
         for seed in range(20):
             g = rand_connected_multigraph(8, 12, 3, seed)
-            assert _simplex_packing(g) == reference_simplex_packing(g)
+            assert simplex(g) == reference_simplex_packing(g)
 
     def test_gk(self):
         for k in (1, 2):
             g = gen_gk(k).graph
-            got = _simplex_packing(g)
+            got = simplex(g)
             assert got == reference_simplex_packing(g)
             assert got[2] == gk_optimum(k)
 
     def test_triangle_free(self):
         g = rand_triangle_free(9, 3)
-        assert _simplex_packing(g) == reference_simplex_packing(g) == ({}, {}, 0)
+        assert simplex(g) == reference_simplex_packing(g) == ({}, {}, 0)
 
     def test_dense_weighted_k6_to_k8(self):
         # Dense, degenerate tableaux: many ties in the ratio test.
         for n in (6, 7, 8):
             for seed in range(6):
                 g = with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=100 * n + seed)
-                assert _simplex_packing(g) == reference_simplex_packing(g)
+                assert simplex(g) == reference_simplex_packing(g)
 
     def test_bland_fallback_on_k8(self, monkeypatch):
         # With ratio-test ties to the sparsest row, no unit K4-K13 reaches 20
@@ -490,7 +518,7 @@ class TestSimplexAgainstReference:
         log = []
         got = reference_simplex_packing(g, degenerate_run=2, log=log)
         assert sum(bland for bland, _ in log) == 9
-        assert _simplex_packing(g) == got
+        assert simplex(g) == got
         assert reference_simplex_packing(g, degenerate_run=None) != got
 
     def test_one_triangle_components_in_closed_form(self):
@@ -510,7 +538,7 @@ class TestSimplexAgainstReference:
                     items += [(n + u, n + v, w) for u, v, w in h.edges]
                     n += h.n
             g = Multigraph.from_edges(n, items)
-            assert _simplex_packing(g) == reference_simplex_packing(g), seed
+            assert simplex(g) == reference_simplex_packing(g), seed
 
     def test_edges_on_no_triangle(self):
         # A bridge, a triangle-free part and a pendant edge hang off the
@@ -524,7 +552,7 @@ class TestSimplexAgainstReference:
             h = Multigraph.from_edges(14, items)
             on_tri = {e for t in h.triangles for e in t.edges}
             assert on_tri and len(on_tri) < len(h.edges)
-            x, y, value = _simplex_packing(h)
+            x, y, value = simplex(h)
             assert (x, y, value) == reference_simplex_packing(h)
             assert set(y) <= on_tri
 
@@ -567,15 +595,18 @@ class TestTightSets:
         assert ts.tight_triangles == ()
 
     def test_rejects_non_optimal_pair(self):
+        # Values that differ, then equal values with a packing over its
+        # capacity, then equal values with a triangle's y below 1.
         g = gen_complete(3)
         t = Triangle.of(0, 1, 2)
-        bogus = LPSolution(
-            packing=FractionalAssignment.on_triangles(g, {t: Fraction(1, 2)}),
-            transversal=FractionalAssignment.on_edges(g, {(0, 1): Fraction(1)}),
-            value=Fraction(1),
-        )
-        with pytest.raises(ValueError):
-            tight_sets(g, bogus)
+        for x, y in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(2)), (Fraction(1, 2), Fraction(1, 2))):
+            bogus = LPSolution(
+                packing=FractionalAssignment.on_triangles(g, {t: x}),
+                transversal=FractionalAssignment.on_edges(g, {(0, 1): y}),
+                value=x,
+            )
+            with pytest.raises(ValueError):
+                tight_sets(g, bogus)
 
 
 class TestOracleEquivalence:

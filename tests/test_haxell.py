@@ -35,6 +35,7 @@ from tripack.haxell import (
     transversal_292,
 )
 
+import tripack.haxell
 import oracles
 from oracles import (
     AnchoredTriangle,
@@ -338,10 +339,10 @@ class TestBuildState:
             build_state(gen_complete(6), budget=10)
 
     @pytest.mark.parametrize("g, nodes", [
-        (gen_complete(4), 6),
-        (gen_random(9, 18, 2, 0), 26),
-        (gen_random(8, 14, 2, 2), 23),
-        (K4_RUNGS, 59_981),
+        (gen_complete(4), 5),
+        (gen_random(9, 18, 2, 0), 19),
+        (gen_random(8, 14, 2, 2), 18),
+        (K4_RUNGS, 59_071),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
         # The root and each child of every family search cost one node.
@@ -350,11 +351,11 @@ class TestBuildState:
             build_state(g, budget=nodes - 1)
 
     @pytest.mark.parametrize("g, budget, search, spent", [
-        (gen_random(8, 14, 2, 0), 3, "b1", 3),
-        (gen_complete(6), 10, "b2", 9),
-        (gen_complete(6), 30, "b_prime", 4),
-        (gen_complete(6), 57, "b1_prime", 0),
-        (K4_RUNGS, 59_980, "rung family", 16),
+        (gen_random(8, 14, 2, 0), 2, "b1", 2),
+        (gen_complete(6), 5, "b2", 4),
+        (gen_complete(6), 30, "b_prime", 23),
+        (gen_complete(6), 38, "b1_prime", 0),
+        (K4_RUNGS, 59_070, "rung family", 16),
     ])
     def test_budget_exceeded_names_the_search(self, g, budget, search, spent):
         # The budget is shared: each search gets what the ones before it left.
@@ -419,6 +420,29 @@ class TestBuildState:
                     assert max(reference_swap_rung_sizes(st)) <= rung_family
                     checked += 1
         assert checked >= 100
+
+    def test_dual_keeps_every_family(self, monkeypatch):
+        # Each family search runs again without y*: it returns the same
+        # multiplicities, so the same Counter, and spends at least as many nodes.
+        real, fewer = tripack.haxell.max_type_packing, Counter()
+
+        def both(types, caps, *, dual, budget, **kw):
+            plain, priced = _Budget(10**9), _Budget(10**9)
+            got = real(types, caps, **kw, dual=dual, budget=priced)
+            assert got == real(types, caps, **kw, budget=plain)
+            assert priced.remaining >= plain.remaining
+            fewer[priced.remaining > plain.remaining] += 1
+            return got
+
+        monkeypatch.setattr(tripack.haxell, "max_type_packing", both)
+        for seed, base in enumerate(atlas_with_triangle()):
+            build_state(capacities_0_to_3(seed, base))
+        for n in range(5, 10):
+            for mult, m in ((2, min(2 * n + 1, n * (n - 1) // 2)), (3, n + 3)):
+                for seed in range(4):
+                    build_state(gen_random(n, m, mult, seed))
+        build_state(HEAVY_K4)
+        assert fewer[True] >= 50 and fewer.total() >= 500
 
     def test_heavy_k4(self):
         st = build_state(HEAVY_K4)

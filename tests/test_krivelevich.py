@@ -197,9 +197,9 @@ class TestTransversal2NuStar:
     @pytest.mark.parametrize(
         "g, built, weight",
         [
-            (gen_stacked(150, seed=1), 161, 150),
-            (gen_stacked(50, seed=1), 52, 49),
-            (gen_random(15, 52, 2, 0), 29, 24),
+            (gen_stacked(150, seed=1), 151, 149),
+            (gen_stacked(50, seed=1), 48, 48),
+            (gen_random(15, 52, 2, 0), 32, 25),
         ],
         ids=["S150", "S50", "R15,52-0"],
     )
