@@ -6,12 +6,14 @@ depth only by memory; they take no node budget.  Both read the cached LP
 optimum ``g.lp`` for an incumbent and their bounds, and search only when
 the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 ``max_type_packing``, which also searches the Haxell families, up to
-``floor(nustar)``, pruning on y*'s price of the residual capacities;
-``tau_exact`` covers greedily from y*, then prunes on x*'s mass over the
-uncovered triangles down to ``ceil(nustar)``.  Both bounds are LP duality
-(each packing weighs at most any fractional cover, and each cover at least
-any fractional packing), so they cut only subtrees without a strictly
-better leaf and change no result, only the size of the tree.
+``floor(nustar)``, pruning on y*'s price of the residual capacities (a
+family search with a gain target also prices the gain it can still reach
+by the LP dual of its gaining types); ``tau_exact`` covers greedily from
+y*, then prunes on x*'s mass over the uncovered triangles down to
+``ceil(nustar)``.  Both bounds are LP duality (each packing weighs at
+most any fractional cover, and each cover at least any fractional
+packing), so they cut only subtrees without a strictly better leaf and
+change no result, only the size of the tree.
 ``lp_optimal`` solves the fractional relaxation on ``_simplex_packing``, an
 exact revised simplex on the resource model of ``max_type_packing``: each
 column draws one unit from three resources of given capacities, here a
@@ -50,6 +52,7 @@ from .core import (
     TransversalCertificate,
     Triangle,
     _Budget,
+    _components,
     _drop_redundant,
     _over_lcm,
     is_fractional_packing,
@@ -382,17 +385,24 @@ def max_type_packing(
     type's prices sum to at least 1 (an LP dual; else
     ``InvariantViolation``); then (b) is also at most the sum of y_o times
     the residual capacity over those resources, since each triangle there
-    pays at least 1 and draws only on them.  A subtree is cut when the
-    total plus either bound cannot beat the incumbent, or the gain plus the
-    rooms weighted by gain misses ``target``.  The search stops once the
-    incumbent reaches the root's bound or ``ceiling``, which must bound the
-    optimum.  The first incumbent is ``start`` if given (it must fit
-    ``caps`` and reach ``target``, else ``InvariantViolation``), returned
-    at once if it reaches that stop.  No cut removes a strictly better
-    leaf, so the result is ``start`` if it is optimal, else the first
-    optimum in branch order: the same with or without ``dual``, which only
-    shrinks the tree.  A draw updates only the later types sharing a
-    resource with it; the budget pays one node per search node.
+    pays at least 1 and draws only on them.  With ``target > 0`` the gain
+    is priced the same way: the dual z of the count LP of the gaining types
+    (gain > 0), solved on ``_simplex_packing`` and scaled by the largest
+    gain, makes every type's prices sum to at least its gain (else
+    ``InvariantViolation``), so the types not yet branched on gain at most
+    z's price of the residual capacity over those resources.  A subtree is
+    cut when the total plus either size bound cannot beat the incumbent,
+    or the gain plus the rooms weighted by gain, or plus z's price, misses
+    ``target``.  The search stops once the incumbent reaches the root's
+    bound or ``ceiling``, which must bound the optimum.  The first
+    incumbent is ``start`` if given (it must fit ``caps`` and reach
+    ``target``, else ``InvariantViolation``), returned at once if it
+    reaches that stop.  No cut removes a strictly better leaf, and a gain
+    cut only a subtree whose every leaf misses ``target``, so the result is
+    ``start`` if it is optimal, else the first optimum in branch order:
+    the same with or without ``dual`` or z, which only shrink the tree.
+    A draw updates only the later types sharing a resource with it; the
+    budget pays one node per search node.
     """
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
@@ -402,6 +412,15 @@ def max_type_packing(
     if dual is not None and (len(dual) != len(caps) or min(price, default=0) < 0
                              or any(sum(price[o] for o in t) < yden for t in types)):
         raise InvariantViolation("dual is negative, of the wrong length or prices some type below 1")
+    # The gain bound by z: the gaining types' LP dual times the largest gain.
+    zden, zprice = 1, []
+    if target > 0:
+        gaining = [t for t, w in zip(types, gain_of) if w > 0]
+        z = _simplex_packing(gaining, caps, _components(gaining, len(caps)))[1]
+        zden, zprice = _over_lcm(max(gain_of, default=0) * z.get(o, 0) for o in range(len(caps)))
+        if min(zprice, default=0) < 0 or any(sum(zprice[o] for o in t) < w * zden
+                                              for t, w in zip(types, gain_of)):
+            raise InvariantViolation("gain prices are negative or fall below some type's gain")
     users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource
     for j, t in enumerate(types):
         for o in t:
@@ -411,11 +430,11 @@ def max_type_packing(
     # twin, the residual capacity of (b) and its y-weighted twin, and how many
     # with room use each resource.
     room = [0] * n
-    rest = rest_gain = resid = yres = 0
+    rest = rest_gain = resid = yres = zres = 0
     live = [0] * len(caps)
 
     def set_room(k: int, r: int) -> None:
-        nonlocal rest, rest_gain, resid, yres
+        nonlocal rest, rest_gain, resid, yres, zres
         old = room[k]
         if r == old:
             return
@@ -431,10 +450,12 @@ def max_type_packing(
                     resid += d * caps[o]
                     if price:
                         yres += d * caps[o] * price[o]
+                    if zprice:
+                        zres += d * caps[o] * zprice[o]
 
     def draw(j: int, m: int) -> None:
         """Take ``m`` more triangles of type ``j`` (give back when negative)."""
-        nonlocal resid, yres
+        nonlocal resid, yres, zres
         if not m:
             return
         for o in types[j]:
@@ -443,6 +464,8 @@ def max_type_packing(
                 resid -= m
                 if price:
                     yres -= m * price[o]
+                if zprice:
+                    zres -= m * zprice[o]
         for k in later[j]:
             a, b, c = types[k]
             r = min(caps[a], caps[b], caps[c])
@@ -469,7 +492,7 @@ def max_type_packing(
         nonlocal best, best_size
         if size + min(rest, resid // 3) <= best_size or gain + rest_gain < target:
             return
-        if price and size + yres // yden <= best_size:
+        if price and size + yres // yden <= best_size or gain + zres // zden < target:
             return
         while i < n and room[i] == 0:
             i += 1

@@ -61,9 +61,10 @@ from .cuts import cut_large
 from .exact import _simplex_packing, max_type_packing, nu_exact
 
 #: Search-node allowance for one state build, for about 50 triangles of
-#: capacity at most 2.  ``build_state`` spends 344 and 630 nodes on
+#: capacity at most 2.  ``build_state`` spends 139 and 176 nodes on
 #: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 7,205 on
-#: ``gen_random(15, 52, 2, 0)`` and 97,673 on ``gen_random(15, 52, 2, 3)``.
+#: ``gen_random(15, 52, 2, 0)``, 5,042 on ``gen_random(15, 52, 2, 3)`` and
+#: 49,203 on 13 disjoint copies of the K4 ``gen_random(4, 6, 2, 13)``.
 DEFAULT_BUDGET = 20_000_000
 
 #: Per class, ``(role, length)`` runs of its copies in copy order.  Dropped
@@ -254,11 +255,11 @@ def _search_max_family(
     side's orbits by lowest copy, go to ``max_type_packing`` with the
     orbits as resources of their sizes.  The search also gets the optimal
     dual y* of the types' LP relaxation, solved on the simplex that solves
-    the triangle LP: it maximizes the number of triangles and drops gains
-    and ``target``, which only loosens it.  Priced by y*, every type costs
-    at least 1, so a subtree is cut once its family plus y*'s price of the
-    orbits left cannot beat the incumbent; the family found is the same
-    with or without y*, which only shrinks the tree.
+    the triangle LP: it maximizes the number of triangles.  Priced by y*,
+    every type costs at least 1, so a subtree is cut once its family plus
+    y*'s price of the orbits left cannot beat the incumbent; the kernel
+    prices ``target`` itself.  The family found is the same with or
+    without either price, which only shrinks the tree.
     """
     sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
     roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}

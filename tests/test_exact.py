@@ -136,6 +136,25 @@ class TestTypePackingAgainstBruteForce:
             with pytest.raises(InvariantViolation):
                 max_type_packing(types, caps, dual=dual)
 
+    def test_target_without_gaining_type(self):
+        types, caps = [(0, 1, 2), (2, 3, 4)], [2] * 5
+        assert max_type_packing(types, caps, gains=[0, 0], target=1) is None
+        assert max_type_packing(types, caps, target=1) is None
+        assert max_type_packing(types, caps, gains=[0, 0]) == [2, 0]
+
+    def test_empty_type_list(self):
+        assert max_type_packing([], []) == []
+        assert max_type_packing([], [3, 1], gains=[]) == []
+        assert max_type_packing([], [3, 1], gains=[], target=1) is None
+
+    def test_gain_prices_cut_at_the_root(self):
+        # Three gaining types share resource 0 of capacity 1, so their rooms
+        # promise a gain of 3 while the LP prices it at 1: the root is cut
+        # before it spends a node on a child.
+        types, caps = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7
+        assert max_type_packing(types, caps, gains=[1, 1, 1], target=2, budget=_Budget(1)) is None
+        assert max_type_packing(types, caps, gains=[1, 1, 1], target=1) == [1, 0, 0]
+
 
 class TestTauExact:
     def test_k4(self):

@@ -340,9 +340,9 @@ class TestBuildState:
 
     @pytest.mark.parametrize("g, nodes", [
         (gen_complete(4), 5),
-        (gen_random(9, 18, 2, 0), 19),
+        (gen_random(9, 18, 2, 0), 15),
         (gen_random(8, 14, 2, 2), 18),
-        (K4_RUNGS, 59_071),
+        (K4_RUNGS, 1_567),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
         # The root and each child of every family search cost one node.
@@ -355,7 +355,7 @@ class TestBuildState:
         (gen_complete(6), 5, "b2", 4),
         (gen_complete(6), 30, "b_prime", 23),
         (gen_complete(6), 38, "b1_prime", 0),
-        (K4_RUNGS, 59_070, "rung family", 16),
+        (K4_RUNGS, 1_566, "rung family", 16),
     ])
     def test_budget_exceeded_names_the_search(self, g, budget, search, spent):
         # The budget is shared: each search gets what the ones before it left.
@@ -371,6 +371,21 @@ class TestBuildState:
         # Without the residual-capacity bound the b_prime search spent more
         # than 3M nodes here.
         assert build_state(gen_random(15, 52, 2, 3), budget=300_000).nu == 22
+
+    def test_gain_prices_close_the_surplus_search(self):
+        # Priced by the LP dual of the gaining types, the b_prime search
+        # takes 5,028 nodes here; the summed rooms alone took 97,659.
+        assert build_state(gen_random(15, 52, 2, 3), budget=10_000).nu == 22
+
+    def test_thirteen_disjoint_k4s_fit_the_budget(self):
+        # The b_prime search grew about 3.3x per copy and exhausted the 20M
+        # default budget at 13 copies; priced by the gain LP, the whole
+        # build takes 49,203 nodes.
+        g = disjoint_copies(gen_random(4, 6, 2, 13), 13)
+        covers = transversal_292(g, budget=100_000)
+        assert covers.state.nu == 26
+        assert verify_transversal(g, covers.best.certificate)
+        assert covers.best.certificate.weight <= covers.limit
 
     @pytest.mark.parametrize("n, m", [(11, 30), (12, 34)])
     def test_parallel_copies_do_not_exhaust_the_budget(self, n, m):
