@@ -208,15 +208,13 @@ class Incidence:
     Rows are indexed by ``edges`` (canonical order), columns by
     ``triangles`` (canonical order).  ``columns[j]`` lists the three row
     indices of triangle ``j`` and ``on_edge[i]`` the triangles on edge
-    ``i``.  ``components`` lists the triangle-connected components (linked
-    by shared edges); all lists ascend, components by lowest triangle.
+    ``i``, ascending; the simplex finds the components (``_components``).
     """
 
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
     columns: tuple[tuple[int, int, int], ...]
     on_edge: tuple[tuple[int, ...], ...]
-    components: tuple[tuple[int, ...], ...]
 
 
 def incidence(g: Multigraph) -> Incidence:
@@ -228,7 +226,7 @@ def incidence(g: Multigraph) -> Incidence:
     for j, col in enumerate(columns):
         for i in col:
             on[i].append(j)
-    return Incidence(edges, g.triangles, columns, tuple(map(tuple, on)), _components(columns, len(edges)))
+    return Incidence(edges, g.triangles, columns, tuple(map(tuple, on)))
 
 
 def _components(columns: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:

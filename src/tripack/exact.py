@@ -18,20 +18,20 @@ change no result, only the size of the tree.
 exact revised simplex on the resource model of ``max_type_packing``: each
 column draws one unit from three resources of given capacities, here a
 triangle from its edges (``haxell`` solves its type systems on it too).
-It runs once per component of columns sharing resources: one sparse
-integer row of B^-1 per resource of the component and one row of duals y,
-each over one positive denominator kept divided by its gcd, built for the
-component and dropped after it.  The columns' reduced costs are kept
-between pivots, and a pivot reprices only the columns on the pivot row's
-support; a column is built from B^-1 only when it enters.  Columns are
-ranked by degree, fewest neighbors first, so that B^-1 fills slowly.  The
-most negative reduced cost enters, ratio-test ties go to the sparsest row
-of B^-1, and Bland's rule takes over during a long run of degenerate
-pivots, so the loop terminates; y is the dual optimum, so primal and dual
-values agree.  All three read the graph's cached ``g.incidence``: the
-simplex loops over its components, ``nu_exact`` and ``tau_exact`` use its
-triangles through each edge, and ``tau_exact`` counts the chosen edges of
-each triangle.
+It runs once per component of columns sharing resources, which it finds
+with ``core._components``: one sparse integer row of B^-1 per resource of
+the component and one row of duals y, each over one positive denominator
+kept divided by its gcd, built for the component and dropped after it.
+The columns' reduced costs are kept between pivots, and a pivot reprices
+only the columns on the pivot row's support; a column is built from B^-1
+only when it enters.  Columns are ranked by degree, fewest neighbors
+first, so that B^-1 fills slowly.  The most negative reduced cost enters,
+ratio-test ties go to the sparsest row of B^-1, and Bland's rule takes
+over during a long run of degenerate pivots, so the loop terminates; y is
+the dual optimum, so primal and dual values agree.  All three read the
+graph's cached ``g.incidence``: ``lp_optimal`` passes its columns to the
+simplex, ``nu_exact`` and ``tau_exact`` use its triangles through each
+edge, and ``tau_exact`` counts the chosen edges of each triangle.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from math import gcd
+from typing import Iterator, Sequence
 
 from .core import (
     Edge,
@@ -94,14 +94,14 @@ DEGENERATE_RUN = 20
 
 
 def _simplex_packing(
-    columns: Sequence[tuple[int, int, int]], caps: Sequence[int], components: Iterable[Sequence[int]]
+    columns: Sequence[tuple[int, int, int]], caps: Sequence[int]
 ) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction]:
     """Maximize ``sum x`` with ``x >= 0`` and each resource's load within its capacity.
 
     Column ``j`` draws one unit from each of the three distinct resources
     ``columns[j]``, and resource ``o`` holds ``caps[o]`` units; the pivot
-    loop runs once per entry of ``components``, a partition of the columns
-    into groups sharing no resource.  Returns (x by column, y by resource,
+    loop runs once per component that ``core._components`` finds, columns
+    linked by shared resources.  Returns (x by column, y by resource,
     value) exactly, omitting zeros of x and the duals of resources on no
     column, which are 0.
 
@@ -147,7 +147,7 @@ def _simplex_packing(
     x: dict[int, Fraction] = {}
     ys: dict[int, Fraction] = {}
     value: dict[int, int] = {}  # the objective's numerators, summed per denominator
-    for tids in components:
+    for tids in _components(columns, len(caps)):
         if len(tids) == 1:
             # The one pivot the loop would make: the column enters, and the
             # ratio test ties (all entries 1) go to the lowest index.
@@ -298,7 +298,7 @@ def lp_optimal(g: Multigraph) -> LPSolution:
     the cached ``Multigraph.lp`` instead.
     """
     inc = g.incidence
-    x, y, value = _simplex_packing(inc.columns, [w for _, _, w in g.edges], inc.components)
+    x, y, value = _simplex_packing(inc.columns, [w for _, _, w in g.edges])
     packing = FractionalAssignment.on_triangles(g, {inc.triangles[j]: v for j, v in x.items()})
     transversal = FractionalAssignment.on_edges(g, {inc.edges[e]: v for e, v in y.items()})
     if not (packing.value == transversal.value == value):
@@ -361,13 +361,12 @@ def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
 def max_type_packing(
     types: Sequence[tuple[int, int, int]],
     caps: Sequence[int],
+    dual: Sequence[Fraction],
     *,
     gains: Sequence[int] | None = None,
     target: int = 0,
-    ceiling: int | None = None,
     budget: _Budget | None = None,
     start: Sequence[int] | None = None,
-    dual: Sequence[Fraction] | None = None,
 ) -> list[int] | None:
     """A multiplicity per type with the largest total within ``caps``.
 
@@ -378,45 +377,45 @@ def max_type_packing(
 
     Branch and bound on ``core.run_search``: types in order, largest
     multiplicity first, the incumbent replaced only by a strictly larger
-    total.  With a type's room its smallest residual capacity, the types
-    not yet branched on add at most (a) their summed rooms and (b) a third
-    of the residual capacity of the resources they use while they have
-    room.  ``dual`` gives each resource a price y_o >= 0 such that every
-    type's prices sum to at least 1 (an LP dual; else
-    ``InvariantViolation``); then (b) is also at most the sum of y_o times
-    the residual capacity over those resources, since each triangle there
-    pays at least 1 and draws only on them.  With ``target > 0`` the gain
-    is priced the same way: the dual z of the count LP of the gaining types
-    (gain > 0), solved on ``_simplex_packing`` and scaled by the largest
-    gain, makes every type's prices sum to at least its gain (else
+    total.  ``dual`` prices each resource at y_o >= 0 so that every type's
+    prices sum to at least 1 (else ``InvariantViolation``).  With a type's
+    room its smallest residual capacity, the types not yet branched on add
+    at most (a) their summed rooms, (b) a third of the residual capacity of
+    the resources they use while they have room, and (c) y's price of that
+    capacity, since each triangle there pays at least 1 and draws only on
+    those resources.  A caller without an LP passes the uniform price 1/3,
+    under which (c) is (b).  At the LP optimum y*, (c) at the root is the LP
+    value: y* > 0 only where x* fills the capacity, and a resource no type
+    with room uses has load 0.  With ``target > 0`` the gain is priced the
+    same way: the dual z of the count LP of the gaining types (gain > 0),
+    solved on ``_simplex_packing`` and scaled by the largest gain, makes
+    every type's prices sum to at least its gain (else
     ``InvariantViolation``), so the types not yet branched on gain at most
     z's price of the residual capacity over those resources.  A subtree is
-    cut when the total plus either size bound cannot beat the incumbent,
-    or the gain plus the rooms weighted by gain, or plus z's price, misses
+    cut when the total plus any size bound cannot beat the incumbent, or the
+    gain plus the rooms weighted by gain, or plus z's price, misses
     ``target``.  The search stops once the incumbent reaches the root's
-    bound or ``ceiling``, which must bound the optimum.  The first
-    incumbent is ``start`` if given (it must fit ``caps`` and reach
-    ``target``, else ``InvariantViolation``), returned at once if it
-    reaches that stop.  No cut removes a strictly better leaf, and a gain
-    cut only a subtree whose every leaf misses ``target``, so the result is
-    ``start`` if it is optimal, else the first optimum in branch order:
-    the same with or without ``dual`` or z, which only shrink the tree.
-    A draw updates only the later types sharing a resource with it; the
-    budget pays one node per search node.
+    bound, at y* the floor of the LP value.  The first incumbent is
+    ``start`` if given (it must fit ``caps`` and reach ``target``, else
+    ``InvariantViolation``), returned at once if it reaches that stop.  No
+    cut removes a strictly better leaf, and a gain cut only a subtree whose
+    every leaf misses ``target``, so the result is ``start`` if it is
+    optimal, else the first optimum in branch order under any dual, which
+    like z only shrinks the tree.  A draw updates only the later types
+    sharing a resource with it; the budget pays one node per search node.
     """
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
     caps = list(caps)
-    # Bound (b) by y: the prices as integers over one denominator.
-    yden, price = _over_lcm(dual) if dual else (1, [])
-    if dual is not None and (len(dual) != len(caps) or min(price, default=0) < 0
-                             or any(sum(price[o] for o in t) < yden for t in types)):
+    # Bound (c): the prices as integers over one denominator.
+    yden, price = _over_lcm(dual)
+    if len(dual) != len(caps) or min(price, default=0) < 0 or any(sum(price[o] for o in t) < yden for t in types):
         raise InvariantViolation("dual is negative, of the wrong length or prices some type below 1")
     # The gain bound by z: the gaining types' LP dual times the largest gain.
     zden, zprice = 1, []
     if target > 0:
         gaining = [t for t, w in zip(types, gain_of) if w > 0]
-        z = _simplex_packing(gaining, caps, _components(gaining, len(caps)))[1]
+        z = _simplex_packing(gaining, caps)[1]
         zden, zprice = _over_lcm(max(gain_of, default=0) * z.get(o, 0) for o in range(len(caps)))
         if min(zprice, default=0) < 0 or any(sum(zprice[o] for o in t) < w * zden
                                               for t, w in zip(types, gain_of)):
@@ -427,8 +426,8 @@ def max_type_packing(
             users[o].append(j)
     later = [sorted({k for o in t for k in users[o] if k > j}) for j, t in enumerate(types)]
     # Over the types not yet branched on: rooms, bound (a) and its gain-weighted
-    # twin, the residual capacity of (b) and its y-weighted twin, and how many
-    # with room use each resource.
+    # twin, the residual capacity of (b), its y-priced twin (c) and its z-priced
+    # twin, and how many with room use each resource.
     room = [0] * n
     rest = rest_gain = resid = yres = zres = 0
     live = [0] * len(caps)
@@ -448,8 +447,7 @@ def max_type_packing(
                 live[o] += d
                 if not (was and live[o]):
                     resid += d * caps[o]
-                    if price:
-                        yres += d * caps[o] * price[o]
+                    yres += d * caps[o] * price[o]
                     if zprice:
                         zres += d * caps[o] * zprice[o]
 
@@ -462,8 +460,7 @@ def max_type_packing(
             caps[o] -= m
             if live[o]:
                 resid -= m
-                if price:
-                    yres -= m * price[o]
+                yres -= m * price[o]
                 if zprice:
                     zres -= m * zprice[o]
         for k in later[j]:
@@ -474,9 +471,7 @@ def max_type_packing(
 
     for k, (a, b, c) in enumerate(types):
         set_room(k, min(caps[a], caps[b], caps[c]))
-    stop = min(rest, resid // 3, rest if ceiling is None else ceiling)
-    if price:
-        stop = min(stop, yres // yden)
+    stop = min(rest, resid // 3, yres // yden)
     best: list[int] | None = [0] * n if target <= 0 else None
     best_size = 0 if target <= 0 else -1
     if start is not None:
@@ -492,7 +487,7 @@ def max_type_packing(
         nonlocal best, best_size
         if size + min(rest, resid // 3) <= best_size or gain + rest_gain < target:
             return
-        if price and size + yres // yden <= best_size or gain + zres // zden < target:
+        if size + yres // yden <= best_size or gain + zres // zden < target:
             return
         while i < n and room[i] == 0:
             i += 1
@@ -519,20 +514,17 @@ def max_type_packing(
 def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """Maximum integral triangle packing with a verified certificate.
 
-    ``max_type_packing`` with the edges as resources, each triangle as a
-    type and ``floor(nustar)`` as the ceiling, started from x* rounded
-    down and completed greedily: each triangle, by descending fractional
-    part of x* (ties by index), takes its residual room.  When that start
-    misses the ceiling, the search also gets y* as its ``dual``: a subtree
-    is cut once its packing plus y*'s price of the capacity left cannot
-    beat the incumbent.  Deterministic: that start if it is optimal, else
-    the first maximum in branch order, with or without y*, so the
-    certificate does not depend on the bound.
+    Starts from x* rounded down and completed greedily: each triangle, by
+    descending fractional part of x* (ties by index), takes its residual
+    room.  Unless that reaches ``floor(nustar)``, ``max_type_packing``
+    searches on from it with the edges as resources, each triangle as a
+    type and y* as the ``dual``, which stops it at ``floor(nustar)``.
+    Deterministic: that start if it is optimal, else the first maximum in
+    branch order under any dual, so the certificate does not depend on
+    the bound.
     """
     inc = g.incidence
     tris, types = inc.triangles, inc.columns
-    if not tris:
-        return 0, PackingCertificate.from_map({})
     den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
     start, wts = [x // den for x in num], [w for _, _, w in g.edges]
     left = [w - sum(start[j] for j in on) for w, on in zip(wts, inc.on_edge)]
@@ -541,9 +533,10 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
         start[j] += m
         for o in types[j]:
             left[o] -= m
-    ceiling = int(g.lp.value)
-    dual = [g.lp.transversal.edge_value(e) for e in inc.edges] if sum(start) < ceiling else None
-    counts = max_type_packing(types, wts, ceiling=ceiling, start=start, dual=dual)
+    counts: list[int] | None = start
+    if sum(start) < int(g.lp.value):
+        y = [g.lp.transversal.edge_value(e) for e in inc.edges]
+        counts = max_type_packing(types, wts, y, start=start)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):

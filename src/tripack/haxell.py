@@ -44,7 +44,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     _Budget,
-    _components,
     Edge,
     InvariantViolation,
     Multigraph,
@@ -253,13 +252,13 @@ def _search_max_family(
     interchangeable, and for the roles ``build_state`` uses no coarser
     grouping exists.  The types, in order of triangle and then of each
     side's orbits by lowest copy, go to ``max_type_packing`` with the
-    orbits as resources of their sizes.  The search also gets the optimal
-    dual y* of the types' LP relaxation, solved on the simplex that solves
-    the triangle LP: it maximizes the number of triangles.  Priced by y*,
+    orbits as resources of their sizes, priced by the optimal dual y* of
+    the types' LP relaxation, solved on the simplex that solves the
+    triangle LP: it maximizes the number of triangles.  Priced by y*,
     every type costs at least 1, so a subtree is cut once its family plus
     y*'s price of the orbits left cannot beat the incumbent; the kernel
-    prices ``target`` itself.  The family found is the same with or
-    without either price, which only shrinks the tree.
+    prices ``target`` itself.  The family found is the same under any
+    dual, which only shrinks the tree.
     """
     sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
     roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}
@@ -272,14 +271,14 @@ def _search_max_family(
                 types.append((Type(t, roles), gn))
     cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
     caps = list(sizes.values())
-    y = _simplex_packing(cols, caps, _components(cols, len(caps)))[1]
+    y = _simplex_packing(cols, caps)[1]
     best = max_type_packing(
         cols,
         caps,
+        [y.get(o, Fraction(0)) for o in range(len(caps))],
         gains=[gn for _, gn in types],
         target=target,
         budget=budget,
-        dual=[y.get(o, Fraction(0)) for o in range(len(caps))],
     )
     if best is None:
         raise InvariantViolation("no family reaches the required surplus")

@@ -11,7 +11,8 @@ that faster or leaner code replaced and must agree with exactly:
   negative reduced cost, ratio-test ties to the sparsest row, and Bland's
   rule after ``REFERENCE_DEGENERATE_RUN`` degenerate pivots in a row.  Its
   components come from ``reference_components``, an O(T^2) scan over
-  pairs of triangles, which ``Incidence.components`` must equal.
+  pairs of triangles, which ``core._components`` must equal on the
+  incidence's columns.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
   copied the remaining adjacency at every level.  ``tripack.cuts`` now
   hides and restores vertices of one shared adjacency and must return the
@@ -883,6 +884,7 @@ def _search_max_family(
     best = max_type_packing(
         [orbits for _, orbits, _ in types],
         [len(c) for c in copies.values()],
+        [Fraction(1, 3)] * len(copies),
         gains=[gn for _, _, gn in types],
         target=target,
         budget=budget,
@@ -1393,8 +1395,8 @@ def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
 def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     """The packing search of ``nu_exact`` started from the empty packing.
 
-    ``max_type_packing`` without ``start``: the first maximum in canonical
-    triangle order, largest multiplicity first.
+    ``max_type_packing`` priced by y* and without ``start``: the first
+    maximum in canonical triangle order, largest multiplicity first.
     """
     tris = g.triangles
     if not tris:
@@ -1403,7 +1405,7 @@ def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     counts = max_type_packing(
         [tuple(index[e] for e in t.edges) for t in tris],
         [w for _, _, w in g.edges],
-        ceiling=int(g.lp.value),
+        [g.lp.transversal.edge_value(e) for e in g.weight_map],
     )
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))

@@ -216,7 +216,7 @@ class TestCommands:
 
         def counting(real, calls):
             def wrapper(*args):
-                calls.append(args[:2] if len(args) > 1 else args[0])
+                calls.append(args if len(args) > 1 else args[0])
                 return real(*args)
 
             return wrapper

@@ -54,7 +54,7 @@ from oracles import (
 def simplex(g):
     """``_simplex_packing`` on the triangle/edge LP of ``g``, keyed by triangles and edges."""
     inc = g.incidence
-    x, y, value = _simplex_packing(inc.columns, [w for *_, w in g.edges], inc.components)
+    x, y, value = _simplex_packing(inc.columns, [w for *_, w in g.edges])
     return {inc.triangles[j]: v for j, v in x.items()}, {inc.edges[e]: v for e, v in y.items()}, value
 
 
@@ -103,21 +103,17 @@ class TestTypePackingAgainstBruteForce:
             top = sum(g * min(caps[o] for o in t) for t, g in zip(types, gains))
             target = rng.randint(0, top + 1)
             expected = brute_type_packing(types, caps, gains, target)
-            ceiling = None
-            if expected is not None and seed % 2:
-                ceiling = sum(expected) + rng.randint(0, 2)
-            got = max_type_packing(types, caps, gains=gains, target=target, ceiling=ceiling)
-            # A dual only shrinks the tree: the uniform third, and a random
-            # one raised until every type costs at least 1.
-            third = [Fraction(1, 3)] * nres
+            got = max_type_packing(types, caps, [Fraction(1, 3)] * nres, gains=gains, target=target)
+            # Every dual returns what the uniform third does: a random one
+            # raised until every type costs at least 1, and the LP's own y*.
             dual = [Fraction(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(nres)]
             for t in types:
                 short = 1 - sum(dual[o] for o in t)
                 if short > 0:
                     dual[t[0]] += short
-            for y in (third, dual):
-                kw = dict(gains=gains, target=target, ceiling=ceiling, dual=y)
-                assert max_type_packing(types, caps, **kw) == got, seed
+            y = _simplex_packing(types, caps)[1]
+            for d in (dual, [y.get(o, Fraction(0)) for o in range(nres)]):
+                assert max_type_packing(types, caps, d, gains=gains, target=target) == got, seed
             if expected is None:
                 assert got is None, seed
                 continue
@@ -125,6 +121,32 @@ class TestTypePackingAgainstBruteForce:
             for o, c in enumerate(caps):
                 assert sum(m for t, m in zip(types, got) if o in t) <= c
             assert sum(m * g for m, g in zip(got, gains)) >= target
+
+    def test_lp_dual_stops_at_the_floor_of_the_lp_value(self):
+        # Priced by the LP's own y*, the root bound is the LP value, so an
+        # optimum that reaches its floor comes back before the first node.
+        cases = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            nres = rng.randint(3, 6)
+            caps = [rng.randint(0, 3) for _ in range(nres)]
+            types = [tuple(rng.sample(range(nres), 3)) for _ in range(rng.randint(1, 6))]
+            _, y, value = _simplex_packing(types, caps)
+            best = brute_type_packing(types, caps, [0] * len(types), 0)
+            cases.append((types, caps, [y.get(o, Fraction(0)) for o in range(nres)], value, best))
+        for g in atlas_0_to_3():
+            inc = g.incidence
+            packing = nu_exact(g)[1].multiplicities
+            best = [packing.get(t, 0) for t in inc.triangles]
+            assert sum(best) == brute_nu(g)
+            cases.append((inc.columns, [w for *_, w in g.edges],
+                          [g.lp.transversal.edge_value(e) for e in inc.edges], g.lp.value, best))
+        tight = 0
+        for types, caps, y, value, best in cases:
+            if sum(best) == int(value):
+                assert max_type_packing(types, caps, y, start=best, budget=_Budget(0)) == best
+                tight += 1
+        assert tight >= 400
 
     def test_infeasible_dual_raises(self):
         types, caps = [(0, 1, 2), (0, 3, 4)], [1] * 5
@@ -137,23 +159,24 @@ class TestTypePackingAgainstBruteForce:
                 max_type_packing(types, caps, dual=dual)
 
     def test_target_without_gaining_type(self):
-        types, caps = [(0, 1, 2), (2, 3, 4)], [2] * 5
-        assert max_type_packing(types, caps, gains=[0, 0], target=1) is None
-        assert max_type_packing(types, caps, target=1) is None
-        assert max_type_packing(types, caps, gains=[0, 0]) == [2, 0]
+        types, caps, third = [(0, 1, 2), (2, 3, 4)], [2] * 5, [Fraction(1, 3)] * 5
+        assert max_type_packing(types, caps, third, gains=[0, 0], target=1) is None
+        assert max_type_packing(types, caps, third, target=1) is None
+        assert max_type_packing(types, caps, third, gains=[0, 0]) == [2, 0]
 
     def test_empty_type_list(self):
-        assert max_type_packing([], []) == []
-        assert max_type_packing([], [3, 1], gains=[]) == []
-        assert max_type_packing([], [3, 1], gains=[], target=1) is None
+        third = [Fraction(1, 3)] * 2
+        assert max_type_packing([], [], []) == []
+        assert max_type_packing([], [3, 1], third, gains=[]) == []
+        assert max_type_packing([], [3, 1], third, gains=[], target=1) is None
 
     def test_gain_prices_cut_at_the_root(self):
         # Three gaining types share resource 0 of capacity 1, so their rooms
         # promise a gain of 3 while the LP prices it at 1: the root is cut
         # before it spends a node on a child.
-        types, caps = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7
-        assert max_type_packing(types, caps, gains=[1, 1, 1], target=2, budget=_Budget(1)) is None
-        assert max_type_packing(types, caps, gains=[1, 1, 1], target=1) == [1, 0, 0]
+        types, caps, third = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7, [Fraction(1, 3)] * 7
+        assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=2, budget=_Budget(1)) is None
+        assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=1) == [1, 0, 0]
 
 
 class TestTauExact:
@@ -298,9 +321,9 @@ class TestIncumbents:
         assert not check_nu(g)
 
     def test_dual_bound_keeps_the_counts(self):
-        # The search with y* as its dual returns what it returns without,
-        # from the empty packing and from the rounded x*, in fewer nodes
-        # on some graphs and never in more.
+        # The search with y* as its dual returns what it returns with the
+        # uniform third, from the empty packing and from the rounded x*, in
+        # fewer nodes on some graphs and never in more.
         stacked = [with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1) for n in range(9, 15)]
         fewer = Counter()
         for g in [*atlas_0_to_3(), *random_corpus(), *stacked]:
@@ -309,12 +332,12 @@ class TestIncumbents:
                 continue
             caps = [w for _, _, w in g.edges]
             dual = [g.lp.transversal.edge_value(e) for e in inc.edges]
+            third = [Fraction(1, 3)] * len(caps)
             rounded = reference_lp_packing(g)
             for start in (None, [rounded.get(t, 0) for t in inc.triangles]):
-                kw = dict(ceiling=int(g.lp.value), start=start)
                 plain, priced = _Budget(10**9), _Budget(10**9)
-                got = max_type_packing(inc.columns, caps, dual=dual, budget=priced, **kw)
-                assert got == max_type_packing(inc.columns, caps, budget=plain, **kw)
+                got = max_type_packing(inc.columns, caps, dual, budget=priced, start=start)
+                assert got == max_type_packing(inc.columns, caps, third, budget=plain, start=start)
                 assert priced.remaining >= plain.remaining
                 fewer[start is None] += priced.remaining > plain.remaining
         assert fewer[True] >= 20 and fewer[False] >= 5
@@ -337,20 +360,20 @@ class TestIncumbents:
             assert set(_drop_redundant(g, cover)) == reference_drop_redundant(g, cover)
 
     def test_start_that_overdraws_a_resource_raises(self):
-        types, caps = [(0, 1, 2), (0, 3, 4)], [1, 1, 1, 1, 1]
-        assert max_type_packing(types, caps, start=[1, 0]) == [1, 0]
+        types, caps, third = [(0, 1, 2), (0, 3, 4)], [1, 1, 1, 1, 1], [Fraction(1, 3)] * 5
+        assert max_type_packing(types, caps, third, start=[1, 0]) == [1, 0]
         for start in ([1, 1], [2, 0], [-1, 0], [1]):
             with pytest.raises(InvariantViolation):
-                max_type_packing(types, caps, start=start)
+                max_type_packing(types, caps, third, start=start)
         with pytest.raises(InvariantViolation):
-            max_type_packing(types, caps, gains=[0, 1], target=1, start=[1, 0])
+            max_type_packing(types, caps, third, gains=[0, 1], target=1, start=[1, 0])
 
     def test_start_below_the_stop_gives_way_to_the_first_optimum(self):
         # One type overlaps two disjoint ones; from either single type the
         # search finds the pair, as it does from the empty packing.
-        types, caps = [(0, 1, 2), (3, 4, 5), (0, 3, 6)], [1] * 7
-        assert max_type_packing(types, caps, start=[0, 0, 1]) == [1, 1, 0]
-        assert max_type_packing(types, caps, start=[1, 0, 0]) == [1, 1, 0]
+        types, caps, third = [(0, 1, 2), (3, 4, 5), (0, 3, 6)], [1] * 7, [Fraction(1, 3)] * 7
+        assert max_type_packing(types, caps, third, start=[0, 0, 1]) == [1, 1, 0]
+        assert max_type_packing(types, caps, third, start=[1, 0, 0]) == [1, 1, 0]
 
     def test_h8_rounding_is_optimal(self):
         # The search from the empty packing ran for more than 200 s of CPU
@@ -421,7 +444,7 @@ class TestLPOptimal:
         g.incidence
         tracemalloc.start()
         try:
-            x, y, value = _simplex_packing(g.incidence.columns, [w for *_, w in g.edges], g.incidence.components)
+            x, y, value = _simplex_packing(g.incidence.columns, [w for *_, w in g.edges])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

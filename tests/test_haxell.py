@@ -437,14 +437,15 @@ class TestBuildState:
         assert checked >= 100
 
     def test_dual_keeps_every_family(self, monkeypatch):
-        # Each family search runs again without y*: it returns the same
-        # multiplicities, so the same Counter, and spends at least as many nodes.
+        # Each family search runs again priced by the uniform third instead
+        # of y*: it returns the same multiplicities, so the same Counter, and
+        # spends at least as many nodes.
         real, fewer = tripack.haxell.max_type_packing, Counter()
 
-        def both(types, caps, *, dual, budget, **kw):
+        def both(types, caps, dual, *, budget, **kw):
             plain, priced = _Budget(10**9), _Budget(10**9)
-            got = real(types, caps, **kw, dual=dual, budget=priced)
-            assert got == real(types, caps, **kw, budget=plain)
+            got = real(types, caps, dual, **kw, budget=priced)
+            assert got == real(types, caps, [Fraction(1, 3)] * len(caps), **kw, budget=plain)
             assert priced.remaining >= plain.remaining
             fewer[priced.remaining > plain.remaining] += 1
             return got
