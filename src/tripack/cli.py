@@ -10,11 +10,11 @@ Commands::
     tripack planar --input wheel.graph
     tripack solve --input k4.graph
 
-Reports are JSON on stdout; rationals are serialized as ``"p/q"`` strings,
-never as floats.  Exit code 0 means every asserted bound passed, 1 means a
-bound failed (or an internal guarantee broke), 2 means the invocation or
-input was unusable, or a run hit a resource limit: a node budget, memory,
-or recursion depth.
+Reports are one line of JSON on stdout; rationals are serialized as
+``"p/q"`` strings in lowest terms, never as floats.  Exit code 0 means
+every asserted bound passed, 1 means a bound failed (or an internal
+guarantee broke), 2 means the invocation or input was unusable, or a run
+hit a resource limit: a node budget, memory, or recursion depth.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .core import (
     BudgetExceeded,
-    FractionalAssignment,
     InvariantViolation,
     Multigraph,
     PackingCertificate,
@@ -59,6 +59,12 @@ def _rat(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _over(num: int, den: int) -> str:
+    """``num / den`` in lowest terms, as ``_rat`` writes it."""
+    k = gcd(num, den)
+    return f"{num // k}/{den // k}"
+
+
 def _packing_json(p: PackingCertificate) -> dict:
     return {
         "value": p.value,
@@ -73,25 +79,6 @@ def _transversal_json(c: TransversalCertificate) -> dict:
     return {"weight": c.weight, "edges": [list(e) for e in c.sorted_edges()]}
 
 
-def _fractional_json(f: FractionalAssignment) -> dict:
-    if f.triangle_values is not None:
-        return {
-            "value": _rat(f.value),
-            "triangles": [
-                {"vertices": list(t), "value": _rat(x)}
-                for t, x in sorted(f.triangle_values.items())
-            ],
-        }
-    assert f.edge_values is not None
-    return {
-        "value": _rat(f.value),
-        "edges": [
-            {"edge": list(e), "value": _rat(x)}
-            for e, x in sorted(f.edge_values.items())
-        ],
-    }
-
-
 def _certificates(pc: PackingCertificate, tc: TransversalCertificate) -> dict:
     return {"packing": _packing_json(pc), "transversal": _transversal_json(tc)}
 
@@ -100,9 +87,9 @@ def _bound(name: str, claimed: str, achieved: str, ok: bool | None) -> dict:
     return {"name": name, "claimed": claimed, "achieved": achieved, "pass": ok}
 
 
-def _duality(sol: LPSolution) -> dict:
-    p, t = sol.packing.value, sol.transversal.value
-    return _bound("strong duality", _rat(p), _rat(t), p == t)
+def _duality(g: Multigraph, sol: LPSolution) -> dict:
+    p, t = sum(sol.x), sum(v * w for v, (_, _, w) in zip(sol.y, g.edges))
+    return _bound("strong duality", _over(p, sol.xden), _over(t, sol.yden), p * sol.yden == t * sol.xden)
 
 
 def _instance_json(g: Multigraph) -> dict:
@@ -134,13 +121,19 @@ def _cmd_solve(g: Multigraph, args: argparse.Namespace) -> dict:
 
 
 def _cmd_lp(g: Multigraph, args: argparse.Namespace) -> dict:
-    sol = g.lp
+    # Both sides in the canonical order of g.incidence, without zeros; each
+    # side's value is its half of the strong-duality row.
+    sol, inc = g.lp, g.incidence
+    duality = _duality(g, sol)
+    triangles = [{"vertices": list(t), "value": _over(v, sol.xden)}
+                 for t, v in zip(inc.triangles, sol.x) if v]
+    edges = [{"edge": list(e), "value": _over(v, sol.yden)} for e, v in zip(inc.edges, sol.y) if v]
     return {
         "nustar": _rat(sol.value),
-        "bounds": [_duality(sol)],
+        "bounds": [duality],
         "certificates": {
-            "fractional_packing": _fractional_json(sol.packing),
-            "fractional_transversal": _fractional_json(sol.transversal),
+            "fractional_packing": {"value": duality["claimed"], "triangles": triangles},
+            "fractional_transversal": {"value": duality["achieved"], "edges": edges},
         },
     }
 
@@ -216,7 +209,7 @@ def _cmd_chain(g: Multigraph, args: argparse.Namespace) -> dict:
             (str(nu), _rat(nustar), nustar >= nu),
             (_rat(nustar), str(2 * nu), 2 * nu >= nustar),
         ]
-    report["bounds"] = [_duality(sol)] + [_bound(name, *row) for name, row in zip(_CHAIN, rows)]
+    report["bounds"] = [_duality(g, sol)] + [_bound(name, *row) for name, row in zip(_CHAIN, rows)]
     return report
 
 
@@ -309,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         g = _read_graph(args.input)
         report = {"command": args.command, "instance": _instance_json(g)}
         report.update(_COMMANDS[args.command](g, args))
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(report))
         failed = any(b["pass"] is False for b in report.get("bounds", []))
         return 1 if failed else 0
     except (ParseError, ValueError, OSError, BudgetExceeded) as exc:

@@ -364,14 +364,6 @@ class FractionalAssignment:
         den, num = _over_lcm(clean.values())
         return cls(None, clean, Fraction(sum(y * g.weight_map[e] for e, y in zip(clean, num)), den))
 
-    def triangle_value(self, t: Triangle) -> Rational:
-        assert self.triangle_values is not None
-        return self.triangle_values.get(t, Fraction(0))
-
-    def edge_value(self, e: Edge) -> Rational:
-        assert self.edge_values is not None
-        return self.edge_values.get(e, Fraction(0))
-
 
 def _over_lcm(xs: Iterable[Rational]) -> tuple[int, list[int]]:
     """A common denominator of ``xs`` and their numerators over it."""
@@ -380,18 +372,24 @@ def _over_lcm(xs: Iterable[Rational]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
+def _fits(g: Multigraph, den: int, x: Sequence[int]) -> bool:
+    """Whether ``x[j] / den`` on triangle ``j`` of ``g.incidence`` is a fractional packing."""
+    return min(x, default=0) >= 0 and all(
+        sum(map(x.__getitem__, on)) <= w * den for on, (_, _, w) in zip(g.incidence.on_edge, g.edges))
+
+
+def _covers(g: Multigraph, den: int, y: Sequence[int]) -> bool:
+    """Whether ``y[i] / den`` on edge ``i`` of ``g.incidence`` is a fractional transversal."""
+    return min(y, default=0) >= 0 and all(y[a] + y[b] + y[c] >= den for a, b, c in g.incidence.columns)
+
+
 def is_fractional_packing(g: Multigraph, f: FractionalAssignment) -> bool:
     """Exact feasibility for the packing constraints ``load(e) <= w(e)``."""
     if f.triangle_values is None:
         raise ValueError("assignment is not on triangles")
     den, num = _over_lcm(f.triangle_values.values())
-    load: dict[Edge, int] = {}  # over den
-    for t, x in zip(f.triangle_values, num):
-        if x < 0:
-            return False
-        for e in t.edges:
-            load[e] = load.get(e, 0) + x
-    return all(load[e] <= g.weight_map[e] * den for e in load)
+    x = dict(zip(f.triangle_values, num))
+    return _fits(g, den, [x.get(t, 0) for t in g.triangles])
 
 
 def is_fractional_transversal(g: Multigraph, f: FractionalAssignment) -> bool:
@@ -399,10 +397,8 @@ def is_fractional_transversal(g: Multigraph, f: FractionalAssignment) -> bool:
     if f.edge_values is None:
         raise ValueError("assignment is not on edges")
     den, num = _over_lcm(f.edge_values.values())
-    if min(num, default=0) < 0:
-        return False
-    y = dict(zip(f.edge_values, num))  # over den
-    return all(sum(y.get(e, 0) for e in t.edges) >= den for t in g.triangles)
+    y = dict(zip(f.edge_values, num))
+    return _covers(g, den, [y.get(e, 0) for e in g.incidence.edges])
 
 
 def dominates_sqrt(x: Rational, y: Rational) -> bool:

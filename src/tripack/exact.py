@@ -31,7 +31,8 @@ over during a long run of degenerate pivots, so the loop terminates; y is
 the dual optimum, so primal and dual values agree.  All three read the
 graph's cached ``g.incidence``: ``lp_optimal`` passes its columns to the
 simplex, ``nu_exact`` and ``tau_exact`` use its triangles through each
-edge, and ``tau_exact`` counts the chosen edges of each triangle.
+edge, and ``tau_exact`` counts the chosen edges of each triangle.  The
+optimum stays in the simplex's integer vectors, which every reader uses.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .core import (
@@ -53,10 +55,10 @@ from .core import (
     Triangle,
     _Budget,
     _components,
+    _covers,
     _drop_redundant,
+    _fits,
     _over_lcm,
-    is_fractional_packing,
-    is_fractional_transversal,
     run_search,
     verify_packing,
     verify_transversal,
@@ -65,15 +67,33 @@ from .core import (
 
 @dataclass(frozen=True)
 class LPSolution:
-    """An optimal primal/dual pair for the fractional relaxation.
+    """An optimal primal/dual pair for the fractional relaxation of ``g``.
 
-    ``packing`` assigns rationals to triangles, ``transversal`` to edges,
-    and both have the same exact objective ``value`` (strong duality).
+    x* is ``x[j] / xden`` on triangle ``j`` of ``g.incidence`` and y* is
+    ``y[i] / yden`` on its edge ``i``, each over the least common
+    denominator.  ``value`` is the objective of both (strong duality).
+    ``packing`` and ``transversal`` key the pair by triangle and by edge.
     """
 
-    packing: FractionalAssignment
-    transversal: FractionalAssignment
-    value: Rational
+    g: Multigraph
+    xden: int
+    x: list[int]
+    yden: int
+    y: list[int]
+
+    @cached_property
+    def value(self) -> Rational:
+        return Fraction(sum(self.x), self.xden)
+
+    @cached_property
+    def packing(self) -> FractionalAssignment:
+        xs = (Fraction(v, self.xden) for v in self.x)
+        return FractionalAssignment.on_triangles(self.g, dict(zip(self.g.incidence.triangles, xs)))
+
+    @cached_property
+    def transversal(self) -> FractionalAssignment:
+        ys = (Fraction(v, self.yden) for v in self.y)
+        return FractionalAssignment.on_edges(self.g, dict(zip(self.g.incidence.edges, ys)))
 
 
 @dataclass(frozen=True)
@@ -95,15 +115,16 @@ DEGENERATE_RUN = 20
 
 def _simplex_packing(
     columns: Sequence[tuple[int, int, int]], caps: Sequence[int]
-) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction]:
+) -> tuple[int, list[int], int, list[int]]:
     """Maximize ``sum x`` with ``x >= 0`` and each resource's load within its capacity.
 
     Column ``j`` draws one unit from each of the three distinct resources
     ``columns[j]``, and resource ``o`` holds ``caps[o]`` units; the pivot
     loop runs once per component that ``core._components`` finds, columns
-    linked by shared resources.  Returns (x by column, y by resource,
-    value) exactly, omitting zeros of x and the duals of resources on no
-    column, which are 0.
+    linked by shared resources.  Returns ``(xden, x, yden, y)`` exactly:
+    x* is ``x[j] / xden`` on column ``j`` and the dual y* is ``y[o] / yden``
+    on resource ``o`` (0 on a resource of no column), each denominator the
+    lcm of its entries' lowest-terms denominators.
 
     Revised simplex on sparse integer rows, one per resource of the
     component, built for it and dropped after it.  Row ``i`` keeps only its
@@ -141,21 +162,17 @@ def _simplex_packing(
     the ranks are the indices.
 
     A component of one column skips the loop and takes its one pivot in
-    closed form: x is the smallest capacity (omitted when 0), y is 1 on the
-    lowest-index resource of that capacity, and the value grows by it.
+    closed form: x is the smallest capacity, and y is 1 on the lowest-index
+    resource of that capacity.
     """
-    x: dict[int, Fraction] = {}
-    ys: dict[int, Fraction] = {}
-    value: dict[int, int] = {}  # the objective's numerators, summed per denominator
+    # Entries in lowest terms: xn[j] / xd[j] and yn[o] / yd[o].
+    xn, xd, yn, yd = [0] * len(columns), [1] * len(columns), [0] * len(caps), [1] * len(caps)
     for tids in _components(columns, len(caps)):
         if len(tids) == 1:
             # The one pivot the loop would make: the column enters, and the
             # ratio test ties (all entries 1) go to the lowest index.
-            w, e = min((caps[e], e) for e in columns[tids[0]])
-            if w:
-                x[tids[0]] = Fraction(w)
-            ys[e] = Fraction(1)
-            value[1] = value.get(1, 0) + w
+            xn[tids[0]], e = min((caps[e], e) for e in columns[tids[0]])
+            yn[e] = 1
             continue
         deg = Counter(e for j in tids for e in columns[j])
         tids = sorted(tids, key=lambda j: (sum(map(deg.__getitem__, columns[j])), j))
@@ -280,12 +297,14 @@ def _simplex_packing(
             basis[leave] = enter
 
         for i, b in enumerate(basis):
-            if b < nt and rhs[i]:
-                x[tids[b]] = Fraction(rhs[i], den[i])
+            if b < nt:
+                k = gcd(rhs[i], den[i])
+                xn[tids[b]], xd[tids[b]] = rhs[i] // k, den[i] // k
         for e, v in rows[obj].items():
-            ys[used[e]] = Fraction(v, den[obj])
-        value[den[obj]] = value.get(den[obj], 0) + rhs[obj]
-    return x, ys, sum((Fraction(v, d) for d, v in value.items()), Fraction(0))
+            k = gcd(v, den[obj])
+            yn[used[e]], yd[used[e]] = v // k, den[obj] // k
+    xden, yden = lcm(*xd), lcm(*yd)
+    return xden, [v * (xden // d) for v, d in zip(xn, xd)], yden, [v * (yden // d) for v, d in zip(yn, yd)]
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:
@@ -293,69 +312,49 @@ def lp_optimal(g: Multigraph) -> LPSolution:
 
     ``_simplex_packing`` with the triangles as columns and the edges as
     resources.  The LP is always feasible and bounded (the zero packing and
-    the all-1 transversal are feasible), so this never fails.  The result is
-    deterministic for a given graph.  Each call solves afresh; solvers read
-    the cached ``Multigraph.lp`` instead.
+    the all-1 transversal are feasible), so this never fails; its checks
+    run on the integer vectors.  The result is deterministic for a given
+    graph.  Each call solves afresh; solvers read the cached
+    ``Multigraph.lp`` instead.
     """
-    inc = g.incidence
-    x, y, value = _simplex_packing(inc.columns, [w for _, _, w in g.edges])
-    packing = FractionalAssignment.on_triangles(g, {inc.triangles[j]: v for j, v in x.items()})
-    transversal = FractionalAssignment.on_edges(g, {inc.edges[e]: v for e, v in y.items()})
-    if not (packing.value == transversal.value == value):
+    caps = [w for _, _, w in g.edges]
+    xden, x, yden, y = _simplex_packing(g.incidence.columns, caps)
+    if sum(x) * yden != sum(v * w for v, w in zip(y, caps)) * xden:
         raise InvariantViolation("strong duality violated by solver output")
-    if not is_fractional_packing(g, packing):
+    if not _fits(g, xden, x):
         raise InvariantViolation("simplex produced an infeasible packing")
-    if not is_fractional_transversal(g, transversal):
+    if not _covers(g, yden, y):
         raise InvariantViolation("simplex produced an infeasible transversal")
-    return LPSolution(packing=packing, transversal=transversal, value=value)
+    return LPSolution(g, xden, x, yden, y)
 
 
 def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
     """Edges and triangles whose LP constraints hold with equality.
 
-    Requires an optimal pair: equal values, and both assignments feasible,
-    which is checked while the tight sets are collected (``ValueError``
-    otherwise).  Complementary slackness is asserted: a positive
-    transversal value forces its edge tight, and a positive packing value
-    forces its triangle tight; a violation means the pair was not optimal
-    and is reported as a solver bug.
+    Requires an optimal pair: equal values, and both vectors feasible,
+    which is checked in integers on them (``ValueError`` otherwise).
+    Complementary slackness is asserted: a positive transversal value
+    forces its edge tight, and a positive packing value forces its triangle
+    tight; a violation means the pair was not optimal and is reported as a
+    solver bug.
     """
-    if s.packing.value != s.transversal.value:
+    inc, xden, x, yden, y = g.incidence, s.xden, s.x, s.yden, s.y
+    if len(x) != len(inc.triangles) or len(y) != len(inc.edges):
+        raise ValueError("not an optimal pair: vectors not on the triangles and edges of g")
+    if sum(x) * yden != sum(v * w for v, (_, _, w) in zip(y, g.edges)) * xden:
         raise ValueError("not an optimal pair: primal and dual values differ")
-    xs, ys = s.packing.triangle_values, s.transversal.edge_values
-    if xs is None or ys is None:
-        raise ValueError("not an optimal pair: assignments not on triangles and edges")
-    (xden, xnum), (yden, ynum) = _over_lcm(xs.values()), _over_lcm(ys.values())
-    infeasible = "not an optimal pair: assignment infeasible"
-    if min(xnum, default=0) < 0 or min(ynum, default=0) < 0:
-        raise ValueError(infeasible)
-    load: dict[Edge, int] = {}  # over xden
-    for t, x in zip(xs, xnum):
-        for e in t.edges:
-            load[e] = load.get(e, 0) + x
-    tight_edges = []
-    for u, v, w in g.edges:
-        slack = w * xden - load.get((u, v), 0)
-        if slack < 0:
-            raise ValueError(infeasible)
-        if not slack:
-            tight_edges.append((u, v))
-    y = dict(zip(ys, ynum))  # over yden
-    tight_tris = []
-    for t in g.triangles:
-        surplus = sum(y.get(e, 0) for e in t.edges) - yden
-        if surplus < 0:
-            raise ValueError(infeasible)
-        if not surplus:
-            tight_tris.append(t)
-    tight_edge_set, tight_tri_set = set(tight_edges), set(tight_tris)
-    for e, v in zip(ys, ynum):
-        if v > 0 and e not in tight_edge_set:
+    slack = [w * xden - sum(map(x.__getitem__, on)) for on, (_, _, w) in zip(inc.on_edge, g.edges)]
+    surplus = [y[a] + y[b] + y[c] - yden for a, b, c in inc.columns]
+    if min(x + y + slack + surplus, default=0) < 0:
+        raise ValueError("not an optimal pair: assignment infeasible")
+    for e, v, r in zip(inc.edges, y, slack):
+        if v and r:
             raise InvariantViolation(f"complementary slackness fails at edge {e}")
-    for t, v in zip(xs, xnum):
-        if v > 0 and t not in tight_tri_set:
+    for t, v, r in zip(inc.triangles, x, surplus):
+        if v and r:
             raise InvariantViolation(f"complementary slackness fails at triangle {tuple(t)}")
-    return TightSets(tight_edges=tuple(tight_edges), tight_triangles=tuple(tight_tris))
+    return TightSets(tuple(e for e, r in zip(inc.edges, slack) if not r),
+                     tuple(t for t, r in zip(inc.triangles, surplus) if not r))
 
 
 def max_type_packing(
@@ -414,9 +413,9 @@ def max_type_packing(
     # The gain bound by z: the gaining types' LP dual times the largest gain.
     zden, zprice = 1, []
     if target > 0:
-        gaining = [t for t, w in zip(types, gain_of) if w > 0]
-        z = _simplex_packing(gaining, caps)[1]
-        zden, zprice = _over_lcm(max(gain_of, default=0) * z.get(o, 0) for o in range(len(caps)))
+        top = max(gain_of, default=0)
+        _, _, zden, z = _simplex_packing([t for t, w in zip(types, gain_of) if w > 0], caps)
+        zprice = [top * v for v in z]
         if min(zprice, default=0) < 0 or any(sum(zprice[o] for o in t) < w * zden
                                               for t, w in zip(types, gain_of)):
             raise InvariantViolation("gain prices are negative or fall below some type's gain")
@@ -523,9 +522,8 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     branch order under any dual, so the certificate does not depend on
     the bound.
     """
-    inc = g.incidence
-    tris, types = inc.triangles, inc.columns
-    den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
+    inc, lp = g.incidence, g.lp
+    tris, types, den, num = inc.triangles, inc.columns, lp.xden, lp.x
     start, wts = [x // den for x in num], [w for _, _, w in g.edges]
     left = [w - sum(start[j] for j in on) for w, on in zip(wts, inc.on_edge)]
     for j in sorted(range(len(tris)), key=lambda j: (-(num[j] % den), j)):
@@ -534,9 +532,8 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
         for o in types[j]:
             left[o] -= m
     counts: list[int] | None = start
-    if sum(start) < int(g.lp.value):
-        y = [g.lp.transversal.edge_value(e) for e in inc.edges]
-        counts = max_type_packing(types, wts, y, start=start)
+    if sum(start) < sum(num) // den:
+        counts = max_type_packing(types, wts, [Fraction(v, lp.yden) for v in lp.y], start=start)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):
@@ -565,9 +562,8 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
     # Per triangle, how many of its edges are free or chosen; x* vanishes on
     # every triangle with a free edge, and those start covered.
     hits = [sum(not wts[i] for i in col) for col in cols]
-    den, num = _over_lcm([g.lp.packing.triangle_value(t) for t in tris])
+    den, num, y = g.lp.xden, g.lp.x, g.lp.y
     stop = -(-sum(num) // den)
-    y = _over_lcm([g.lp.transversal.edge_value(e) for e in edges])[1]
     best_set, got = list(g.free_edges), hits.copy()
     for i in sorted(range(len(edges)), key=lambda i: (-y[i], wts[i], i)):
         if not all(got[j] for j in on[i]):

@@ -9,12 +9,12 @@ The format is line oriented::
 The ``p`` line gives the vertex count and must come first.  Each ``e`` line
 adds capacity ``w`` to the edge ``{u, v}`` (0-based vertex ids); repeated
 lines for the same pair sum their capacities.  Blank lines and lines
-starting with ``#`` are ignored.
+whose first word starts with ``#`` are ignored.
 """
 
 from __future__ import annotations
 
-from .core import Multigraph, norm_edge
+from .core import Multigraph
 
 
 class ParseError(ValueError):
@@ -30,12 +30,28 @@ def parse_graph(text: str) -> Multigraph:
     n: int | None = None
     acc: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "p":
+        if kind == "e":
+            if n is None:
+                raise ParseError(lineno, "'e' line before 'p' line")
+            if len(fields) != 4:
+                raise ParseError(lineno, "expected 'e <u> <v> <w>'")
+            try:
+                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ParseError(lineno, f"bad integer in {raw.strip()!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(lineno, f"vertex id out of range in {raw.strip()!r}")
+            if u == v:
+                raise ParseError(lineno, f"loop edge ({u},{v})")
+            if w < 0:
+                raise ParseError(lineno, f"negative weight {w}")
+            e = (u, v) if u < v else (v, u)
+            acc[e] = acc.get(e, 0) + w
+        elif kind == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate 'p' line")
             if len(fields) != 2:
@@ -46,23 +62,6 @@ def parse_graph(text: str) -> Multigraph:
                 raise ParseError(lineno, f"bad vertex count {fields[1]!r}") from None
             if n < 0:
                 raise ParseError(lineno, "vertex count must be nonnegative")
-        elif kind == "e":
-            if n is None:
-                raise ParseError(lineno, "'e' line before 'p' line")
-            if len(fields) != 4:
-                raise ParseError(lineno, "expected 'e <u> <v> <w>'")
-            try:
-                u, v, w = (int(x) for x in fields[1:])
-            except ValueError:
-                raise ParseError(lineno, f"bad integer in {line!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(lineno, f"vertex id out of range in {line!r}")
-            if u == v:
-                raise ParseError(lineno, f"loop edge ({u},{v})")
-            if w < 0:
-                raise ParseError(lineno, f"negative weight {w}")
-            e = norm_edge(u, v)
-            acc[e] = acc.get(e, 0) + w
         else:
             raise ParseError(lineno, f"unknown line kind {kind!r}")
     if n is None:

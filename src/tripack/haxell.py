@@ -271,11 +271,11 @@ def _search_max_family(
                 types.append((Type(t, roles), gn))
     cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
     caps = list(sizes.values())
-    y = _simplex_packing(cols, caps)[1]
+    _, _, yden, y = _simplex_packing(cols, caps)
     best = max_type_packing(
         cols,
         caps,
-        [y.get(o, Fraction(0)) for o in range(len(caps))],
+        [Fraction(v, yden) for v in y],
         gains=[gn for _, gn in types],
         target=target,
         budget=budget,

@@ -25,13 +25,11 @@ no assumption on the two counts is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Edge,
     InvariantViolation,
     Multigraph,
-    Rational,
     TransversalCertificate,
     Triangle,
     _drop_redundant,
@@ -82,74 +80,45 @@ def classify(g: Multigraph, s: LPSolution) -> tuple[EdgePartition, TightTriangle
     """Partition edges and tight triangles by exact threshold tests.
 
     Requires an optimal pair; ``tight_sets`` re-validates it, so every edge
-    of positive value is tight.  Two counting identities tie the partition
-    to the packing side and are asserted exactly:
+    of positive value is tight.  The thresholds compare integers: y == 0,
+    2y < yden, 2y == yden, and above.  Two counting identities tie the
+    partition to the packing side and are asserted exactly, both sides
+    times ``xden``:
 
         a     = f(T1) + 2 f(T2) + 3 f(T3)
         b + c = f(T1) + f(T2) + f(T4) + 2 f(T5)
     """
     ts = tight_sets(g, s)  # also validates optimality of the pair
-    half = Fraction(1, 2)
-    gv = s.transversal.edge_value
-    Z: list[Edge] = []
-    A: list[Edge] = []
-    B: list[Edge] = []
-    C: list[Edge] = []
-    for u, v, _ in g.edges:
-        y = gv((u, v))
-        if y == 0:
-            Z.append((u, v))
-        elif y < half:
-            A.append((u, v))
-        elif y == half:
-            B.append((u, v))
-        else:
-            C.append((u, v))
+    inc = g.incidence
+    col = {t: j for j, t in enumerate(inc.triangles)}
+    # Per edge its class: 0 for Z, 1 for A, 2 for B, 3 for C.
+    side = [0 if not v else 1 if 2 * v < s.yden else 2 if 2 * v == s.yden else 3 for v in s.y]
+    parts: list[list[Edge]] = [[], [], [], []]
+    weights = [0] * 4
+    for e, k, (_, _, w) in zip(inc.edges, side, g.edges):
+        parts[k].append(e)
+        weights[k] += w
+    _, a, b, c = weights
 
-    aset, bset, cset, zset = set(A), set(B), set(C), set(Z)
-    t1: list[Triangle] = []
-    t2: list[Triangle] = []
-    t3: list[Triangle] = []
-    t4: list[Triangle] = []
-    t5: list[Triangle] = []
+    groups: list[list[Triangle]] = [[], [], [], [], []]
+    f = [0] * 5  # the packing mass of each group, over xden
     for t in ts.tight_triangles:
-        na = sum(e in aset for e in t.edges)
-        nb = sum(e in bset for e in t.edges)
-        nc = sum(e in cset for e in t.edges)
-        nz = sum(e in zset for e in t.edges)
-        if na == 1:
-            t1.append(t)
-        elif na == 2:
-            t2.append(t)
-        elif na == 3:
-            t3.append(t)
-        elif nz == 2 and nc == 1:
-            t4.append(t)
-        elif nz == 1 and nb == 2:
-            t5.append(t)
-        else:
+        j = col[t]
+        sides = sorted(side[i] for i in inc.columns[j])
+        na = sides.count(1)
+        k = na - 1 if na else 3 if sides == [0, 0, 3] else 4 if sides == [0, 2, 2] else -1
+        if k < 0:
             raise InvariantViolation(f"tight triangle {tuple(t)} fits no class")
+        groups[k].append(t)
+        f[k] += s.x[j]
 
-    wmap = g.weight_map
-    a = sum(wmap[e] for e in A)
-    b = sum(wmap[e] for e in B)
-    c = sum(wmap[e] for e in C)
-
-    fv = s.packing.triangle_value
-
-    def fsum(ts_: list[Triangle]) -> Rational:
-        return sum((fv(t) for t in ts_), Fraction(0))
-
-    if Fraction(a) != fsum(t1) + 2 * fsum(t2) + 3 * fsum(t3):
+    if a * s.xden != f[0] + 2 * f[1] + 3 * f[2]:
         raise InvariantViolation("edge count identity for A fails")
-    if Fraction(b + c) != fsum(t1) + fsum(t2) + fsum(t4) + 2 * fsum(t5):
+    if (b + c) * s.xden != f[0] + f[1] + f[3] + 2 * f[4]:
         raise InvariantViolation("edge count identity for B and C fails")
-    if s.value < Fraction(a, 4) + Fraction(b + c, 2):
+    if 4 * sum(s.x) < (a + 2 * (b + c)) * s.xden:
         raise InvariantViolation("optimum below its partition lower bound")
-
-    part = EdgePartition(tuple(Z), tuple(A), tuple(B), tuple(C), a, b, c)
-    tpart = TightTrianglePartition(tuple(t1), tuple(t2), tuple(t3), tuple(t4), tuple(t5))
-    return part, tpart
+    return EdgePartition(*map(tuple, parts), a, b, c), TightTrianglePartition(*map(tuple, groups))
 
 
 def transversal_2nustar(g: Multigraph) -> TransversalCertificate:

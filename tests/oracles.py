@@ -74,6 +74,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from tripack import (
@@ -101,7 +102,7 @@ from tripack.cuts import (
     cut_large,
     independent_set_triangle_free,
 )
-from tripack.exact import max_type_packing, nu_exact
+from tripack.exact import LPSolution, max_type_packing, nu_exact
 from tripack.haxell import DEFAULT_BUDGET, CandidateTransversal, HaxellCovers
 from tripack.krivelevich import classify
 from tripack.planar import (
@@ -1405,24 +1406,34 @@ def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     counts = max_type_packing(
         [tuple(index[e] for e in t.edges) for t in tris],
         [w for _, _, w in g.edges],
-        [g.lp.transversal.edge_value(e) for e in g.weight_map],
+        [g.lp.transversal.edge_values.get(e, 0) for e in g.weight_map],
     )
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     return cert.value, cert
 
 
+def lp_solution(g: Multigraph, x: dict[Triangle, Fraction], y: dict[Edge, Fraction]) -> LPSolution:
+    """An ``LPSolution`` of ``g`` from values by triangle and by edge, absent keys 0,
+    each vector over the lcm of its values' denominators."""
+    inc = g.incidence
+    xs = [Fraction(x.get(t, 0)) for t in inc.triangles]
+    ys = [Fraction(y.get(e, 0)) for e in inc.edges]
+    xden, yden = lcm(*(v.denominator for v in xs)), lcm(*(v.denominator for v in ys))
+    return LPSolution(g, xden, [int(v * xden) for v in xs], yden, [int(v * yden) for v in ys])
+
+
 def reference_lp_packing(g: Multigraph) -> dict[Triangle, int]:
     """The ν incumbent, on ``Fraction``s: floor(x*), then every triangle by
     descending fractional part of x* (ties by canonical order) takes the
     room its edges have left."""
-    x = g.lp.packing.triangle_value
-    start = {t: x(t).numerator // x(t).denominator for t in g.triangles}
+    x = g.lp.packing.triangle_values
+    start = {t: x.get(t, 0) // 1 for t in g.triangles}
     left = dict(g.weight_map)
     for t, m in start.items():
         for e in t.edges:
             left[e] -= m
-    for _, t in sorted((-(x(t) - start[t]), t) for t in g.triangles):
+    for _, t in sorted((-(x.get(t, 0) - start[t]), t) for t in g.triangles):
         m = min(left[e] for e in t.edges)
         start[t] += m
         for e in t.edges:
@@ -1444,8 +1455,8 @@ def reference_lp_cover(g: Multigraph) -> frozenset[Edge]:
     """The τ incumbent, on ``Fraction``s: the free edges, then each edge on a
     triangle by y* (largest first), weight, edge, kept when it covers a
     triangle not yet covered; then ``reference_drop_redundant``."""
-    y = g.lp.transversal.edge_value
-    edges = sorted({e for t in g.triangles for e in t.edges}, key=lambda e: (-y(e), g.weight_map[e], e))
+    ys = g.lp.transversal.edge_values
+    edges = sorted({e for t in g.triangles for e in t.edges}, key=lambda e: (-ys.get(e, 0), g.weight_map[e], e))
     cover = set(g.free_edges)
     for e in edges:
         if any(e in t.edges and cover.isdisjoint(t.edges) for t in g.triangles):

@@ -11,6 +11,7 @@ from tripack import (
     InvariantViolation,
     Multigraph,
     TransversalCertificate,
+    Triangle,
     emit_graph,
     parse_graph,
     verify_transversal,
@@ -230,6 +231,23 @@ class TestCommands:
         assert solved.count(lp) <= 1
         assert indexed.count(g) <= 1
 
+    def test_lp_report_round_trips(self, capsys, monkeypatch):
+        # One line of JSON whose "p/q" values, in lowest terms and canonical
+        # order, read back to the optimum's Fractions.
+        for g in [gen_gk(2).graph, rand_connected_multigraph(8, 12, 3, 1), gen_cycle(5)]:
+            code, out, _ = run_cli(capsys, ["lp"], stdin=emit_graph(g), monkeypatch=monkeypatch)
+            assert code == 0 and out.count("\n") == 1
+            certs = json.loads(out)["certificates"]
+            rows = certs["fractional_packing"]["triangles"]
+            x = {Triangle(*r["vertices"]): Fraction(r["value"]) for r in rows}
+            assert x == g.lp.packing.triangle_values and list(x) == sorted(x)
+            assert [r["value"] for r in rows] == [f"{v.numerator}/{v.denominator}" for v in x.values()]
+            rows = certs["fractional_transversal"]["edges"]
+            y = {tuple(r["edge"]): Fraction(r["value"]) for r in rows}
+            assert y == g.lp.transversal.edge_values and list(y) == sorted(y)
+            assert [r["value"] for r in rows] == [f"{v.numerator}/{v.denominator}" for v in y.values()]
+            assert Fraction(certs["fractional_packing"]["value"]) == g.lp.packing.value == g.lp.value
+
     def test_generate_random_deterministic(self, capsys):
         args = ["generate", "--family", "random", "--n", "6", "--m", "9",
                 "--max-mult", "3", "--seed", "4"]
@@ -274,6 +292,13 @@ class TestCommands:
             ("p 3\ne 0 1\n", "line 2: expected 'e <u> <v> <w>'"),
             ("p 3\ne 0 1 1\ne 0 x 1\n", "line 3: bad integer in 'e 0 x 1'"),
             ("# only\n# comments\n", "line 1: missing 'p' line"),
+            ("p 2\ne 0 5 1\n", "line 2: vertex id out of range in 'e 0 5 1'"),
+            ("p 2\ne 1 1 1\n", "line 2: loop edge (1,1)"),
+            ("p 2\ne 0 1 -2\n", "line 2: negative weight -2"),
+            ("e 0 1 1\np 2\n", "line 1: 'e' line before 'p' line"),
+            ("p 2\nq 0 1\n", "line 2: unknown line kind 'q'"),
+            ("#p 1\n  p 3\n\te 0 x 1 \n", "line 3: bad integer in 'e 0 x 1'"),
+            ("p 3\n  #e 0 1 1\n e 0 3 1\n", "line 3: vertex id out of range in 'e 0 3 1'"),
         ],
     )
     def test_malformed_input_exits_2_and_names_its_line(self, capsys, monkeypatch, text, message):

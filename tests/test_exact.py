@@ -3,13 +3,13 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import tripack.core
 import tripack.exact
 from tripack import (
-    FractionalAssignment,
     InvariantViolation,
     Multigraph,
     Triangle,
@@ -39,6 +39,7 @@ from oracles import (
     brute_nu,
     brute_type_packing,
     brute_tau,
+    lp_solution,
     rand_connected_multigraph,
     rand_triangle_free,
     reference_drop_redundant,
@@ -52,10 +53,12 @@ from oracles import (
 
 
 def simplex(g):
-    """``_simplex_packing`` on the triangle/edge LP of ``g``, keyed by triangles and edges."""
+    """``_simplex_packing`` on the triangle/edge LP of ``g``, as ``reference_simplex_packing``'s
+    (x, y, value): ``Fraction``s by triangle and by edge, without zeros."""
     inc = g.incidence
-    x, y, value = _simplex_packing(inc.columns, [w for *_, w in g.edges])
-    return {inc.triangles[j]: v for j, v in x.items()}, {inc.edges[e]: v for e, v in y.items()}, value
+    xden, x, yden, y = _simplex_packing(inc.columns, [w for *_, w in g.edges])
+    return ({inc.triangles[j]: Fraction(v, xden) for j, v in enumerate(x) if v},
+            {inc.edges[i]: Fraction(v, yden) for i, v in enumerate(y) if v}, Fraction(sum(x), xden))
 
 
 def doubled(g):
@@ -111,8 +114,8 @@ class TestTypePackingAgainstBruteForce:
                 short = 1 - sum(dual[o] for o in t)
                 if short > 0:
                     dual[t[0]] += short
-            y = _simplex_packing(types, caps)[1]
-            for d in (dual, [y.get(o, Fraction(0)) for o in range(nres)]):
+            _, _, yden, y = _simplex_packing(types, caps)
+            for d in (dual, [Fraction(v, yden) for v in y]):
                 assert max_type_packing(types, caps, d, gains=gains, target=target) == got, seed
             if expected is None:
                 assert got is None, seed
@@ -131,16 +134,16 @@ class TestTypePackingAgainstBruteForce:
             nres = rng.randint(3, 6)
             caps = [rng.randint(0, 3) for _ in range(nres)]
             types = [tuple(rng.sample(range(nres), 3)) for _ in range(rng.randint(1, 6))]
-            _, y, value = _simplex_packing(types, caps)
+            xden, x, yden, y = _simplex_packing(types, caps)
             best = brute_type_packing(types, caps, [0] * len(types), 0)
-            cases.append((types, caps, [y.get(o, Fraction(0)) for o in range(nres)], value, best))
+            cases.append((types, caps, [Fraction(v, yden) for v in y], Fraction(sum(x), xden), best))
         for g in atlas_0_to_3():
             inc = g.incidence
             packing = nu_exact(g)[1].multiplicities
             best = [packing.get(t, 0) for t in inc.triangles]
             assert sum(best) == brute_nu(g)
             cases.append((inc.columns, [w for *_, w in g.edges],
-                          [g.lp.transversal.edge_value(e) for e in inc.edges], g.lp.value, best))
+                          [g.lp.transversal.edge_values.get(e, 0) for e in inc.edges], g.lp.value, best))
         tight = 0
         for types, caps, y, value, best in cases:
             if sum(best) == int(value):
@@ -331,7 +334,7 @@ class TestIncumbents:
             if not inc.triangles:
                 continue
             caps = [w for _, _, w in g.edges]
-            dual = [g.lp.transversal.edge_value(e) for e in inc.edges]
+            dual = [g.lp.transversal.edge_values.get(e, 0) for e in inc.edges]
             third = [Fraction(1, 3)] * len(caps)
             rounded = reference_lp_packing(g)
             for start in (None, [rounded.get(t, 0) for t in inc.triangles]):
@@ -444,12 +447,25 @@ class TestLPOptimal:
         g.incidence
         tracemalloc.start()
         try:
-            x, y, value = _simplex_packing(g.incidence.columns, [w for *_, w in g.edges])
+            xden, x, yden, y = _simplex_packing(g.incidence.columns, [w for *_, w in g.edges])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == 20000 and len(x) == len(y) == 20000
+        assert xden == yden == 1 and sum(x) == 20000 and x.count(1) == y.count(1) == 20000
         assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [((1, [2], 1, [2, 0, 0]), "infeasible packing"),
+         ((2, [1], 2, [1, 0, 0]), "infeasible transversal"),
+         ((1, [1], 1, [1, 1, 0]), "strong duality")],
+        ids=["load over a capacity", "triangle below 1", "unequal values"],
+    )
+    def test_each_check_rejects_a_broken_simplex(self, monkeypatch, vectors, message):
+        # On one unit triangle, (xden, x, yden, y) that break one check each.
+        monkeypatch.setattr(tripack.exact, "_simplex_packing", lambda columns, caps: vectors)
+        with pytest.raises(InvariantViolation, match=message):
+            lp_optimal(gen_complete(3))
 
     def test_g1(self):
         assert lp_optimal(gen_gk(1).graph).value == Fraction(5, 2)
@@ -598,18 +614,24 @@ class TestSimplexAgainstReference:
             assert (x, y, value) == reference_simplex_packing(h)
             assert set(y) <= on_tri
 
+    def test_vectors_over_least_denominators(self):
+        # Entry by entry the reference's Fractions, each vector over the lcm
+        # of their denominators.
+        for g in [*atlas_0_to_3(), *random_corpus(), gen_gk(1).graph, gen_gk(2).graph]:
+            inc = g.incidence
+            xden, x, yden, y = _simplex_packing(inc.columns, [w for *_, w in g.edges])
+            rx, ry, _ = reference_simplex_packing(g)
+            assert [Fraction(v, xden) for v in x] == [rx.get(t, 0) for t in inc.triangles]
+            assert [Fraction(v, yden) for v in y] == [ry.get(e, 0) for e in inc.edges]
+            assert xden == lcm(*(v.denominator for v in rx.values()))
+            assert yden == lcm(*(v.denominator for v in ry.values()))
+
 
 class TestTightSets:
     def test_single_triangle_manual(self):
         g = gen_complete(3)
         t = Triangle.of(0, 1, 2)
-        sol = LPSolution(
-            packing=FractionalAssignment.on_triangles(g, {t: Fraction(1)}),
-            transversal=FractionalAssignment.on_edges(
-                g, {e: Fraction(1, 3) for e in t.edges}
-            ),
-            value=Fraction(1),
-        )
+        sol = lp_solution(g, {t: Fraction(1)}, {e: Fraction(1, 3) for e in t.edges})
         ts = tight_sets(g, sol)
         assert set(ts.tight_edges) == set(t.edges)
         assert ts.tight_triangles == (t,)
@@ -618,15 +640,7 @@ class TestTightSets:
         g = gen_wheel(5)
         spokes = [(0, i) for i in range(1, 6)]
         tris = enumerate_triangles(g)
-        sol = LPSolution(
-            packing=FractionalAssignment.on_triangles(
-                g, {t: Fraction(1, 2) for t in tris}
-            ),
-            transversal=FractionalAssignment.on_edges(
-                g, {e: Fraction(1, 2) for e in spokes}
-            ),
-            value=Fraction(5, 2),
-        )
+        sol = lp_solution(g, {t: Fraction(1, 2) for t in tris}, {e: Fraction(1, 2) for e in spokes})
         ts = tight_sets(g, sol)
         assert set(ts.tight_edges) == set(spokes)
         assert set(ts.tight_triangles) == set(tris)
@@ -638,17 +652,15 @@ class TestTightSets:
 
     def test_rejects_non_optimal_pair(self):
         # Values that differ, then equal values with a packing over its
-        # capacity, then equal values with a triangle's y below 1.
+        # capacity, then equal values with a triangle's y below 1, then
+        # vectors of the wrong length.
         g = gen_complete(3)
         t = Triangle.of(0, 1, 2)
         for x, y in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(2)), (Fraction(1, 2), Fraction(1, 2))):
-            bogus = LPSolution(
-                packing=FractionalAssignment.on_triangles(g, {t: x}),
-                transversal=FractionalAssignment.on_edges(g, {(0, 1): y}),
-                value=x,
-            )
             with pytest.raises(ValueError):
-                tight_sets(g, bogus)
+                tight_sets(g, lp_solution(g, {t: x}, {(0, 1): y}))
+        with pytest.raises(ValueError):
+            tight_sets(g, LPSolution(g, 1, [], 1, [0, 0, 0]))
 
 
 class TestOracleEquivalence:

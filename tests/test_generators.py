@@ -145,7 +145,7 @@ class TestFractionalTransversal:
             f = fractional_transversal_gka(k, Fraction(1, 2))
             assert is_fractional_transversal(inst.graph, f)
             for t, j in inst.heights.items():
-                s = sum((f.edge_value(e) for e in t.edges), Fraction(0))
+                s = sum((f.edge_values.get(e, 0) for e in t.edges), Fraction(0))
                 assert s >= 1
                 if j == k:
                     assert s == 1

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from tripack import (
-    FractionalAssignment,
     Multigraph,
     TransversalCertificate,
     Triangle,
@@ -13,7 +12,6 @@ from tripack import (
     verify_transversal,
 )
 from tripack.core import _drop_redundant, enumerate_triangles
-from tripack.exact import LPSolution
 from tripack.generators import (
     gen_apex,
     gen_complete,
@@ -26,7 +24,7 @@ from tripack.generators import (
 )
 from tripack.krivelevich import classify, transversal_2nustar
 
-from oracles import rand_connected_multigraph, reference_transversal_2nustar
+from oracles import lp_solution, rand_connected_multigraph, reference_transversal_2nustar
 
 
 def _scaled_w5(capacity: int) -> Multigraph:
@@ -52,13 +50,7 @@ class TestClassify:
     def test_single_triangle_uniform(self):
         g = gen_complete(3)
         t = Triangle.of(0, 1, 2)
-        sol = LPSolution(
-            packing=FractionalAssignment.on_triangles(g, {t: Fraction(1)}),
-            transversal=FractionalAssignment.on_edges(
-                g, {e: Fraction(1, 3) for e in t.edges}
-            ),
-            value=Fraction(1),
-        )
+        sol = lp_solution(g, {t: Fraction(1)}, {e: Fraction(1, 3) for e in t.edges})
         part, tpart = classify(g, sol)
         assert part.Z == () and part.B == () and part.C == ()
         assert set(part.A) == set(t.edges) and part.a == 3
@@ -69,15 +61,7 @@ class TestClassify:
         g = gen_wheel(5)
         spokes = [(0, i) for i in range(1, 6)]
         tris = enumerate_triangles(g)
-        sol = LPSolution(
-            packing=FractionalAssignment.on_triangles(
-                g, {t: Fraction(1, 2) for t in tris}
-            ),
-            transversal=FractionalAssignment.on_edges(
-                g, {e: Fraction(1, 2) for e in spokes}
-            ),
-            value=Fraction(5, 2),
-        )
+        sol = lp_solution(g, {t: Fraction(1, 2) for t in tris}, {e: Fraction(1, 2) for e in spokes})
         part, tpart = classify(g, sol)
         assert part.A == () and part.C == ()
         assert set(part.B) == set(spokes) and part.b == 5
@@ -93,11 +77,7 @@ class TestClassify:
     def test_rejects_non_optimal(self):
         g = gen_complete(3)
         t = Triangle.of(0, 1, 2)
-        bogus = LPSolution(
-            packing=FractionalAssignment.on_triangles(g, {t: Fraction(1, 2)}),
-            transversal=FractionalAssignment.on_edges(g, {(0, 1): Fraction(1)}),
-            value=Fraction(1),
-        )
+        bogus = lp_solution(g, {t: Fraction(1, 2)}, {(0, 1): Fraction(1)})
         with pytest.raises(ValueError):
             classify(g, bogus)
 
