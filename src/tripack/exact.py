@@ -19,16 +19,22 @@ exact revised simplex on the resource model of ``max_type_packing``: each
 column draws one unit from three resources of given capacities, here a
 triangle from its edges (``haxell`` solves its type systems on it too).
 It runs once per component of columns sharing resources, which it finds
-with ``core._components``: one sparse integer row of B^-1 per resource of
-the component and one row of duals y, each over one positive denominator
-kept divided by its gcd, built for the component and dropped after it.
-The columns' reduced costs are kept between pivots, and a pivot reprices
-only the columns on the pivot row's support; a column is built from B^-1
-only when it enters.  Columns are ranked by degree, fewest neighbors
-first, so that B^-1 fills slowly.  The most negative reduced cost enters,
+with ``core._components``, on one of two kernels chosen from the
+component's sizes.  Where B^-1 is sparse, one sparse integer row of B^-1
+per resource and one row of duals y, each over one positive denominator
+kept divided by its gcd; a pivot reprices only the columns on the pivot
+row's support.  Where it is dense anyway (more columns than resources,
+and at most 79 of them), the adjugate D B^-1 with D = det B, each column
+one int of 64-bit lanes that a pivot rewrites with one fraction-free
+update, whose division by the old D is exact (Bareiss 1968).  Hadamard's
+inequality keeps every entry within a lane.  Either is built for the
+component and dropped after it, and a column is built from B^-1 only
+when it enters.  Columns are ranked by degree, fewest neighbors first,
+so that B^-1 fills slowly.  The most negative reduced cost enters,
 ratio-test ties go to the sparsest row of B^-1, and Bland's rule takes
 over during a long run of degenerate pivots, so the loop terminates; y is
-the dual optimum, so primal and dual values agree.  All three read the
+the dual optimum, so primal and dual values agree.  Both kernels compare
+the same rational values, so they make the same pivots.  All three read the
 graph's cached ``g.incidence``: ``lp_optimal`` passes its columns to the
 simplex, ``nu_exact`` and ``tau_exact`` use its triangles through each
 edge, and ``tau_exact`` counts the chosen edges of each triangle.  The
@@ -126,40 +132,41 @@ def _simplex_packing(
     on resource ``o`` (0 on a resource of no column), each denominator the
     lcm of its entries' lowest-terms denominators.
 
-    Revised simplex on sparse integer rows, one per resource of the
-    component, built for it and dropped after it.  Row ``i`` keeps only its
-    B^-1 part, a ``slack -> int`` map, and the objective row only the duals
-    y.  Each has an integer right-hand side over one positive denominator,
-    divided by their gcd after every update.  The pivot row over its pivot
-    entry is already in lowest terms: row ``r`` of B^-1 over ``d`` has ``r
-    B = d e_i``, so gcd(r) divides d, and gcd(d, rhs, r) = 1 forces gcd(rhs,
-    r) = 1.  Columns are never stored: the entering column of j on
-    resources e1, e2, e3 is ``R[i][e1] + R[i][e2] + R[i][e3]`` over the rows
-    a ``slack -> rows`` index lists for those resources.  A slack is priced
-    as ``y[e]``.  The reduced cost ``y[e1] + y[e2] + y[e3] - den`` of every
-    column is kept between pivots: a pivot sets ``y' = (s*y - t*prow)/k``,
-    so each one becomes ``(s*d - t*(prow . a_j))/k``, and only the columns
-    on a resource of the pivot row's support take the second term.
+    Revised simplex on one of two kernels per component, each taking the
+    component's columns ranked and its resources renumbered ``0 .. m-1``.
+    ``_sparse_component`` keeps sparse rows of B^-1, each over its own
+    denominator.  ``_dense_component`` keeps A = D B^-1 with D = det B, the
+    adjugate, so A stays integral and a pivot's update divides exactly by
+    the old D (fraction-free, Bareiss 1968); each column of A is one int
+    with a 64-bit lane per row.  Every column of B has at most three ones,
+    so by Hadamard's inequality det B, each entry of A and each entry of an
+    entering column A a_j (a Cramer numerator) is at most 3^(m/2) in
+    absolute value, which is below 2^63 for m <= 79.  A component with more
+    columns than resources, and at most 79 resources, takes the dense
+    kernel: its B^-1 fills anyway, as on complete graphs, and packed
+    columns cost one big-int operation each per pivot.  Every other
+    component takes the sparse kernel.  Both compare the same rational
+    values at every choice, so they make the same pivots.
 
     Order.  A component's columns are ranked by their degree, the number of
     the component's columns drawing on each of their resources, summed
     (ties by index), and its slacks follow them by resource.  The entering
     variable has the most negative reduced cost (Dantzig), ties to the
-    lowest rank.  After ``DEGENERATE_RUN`` degenerate pivots in a row,
-    Bland's rule (the first negative by rank) picks it until a pivot is
-    nondegenerate.  Bland's rule cannot cycle under any fixed order, so
-    every degenerate run ends, and each nondegenerate pivot strictly raises
-    the objective, so no basis comes back and the loop ends.  The leaving
-    row wins the ratio test.  Ties go to the row of B^-1 with the fewest
-    nonzeros, then the largest pivot entry, then the lowest-ranked basic
-    variable (Markowitz 1957: a pivot costs about the entering column's
-    nonzeros times the pivot row's); under Bland's rule, straight to the
-    lowest rank.  Columns of low degree enter first, which is the
-    minimum-degree order of sparse elimination (Tinney and Walker 1967): a
-    column meeting few others spreads B^-1 over few rows, where the hub
-    columns of a stacked triangulation, entering first under ties by index,
-    filled it densely.  When every degree is equal, as on a complete graph,
-    the ranks are the indices.
+    lowest rank; a slack is priced as ``y[e]``.  After ``DEGENERATE_RUN``
+    degenerate pivots in a row, Bland's rule (the first negative by rank)
+    picks it until a pivot is nondegenerate.  Bland's rule cannot cycle
+    under any fixed order, so every degenerate run ends, and each
+    nondegenerate pivot strictly raises the objective, so no basis comes
+    back and the loop ends.  The leaving row wins the ratio test.  Ties go
+    to the row of B^-1 with the fewest nonzeros, then the largest pivot
+    entry, then the lowest-ranked basic variable (Markowitz 1957: a pivot
+    costs about the entering column's nonzeros times the pivot row's);
+    under Bland's rule, straight to the lowest rank.  Columns of low degree
+    enter first, which is the minimum-degree order of sparse elimination
+    (Tinney and Walker 1967): a column meeting few others spreads B^-1 over
+    few rows, where the hub columns of a stacked triangulation, entering
+    first under ties by index, filled it densely.  When every degree is
+    equal, as on a complete graph, the ranks are the indices.
 
     A component of one column skips the loop and takes its one pivot in
     closed form: x is the smallest capacity, and y is 1 on the lowest-index
@@ -177,134 +184,250 @@ def _simplex_packing(
         deg = Counter(e for j in tids for e in columns[j])
         tids = sorted(tids, key=lambda j: (sum(map(deg.__getitem__, columns[j])), j))
         used = sorted(deg)
-        m, nt = len(used), len(tids)
-        obj = m
-        row_of = dict(zip(used, range(m)))
+        row_of = dict(zip(used, range(len(used))))
         cols = [(row_of[a], row_of[b], row_of[c]) for a, b, c in map(columns.__getitem__, tids)]
-        on: list[list[int]] = [[] for _ in used]  # the columns on each slack's resource
-        for p, col in enumerate(cols):
-            for i in col:
-                on[i].append(p)
-
-        # Row i < m is row i of B^-1 and row m holds the duals y, all over
-        # the slack columns; entry e of row i is rows[i][e] / den[i].  Basis
-        # index p < nt is column tids[p] and nt + e is slack e.
-        rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
-        rhs = [caps[e] for e in used] + [0]
-        den = [1] * (m + 1)
-        col_rows: list[set[int]] = [{i} for i in range(m)]
-        basis = list(range(nt, nt + m))
-        dn = [-1] * nt  # reduced cost of column tids[p], over den[obj]
-        streak = 0  # degenerate pivots in a row
-
-        while True:
-            y = rows[obj]
-            bland = streak >= DEGENERATE_RUN
-            if not bland:
-                # The most negative reduced cost; a slack must beat the
-                # columns strictly, as they come first.
-                low = min(dn)
-                enter = dn.index(low) if low < 0 else -1
-                low = min(low, 0)
-                e = min(((v, e) for e, v in y.items() if v < low), default=(0, -1))[1]
-            else:
-                # Bland: the first negative reduced cost.
-                enter = next((p for p, d in enumerate(dn) if d < 0), -1)
-                e = -1 if enter >= 0 else min((e for e, v in y.items() if v < 0), default=-1)
-            if e >= 0:
-                enter = nt + e
-                col = {i: rows[i][e] for i in col_rows[e]}
-            elif enter >= 0:
-                a, b, c = cols[enter]
-                col = {}
-                for i in col_rows[a] | col_rows[b] | col_rows[c]:
-                    row = rows[i]
-                    v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
-                    if v:
-                        col[i] = v
-                col[obj] = dn[enter]
-            else:
-                break
-            # Row denominators cancel in b_i / a_i, so ratios compare as cross-
-            # multiplied numerators, and so do the pivot entries a_i / den_i.
-            # The objective row's entry is negative: it never leaves.
-            leave = -1
-            piv = 0
-            for i, a in col.items():
-                if a > 0:
-                    if leave < 0:
-                        leave, piv = i, a
-                        continue
-                    lhs = rhs[i] * piv
-                    cur = rhs[leave] * a
-                    if lhs == cur and not bland:
-                        # Markowitz: the sparser row, then the larger pivot.
-                        lhs, cur = (len(rows[i]), piv * den[i]), (len(rows[leave]), a * den[leave])
-                    if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
-                        leave, piv = i, a
-            if leave < 0:
-                raise InvariantViolation("packing LP is unbounded")
-            prow = rows[leave]
-            prhs = rhs[leave]
-            streak = 0 if prhs else streak + 1
-
-            # row <- (row * s - prow * t) / k, with s/t = piv/f in lowest
-            # terms: the entering column cancels, the denominator grows by s,
-            # and k is the gcd left over.
-            for i, f in col.items():
-                if i == leave:
-                    continue
-                row = rows[i]
-                k = gcd(piv, f)
-                s, t = piv // k, f // k
-                r, d = rhs[i], den[i]
-                if s != 1:
-                    row = {j: v * s for j, v in row.items()}
-                    r *= s
-                    d *= s
-                for j, p in prow.items():
-                    if j in row:
-                        v = row[j] - t * p
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
-                            col_rows[j].discard(i)
-                    else:
-                        row[j] = -t * p
-                        col_rows[j].add(i)
-                r -= t * prhs
-                k = gcd(d, r, *row.values()) if d != 1 else 1
-                if k != 1:
-                    row = {j: v // k for j, v in row.items()}
-                    r //= k
-                    d //= k
-                rows[i], rhs[i], den[i] = row, r, d
-                if i == obj:
-                    hit: dict[int, int] = {}  # prow . a_p, on the columns it reaches
-                    for j, v in prow.items():
-                        for p in on[j]:
-                            hit[p] = hit.get(p, 0) + v
-                    if s != 1 or k != 1:
-                        old, dn = dn, [v * s // k for v in dn]
-                        for p, q in hit.items():
-                            dn[p] = (s * old[p] - t * q) // k
-                    else:
-                        for p, q in hit.items():
-                            dn[p] -= t * q
-
-            den[leave] = piv  # prow over piv is in lowest terms already, as the docstring shows
-            basis[leave] = enter
-
-        for i, b in enumerate(basis):
-            if b < nt:
-                k = gcd(rhs[i], den[i])
-                xn[tids[b]], xd[tids[b]] = rhs[i] // k, den[i] // k
-        for e, v in rows[obj].items():
-            k = gcd(v, den[obj])
-            yn[used[e]], yd[used[e]] = v // k, den[obj] // k
+        # Hadamard: each column of B has at most three ones, so det B and
+        # every cofactor and Cramer numerator is at most 3^(m/2) < 2^63 for
+        # m <= 79, and the dense kernel's lanes cannot overflow.  Over one
+        # pass of the benchmark's LPs, the dense kernel took about 40% of the
+        # sparse one's time on components with more columns than resources,
+        # about the same at equal counts, and 2.3x with fewer columns.
+        kernel = _dense_component if len(used) < len(tids) and len(used) <= 79 else _sparse_component
+        x, y = kernel(cols, [caps[e] for e in used])
+        for p, v, d in x:
+            k = gcd(v, d)
+            xn[tids[p]], xd[tids[p]] = v // k, d // k
+        for e, v, d in y:
+            k = gcd(v, d)
+            yn[used[e]], yd[used[e]] = v // k, d // k
     xden, yden = lcm(*xd), lcm(*yd)
     return xden, [v * (xden // d) for v, d in zip(xn, xd)], yden, [v * (yden // d) for v, d in zip(yn, yd)]
+
+
+def _sparse_component(
+    cols: list[tuple[int, int, int]], caps: list[int]
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """One component of ``_simplex_packing`` on sparse integer rows of B^-1.
+
+    ``cols`` are the component's columns in rank order over its resources
+    ``0 .. m-1`` of capacities ``caps``.  Returns x* as ``(p, num, den)``
+    for each basic column ``p`` and y* as ``(e, num, den)`` for each
+    nonzero dual, not in lowest terms.
+
+    Row ``i`` keeps only its B^-1 part, a ``slack -> int`` map, and the
+    objective row only the duals y.  Each has an integer right-hand side
+    over one positive denominator, divided by their gcd after every
+    update.  The pivot row over its pivot entry is already in lowest terms:
+    row ``r`` of B^-1 over ``d`` has ``r B = d e_i``, so gcd(r) divides d,
+    and gcd(d, rhs, r) = 1 forces gcd(rhs, r) = 1.  Columns are never
+    stored: the entering column of j on resources e1, e2, e3 is ``R[i][e1]
+    + R[i][e2] + R[i][e3]`` over the rows a ``slack -> rows`` index lists
+    for those resources.  The reduced cost ``y[e1] + y[e2] + y[e3] - den``
+    of every column is kept between pivots: a pivot sets ``y' = (s*y -
+    t*prow)/k``, so each one becomes ``(s*d - t*(prow . a_j))/k``, and only
+    the columns on a resource of the pivot row's support take the second
+    term.
+    """
+    m, nt = len(caps), len(cols)
+    obj = m
+    on: list[list[int]] = [[] for _ in caps]  # the columns on each slack's resource
+    for p, col in enumerate(cols):
+        for i in col:
+            on[i].append(p)
+
+    # Row i < m is row i of B^-1 and row m holds the duals y, all over
+    # the slack columns; entry e of row i is rows[i][e] / den[i].  Basis
+    # index p < nt is column p and nt + e is slack e.
+    rows: list[dict[int, int]] = [{i: 1} for i in range(m)] + [{}]
+    rhs = caps + [0]
+    den = [1] * (m + 1)
+    col_rows: list[set[int]] = [{i} for i in range(m)]
+    basis = list(range(nt, nt + m))
+    dn = [-1] * nt  # reduced cost of column p, over den[obj]
+    streak = 0  # degenerate pivots in a row
+
+    while True:
+        y = rows[obj]
+        bland = streak >= DEGENERATE_RUN
+        if not bland:
+            # The most negative reduced cost; a slack must beat the
+            # columns strictly, as they come first.
+            low = min(dn)
+            enter = dn.index(low) if low < 0 else -1
+            low = min(low, 0)
+            e = min((v, e) for e, v in y.items() if v < low)[1] if min(y.values(), default=0) < low else -1
+        else:
+            # Bland: the first negative reduced cost.
+            enter = next((p for p, d in enumerate(dn) if d < 0), -1)
+            e = -1 if enter >= 0 else min((e for e, v in y.items() if v < 0), default=-1)
+        if e >= 0:
+            enter = nt + e
+            col = {i: rows[i][e] for i in col_rows[e]}
+        elif enter >= 0:
+            a, b, c = cols[enter]
+            col = {}
+            for i in col_rows[a] | col_rows[b] | col_rows[c]:
+                row = rows[i]
+                v = row.get(a, 0) + row.get(b, 0) + row.get(c, 0)
+                if v:
+                    col[i] = v
+            col[obj] = dn[enter]
+        else:
+            break
+        # Row denominators cancel in b_i / a_i, so ratios compare as cross-
+        # multiplied numerators, and so do the pivot entries a_i / den_i.
+        # The objective row's entry is negative: it never leaves.
+        leave = -1
+        piv = 0
+        for i, a in col.items():
+            if a > 0:
+                if leave < 0:
+                    leave, piv = i, a
+                    continue
+                lhs = rhs[i] * piv
+                cur = rhs[leave] * a
+                if lhs == cur and not bland:
+                    # Markowitz: the sparser row, then the larger pivot.
+                    lhs, cur = (len(rows[i]), piv * den[i]), (len(rows[leave]), a * den[leave])
+                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, piv = i, a
+        if leave < 0:
+            raise InvariantViolation("packing LP is unbounded")
+        prow = rows[leave]
+        prhs = rhs[leave]
+        streak = 0 if prhs else streak + 1
+
+        # row <- (row * s - prow * t) / k, with s/t = piv/f in lowest
+        # terms: the entering column cancels, the denominator grows by s,
+        # and k is the gcd left over.
+        for i, f in col.items():
+            if i == leave:
+                continue
+            row = rows[i]
+            k = gcd(piv, f)
+            s, t = piv // k, f // k
+            r, d = rhs[i], den[i]
+            if s != 1:
+                row = {j: v * s for j, v in row.items()}
+                r *= s
+                d *= s
+            for j, p in prow.items():
+                if j in row:
+                    v = row[j] - t * p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        col_rows[j].discard(i)
+                else:
+                    row[j] = -t * p
+                    col_rows[j].add(i)
+            r -= t * prhs
+            k = gcd(d, r, *row.values()) if d != 1 else 1
+            if k != 1:
+                row = {j: v // k for j, v in row.items()}
+                r //= k
+                d //= k
+            rows[i], rhs[i], den[i] = row, r, d
+            if i == obj:
+                hit: dict[int, int] = {}  # prow . a_p, on the columns it reaches
+                for j, v in prow.items():
+                    for p in on[j]:
+                        hit[p] = hit.get(p, 0) + v
+                if s != 1 or k != 1:
+                    old, dn = dn, [v * s // k for v in dn]
+                    for p, q in hit.items():
+                        dn[p] = (s * old[p] - t * q) // k
+                else:
+                    for p, q in hit.items():
+                        dn[p] -= t * q
+
+        den[leave] = piv  # prow over piv is in lowest terms already, as the docstring shows
+        basis[leave] = enter
+
+    return ([(b, rhs[i], den[i]) for i, b in enumerate(basis) if b < nt],
+            [(e, v, den[obj]) for e, v in rows[obj].items()])
+
+
+def _dense_component(
+    cols: list[tuple[int, int, int]], caps: list[int]
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """``_sparse_component``'s pivots on A = D B^-1, D = det B, one packed int per column of A.
+
+    A stays integral (it is the adjugate of B), and so do the right-hand
+    side D B^-1 b and the duals D y, kept as plain lists.  A pivot on entry
+    ``piv`` of the entering column a' = A a_j in row ``r`` makes ``piv`` the
+    new D, keeps row ``r`` and sets every other row to ``(piv*row - a'_i*row_r)
+    / D``, an exact division (Edmonds 1967, Bareiss 1968).  Column ``e`` of A
+    is one int with row ``i``'s entry, plus a bias of 2^63, in the 64-bit
+    lane at bit ``at[i]``; ``_simplex_packing`` bounds every entry below
+    2^63.  So a pivot updates a whole column in one expression, and the
+    entering column is the sum of three columns, unpacked once.  All
+    entries share D, so every comparison is the sparse kernel's.
+    """
+    from sys import byteorder
+
+    m, nt = len(caps), len(cols)
+    at = [64 * i for i in range(m)]
+    if byteorder == "big":
+        at.reverse()  # so that int.to_bytes lists row 0 first, as memoryview.cast reads it
+    mask, zero = (1 << 64) - 1, 1 << 63
+    bias = ((1 << 64 * m) - 1) // mask << 63  # 2^63 in every lane
+    cs = [bias + (1 << s) for s in at]  # the columns of A = I
+    rhs, y, dn = caps, [0] * m, [-1] * nt  # D B^-1 b, D y and D times each reduced cost
+    basis = list(range(nt, nt + m))
+    d = 1
+    streak = 0  # degenerate pivots in a row
+    while True:
+        if streak < DEGENERATE_RUN:
+            low = min(dn)
+            enter = dn.index(low) if low < 0 else -1
+            v = min(y)
+            e = y.index(v) if v < min(low, 0) else -1
+        else:
+            enter = next((p for p, v in enumerate(dn) if v < 0), -1)
+            e = -1 if enter >= 0 else next((e for e, v in enumerate(y) if v < 0), -1)
+        if e >= 0:
+            enter, f, s = nt + e, y[e], cs[e]
+        elif enter >= 0:
+            a, b, c = cols[enter]
+            f, s = dn[enter], cs[a] + cs[b] + cs[c] - 2 * bias
+        else:
+            break
+        col = memoryview((s ^ bias).to_bytes(8 * m, byteorder)).cast("q").tolist()
+        # D cancels in every ratio rhs_i / col_i and pivot entry col_i / D.
+        rows = [i for i, v in enumerate(col) if v > 0]
+        if not rows:
+            raise InvariantViolation("packing LP is unbounded")
+        r = rows[0]
+        for i in rows:
+            if rhs[i] * col[r] < rhs[r] * col[i]:
+                r = i
+        ties = [i for i in rows if rhs[i] * col[r] == rhs[r] * col[i]]
+        if len(ties) > 1:
+            if streak >= DEGENERATE_RUN:
+                r = min(ties, key=basis.__getitem__)
+            else:
+                # Most zero lanes first: the fewest nonzeros.
+                r = min(ties, key=lambda i: (-[(v >> at[i]) & mask for v in cs].count(zero), -col[i], basis[i]))
+        piv, prhs = col[r], rhs[r]
+        streak = 0 if prhs else streak + 1
+        prow = [((v >> at[r]) & mask) - zero for v in cs]
+        # Row r's entry of the entering column as piv - D, so that the
+        # update keeps row r.
+        col[r] -= d
+        s -= bias + (d << at[r])
+        if piv == d:  # then a column off the pivot row's support keeps its value
+            cs = [v - p * s // d if p else v for v, p in zip(cs, prow)]
+        else:
+            k = (d - piv) * bias
+            cs = [(piv * v - p * s + k) // d for v, p in zip(cs, prow)]
+        rhs = [(piv * v - a * prhs) // d for v, a in zip(rhs, col)]
+        y = [(piv * v - f * p) // d for v, p in zip(y, prow)]
+        dn = [y[a] + y[b] + y[c] - piv for a, b, c in cols]
+        d = piv
+        basis[r] = enter
+    return [(b, rhs[i], d) for i, b in enumerate(basis) if b < nt], [(e, v, d) for e, v in enumerate(y) if v]
 
 
 def lp_optimal(g: Multigraph) -> LPSolution:

@@ -627,6 +627,118 @@ class TestSimplexAgainstReference:
             assert yden == lcm(*(v.denominator for v in ry.values()))
 
 
+SPARSE, DENSE = tripack.exact._sparse_component, tripack.exact._dense_component
+
+
+def on_kernel(kernel, columns, caps):
+    """``_simplex_packing`` with each component of at most 79 resources on ``kernel``, the rest
+    on the sparse kernel, which has no lanes to overflow."""
+    def pick(cols, caps):
+        return (kernel if len(caps) <= 79 else SPARSE)(cols, caps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tripack.exact, "_dense_component", pick)
+        mp.setattr(tripack.exact, "_sparse_component", pick)
+        return _simplex_packing(columns, caps)
+
+
+def type_system(seed, m=None):
+    """Seeded random columns on ``m`` resources (4-40 if None), m+1 to 4m of them, capacities up to 10**12."""
+    rng = random.Random(seed)
+    m = m or rng.randint(4, 40)
+    columns = [tuple(rng.sample(range(m), 3)) for _ in range(rng.randint(m + 1, 4 * m))]
+    return columns, [rng.randint(0, rng.choice((3, 10, 10**6, 10**12))) for _ in range(m)]
+
+
+def assert_lp_optimal(columns, caps, xden, x, yden, y):
+    """x and y feasible, with equal values: both optimal by LP duality."""
+    assert min(x + y, default=0) >= 0
+    assert all(sum(y[o] for o in col) >= yden for col in columns)
+    load = [0] * len(caps)
+    for col, v in zip(columns, x):
+        for o in col:
+            load[o] += v
+    assert all(v <= c * xden for v, c in zip(load, caps))
+    assert sum(x) * yden == sum(v * c for v, c in zip(y, caps)) * xden
+
+
+class TestKernels:
+    """The dense and the sparse kernel make the same pivots on every component, under each run
+    of degenerate pivots before Bland's rule (0: Bland's rule throughout)."""
+
+    @pytest.mark.parametrize("run", [0, 2, 20])
+    def test_graphs_against_the_reference(self, monkeypatch, run):
+        weighted = [with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=10 * n + s)
+                    for n in range(5, 11) for s in range(2 if n < 10 else 1)]
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
+        for g in [*weighted, *atlas_0_to_3(), gen_gk(1).graph, gen_gk(2).graph]:
+            inc, caps = g.incidence, [w for *_, w in g.edges]
+            got = on_kernel(DENSE, inc.columns, caps)
+            assert got == on_kernel(SPARSE, inc.columns, caps)
+            xden, x, yden, y = got
+            rx, ry, _ = reference_simplex_packing(g, degenerate_run=run)
+            assert [Fraction(v, xden) for v in x] == [rx.get(t, 0) for t in inc.triangles]
+            assert [Fraction(v, yden) for v in y] == [ry.get(e, 0) for e in inc.edges]
+
+    @pytest.mark.parametrize("run", [0, 2, 20])
+    def test_k11_to_k13(self, monkeypatch, run):
+        # K13 has 78 resources, the most of any complete graph within the
+        # dense kernel's lanes.  The reference takes seconds here, so the
+        # optimum is checked by duality instead.
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
+        for n in (11, 12, 13):
+            g = with_random_weights(gen_complete(n), (1, 2, 3), seed=n)
+            columns, caps = g.incidence.columns, [w for *_, w in g.edges]
+            got = on_kernel(DENSE, columns, caps)
+            assert got == on_kernel(SPARSE, columns, caps)
+            assert_lp_optimal(columns, caps, *got)
+
+    @pytest.mark.parametrize("run", [0, 2, 20])
+    def test_seeded_type_systems(self, monkeypatch, run):
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
+        for seed in range(200):
+            columns, caps = type_system(seed)
+            got = on_kernel(DENSE, columns, caps)
+            assert got == on_kernel(SPARSE, columns, caps), seed
+            assert_lp_optimal(columns, caps, *got)
+
+
+class TestKernelSelection:
+    """More columns than resources, and at most 79 resources, select the dense kernel."""
+
+    def only(self, monkeypatch, kernel, columns, caps):
+        other = "_sparse_component" if kernel == "_dense_component" else "_dense_component"
+
+        def refuse(cols, caps):
+            raise AssertionError(f"{other} ran on {len(cols)} columns and {len(caps)} resources")
+
+        monkeypatch.setattr(tripack.exact, other, refuse)
+        return _simplex_packing(columns, caps)
+
+    def test_dense_up_to_79_resources(self, monkeypatch):
+        # Hadamard: |det| <= 3^(m/2) < 2^63 for a matrix whose m columns
+        # hold at most three ones each, exactly when m <= 79.
+        assert 3 ** 79 < 2 ** 126 < 3 ** 80
+        g = with_random_weights(gen_complete(13), (1, 2, 3), seed=13)
+        assert len(g.edges) == 78
+        self.only(monkeypatch, "_dense_component", g.incidence.columns, [w for *_, w in g.edges])
+        # 79 resources: a cycle of columns links them all, and 79 more columns follow.
+        columns, caps = type_system(79, m=79)
+        columns = [(i, (i + 1) % 79, (i + 2) % 79) for i in range(79)] + columns[:79]
+        got = self.only(monkeypatch, "_dense_component", columns, caps)
+        assert got == on_kernel(SPARSE, columns, caps)
+        assert_lp_optimal(columns, caps, *got)
+
+    @pytest.mark.parametrize("g", [
+        with_random_weights(gen_complete(14), (1, 2, 3), seed=14),  # 91 resources
+        with_random_weights(gen_complete(5), (1, 2, 3), seed=5),  # 10 columns, 10 resources
+        gen_stacked(20, seed=1),  # 52 columns, 54 resources
+    ], ids=["K14w", "K5w", "S20"])
+    def test_sparse_otherwise(self, monkeypatch, g):
+        columns, caps = g.incidence.columns, [w for *_, w in g.edges]
+        assert_lp_optimal(columns, caps, *self.only(monkeypatch, "_sparse_component", columns, caps))
+
+
 class TestTightSets:
     def test_single_triangle_manual(self):
         g = gen_complete(3)
