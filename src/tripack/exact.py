@@ -6,14 +6,14 @@ depth only by memory; they take no node budget.  Both read the cached LP
 optimum ``g.lp`` for an incumbent and their bounds, and search only when
 the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 ``max_type_packing``, which also searches the Haxell families, up to
-``floor(nustar)``, pruning on y*'s price of the residual capacities (a
-family search with a gain target also prices the gain it can still reach
-by the LP dual of its gaining types); ``tau_exact`` covers greedily from
-y*, then prunes on x*'s mass over the uncovered triangles down to
-``ceil(nustar)``.  Both bounds are LP duality (each packing weighs at
-most any fractional cover, and each cover at least any fractional
-packing), so they cut only subtrees without a strictly better leaf and
-change no result, only the size of the tree.
+``floor(nustar)``, pruning on y*'s price of the residual capacities, y* as
+the simplex's integer pair ``(yden, y)`` (a family search with a gain
+target also prices the gain it can still reach by the LP dual of its
+gaining types); ``tau_exact`` covers greedily from y*, then prunes on x*'s
+mass over the uncovered triangles down to ``ceil(nustar)``.  Both bounds
+are LP duality (each packing weighs at most any fractional cover, and each
+cover at least any fractional packing), so they cut only subtrees without a
+strictly better leaf and change no result, only the size of the tree.
 ``lp_optimal`` solves the fractional relaxation on ``_simplex_packing``, an
 exact revised simplex on the resource model of ``max_type_packing``: each
 column draws one unit from three resources of given capacities, here a
@@ -64,7 +64,6 @@ from .core import (
     _covers,
     _drop_redundant,
     _fits,
-    _over_lcm,
     run_search,
     verify_packing,
     verify_transversal,
@@ -483,7 +482,7 @@ def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:
 def max_type_packing(
     types: Sequence[tuple[int, int, int]],
     caps: Sequence[int],
-    dual: Sequence[Fraction],
+    dual: tuple[int, Sequence[int]],
     *,
     gains: Sequence[int] | None = None,
     target: int = 0,
@@ -499,13 +498,15 @@ def max_type_packing(
 
     Branch and bound on ``core.run_search``: types in order, largest
     multiplicity first, the incumbent replaced only by a strictly larger
-    total.  ``dual`` prices each resource at y_o >= 0 so that every type's
-    prices sum to at least 1 (else ``InvariantViolation``).  With a type's
-    room its smallest residual capacity, the types not yet branched on add
-    at most (a) their summed rooms, (b) a third of the residual capacity of
-    the resources they use while they have room, and (c) y's price of that
-    capacity, since each triangle there pays at least 1 and draws only on
-    those resources.  A caller without an LP passes the uniform price 1/3,
+    total.  ``dual`` is the pair ``(yden, y)`` of ``_simplex_packing``:
+    resource ``o`` costs ``y[o] / yden``, with ``yden >= 1``, no price
+    negative and every type costing at least 1 (else
+    ``InvariantViolation``).  With a type's room its smallest residual
+    capacity, the types not yet branched on add at most (a) their summed
+    rooms, (b) a third of the residual capacity of the resources they use
+    while they have room, and (c) y's price of that capacity, since each
+    triangle there pays at least 1 and draws only on those resources.  A
+    caller without an LP passes the uniform third ``(3, [1] * len(caps))``,
     under which (c) is (b).  At the LP optimum y*, (c) at the root is the LP
     value: y* > 0 only where x* fills the capacity, and a resource no type
     with room uses has load 0.  With ``target > 0`` the gain is priced the
@@ -529,10 +530,10 @@ def max_type_packing(
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
     caps = list(caps)
-    # Bound (c): the prices as integers over one denominator.
-    yden, price = _over_lcm(dual)
-    if len(dual) != len(caps) or min(price, default=0) < 0 or any(sum(price[o] for o in t) < yden for t in types):
-        raise InvariantViolation("dual is negative, of the wrong length or prices some type below 1")
+    yden, price = dual
+    if (yden < 1 or len(price) != len(caps) or min(price, default=0) < 0
+            or any(sum(price[o] for o in t) < yden for t in types)):
+        raise InvariantViolation("dual has yden < 1, a negative price, the wrong length or a type below 1")
     # The gain bound by z: the gaining types' LP dual times the largest gain.
     zden, zprice = 1, []
     if target > 0:
@@ -639,11 +640,11 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     Starts from x* rounded down and completed greedily: each triangle, by
     descending fractional part of x* (ties by index), takes its residual
     room.  Unless that reaches ``floor(nustar)``, ``max_type_packing``
-    searches on from it with the edges as resources, each triangle as a
-    type and y* as the ``dual``, which stops it at ``floor(nustar)``.
-    Deterministic: that start if it is optimal, else the first maximum in
-    branch order under any dual, so the certificate does not depend on
-    the bound.
+    searches on from it with the edges as resources, each triangle as a type
+    and ``(lp.yden, lp.y)`` as the ``dual``, which stops it at
+    ``floor(nustar)``.  Deterministic: that start if it is optimal, else the
+    first maximum in branch order under any dual, so the certificate does
+    not depend on the bound.
     """
     inc, lp = g.incidence, g.lp
     tris, types, den, num = inc.triangles, inc.columns, lp.xden, lp.x
@@ -656,7 +657,7 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
             left[o] -= m
     counts: list[int] | None = start
     if sum(start) < sum(num) // den:
-        counts = max_type_packing(types, wts, [Fraction(v, lp.yden) for v in lp.y], start=start)
+        counts = max_type_packing(types, wts, (lp.yden, lp.y), start=start)
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):

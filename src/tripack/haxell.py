@@ -254,7 +254,8 @@ def _search_max_family(
     side's orbits by lowest copy, go to ``max_type_packing`` with the
     orbits as resources of their sizes, priced by the optimal dual y* of
     the types' LP relaxation, solved on the simplex that solves the
-    triangle LP: it maximizes the number of triangles.  Priced by y*,
+    triangle LP: it maximizes the number of triangles, and its integer
+    pair ``(yden, y)`` is the kernel's ``dual`` as it comes.  Priced by y*,
     every type costs at least 1, so a subtree is cut once its family plus
     y*'s price of the orbits left cannot beat the incumbent; the kernel
     prices ``target`` itself.  The family found is the same under any
@@ -271,11 +272,10 @@ def _search_max_family(
                 types.append((Type(t, roles), gn))
     cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
     caps = list(sizes.values())
-    _, _, yden, y = _simplex_packing(cols, caps)
     best = max_type_packing(
         cols,
         caps,
-        [Fraction(v, yden) for v in y],
+        _simplex_packing(cols, caps)[2:],
         gains=[gn for _, gn in types],
         target=target,
         budget=budget,

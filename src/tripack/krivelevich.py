@@ -124,15 +124,13 @@ def classify(g: Multigraph, s: LPSolution) -> tuple[EdgePartition, TightTriangle
 def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     """A verified transversal of weight at most ``2*nustar - sqrt(nustar)/4``.
 
-    Built from the LP optimum ``g.lp``.  Returns the empty certificate on
-    triangle-free input, without solving the LP.  When the fractional
-    optimum is 0 but triangles exist, they all ride on capacity-0 edges,
-    which are returned at zero cost.  Redundant edges are then dropped
-    (``core._drop_redundant``); the bound is compared exactly by squaring.
+    Built from the LP optimum ``g.lp``.  On triangle-free input the LP is
+    empty, so no class has value 1/2 and there is nothing to cut: the
+    certificate is empty.  When the fractional optimum is 0 but triangles
+    exist, they all ride on capacity-0 edges, which are returned at zero
+    cost.  Redundant edges are then dropped (``core._drop_redundant``); the
+    bound is compared exactly by squaring.
     """
-    if not g.triangles:
-        return TransversalCertificate.from_edges(g, ())
-
     sol = g.lp
     part, tpart = classify(g, sol)
     wmap = g.weight_map

@@ -885,7 +885,7 @@ def _search_max_family(
     best = max_type_packing(
         [orbits for _, orbits, _ in types],
         [len(c) for c in copies.values()],
-        [Fraction(1, 3)] * len(copies),
+        (3, [1] * len(copies)),
         gains=[gn for _, _, gn in types],
         target=target,
         budget=budget,
@@ -1406,7 +1406,7 @@ def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
     counts = max_type_packing(
         [tuple(index[e] for e in t.edges) for t in tris],
         [w for _, _, w in g.edges],
-        [g.lp.transversal.edge_values.get(e, 0) for e in g.weight_map],
+        (g.lp.yden, g.lp.y),
     )
     assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))

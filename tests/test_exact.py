@@ -10,6 +10,7 @@ import pytest
 import tripack.core
 import tripack.exact
 from tripack import (
+    BudgetExceeded,
     InvariantViolation,
     Multigraph,
     Triangle,
@@ -106,16 +107,16 @@ class TestTypePackingAgainstBruteForce:
             top = sum(g * min(caps[o] for o in t) for t, g in zip(types, gains))
             target = rng.randint(0, top + 1)
             expected = brute_type_packing(types, caps, gains, target)
-            got = max_type_packing(types, caps, [Fraction(1, 3)] * nres, gains=gains, target=target)
+            got = max_type_packing(types, caps, (3, [1] * nres), gains=gains, target=target)
             # Every dual returns what the uniform third does: a random one
-            # raised until every type costs at least 1, and the LP's own y*.
-            dual = [Fraction(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(nres)]
+            # over 12, a/b with a in 0..4 and b in 1..4, raised until every
+            # type costs at least 1, and the LP's own y*.
+            price = [rng.randint(0, 4) * (12 // rng.randint(1, 4)) for _ in range(nres)]
             for t in types:
-                short = 1 - sum(dual[o] for o in t)
+                short = 12 - sum(price[o] for o in t)
                 if short > 0:
-                    dual[t[0]] += short
-            _, _, yden, y = _simplex_packing(types, caps)
-            for d in (dual, [Fraction(v, yden) for v in y]):
+                    price[t[0]] += short
+            for d in ((12, price), _simplex_packing(types, caps)[2:]):
                 assert max_type_packing(types, caps, d, gains=gains, target=target) == got, seed
             if expected is None:
                 assert got is None, seed
@@ -136,14 +137,13 @@ class TestTypePackingAgainstBruteForce:
             types = [tuple(rng.sample(range(nres), 3)) for _ in range(rng.randint(1, 6))]
             xden, x, yden, y = _simplex_packing(types, caps)
             best = brute_type_packing(types, caps, [0] * len(types), 0)
-            cases.append((types, caps, [Fraction(v, yden) for v in y], Fraction(sum(x), xden), best))
+            cases.append((types, caps, (yden, y), Fraction(sum(x), xden), best))
         for g in atlas_0_to_3():
             inc = g.incidence
             packing = nu_exact(g)[1].multiplicities
             best = [packing.get(t, 0) for t in inc.triangles]
             assert sum(best) == brute_nu(g)
-            cases.append((inc.columns, [w for *_, w in g.edges],
-                          [g.lp.transversal.edge_values.get(e, 0) for e in inc.edges], g.lp.value, best))
+            cases.append((inc.columns, [w for *_, w in g.edges], (g.lp.yden, g.lp.y), g.lp.value, best))
         tight = 0
         for types, caps, y, value, best in cases:
             if sum(best) == int(value):
@@ -153,23 +153,29 @@ class TestTypePackingAgainstBruteForce:
 
     def test_infeasible_dual_raises(self):
         types, caps = [(0, 1, 2), (0, 3, 4)], [1] * 5
-        third = [Fraction(1, 3)] * 5
-        assert max_type_packing(types, caps, dual=third) == [1, 0]
-        below = third[:4] + [Fraction(1, 4)]  # the second type costs 11/12
-        negative = [Fraction(1), Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1)]
-        for dual in (below, negative, third[:4], third + [Fraction(0)]):
+        assert max_type_packing(types, caps, dual=(3, [1] * 5)) == [1, 0]
+        assert max_type_packing(types, caps, dual=(12, [4, 4, 4, 4, 4])) == [1, 0]
+        bad = [
+            (0, [1] * 5),  # a zero denominator
+            (-3, [1] * 5),  # a negative one
+            (3, [1] * 4),  # too short
+            (3, [1] * 6),  # too long
+            (3, [3, -1, 1, 1, 3]),  # a negative price, though every type costs at least 1
+            (12, [4, 4, 4, 4, 3]),  # the second type costs 11/12
+        ]
+        for dual in bad:
             with pytest.raises(InvariantViolation):
                 max_type_packing(types, caps, dual=dual)
 
     def test_target_without_gaining_type(self):
-        types, caps, third = [(0, 1, 2), (2, 3, 4)], [2] * 5, [Fraction(1, 3)] * 5
+        types, caps, third = [(0, 1, 2), (2, 3, 4)], [2] * 5, (3, [1] * 5)
         assert max_type_packing(types, caps, third, gains=[0, 0], target=1) is None
         assert max_type_packing(types, caps, third, target=1) is None
         assert max_type_packing(types, caps, third, gains=[0, 0]) == [2, 0]
 
     def test_empty_type_list(self):
-        third = [Fraction(1, 3)] * 2
-        assert max_type_packing([], [], []) == []
+        third = (3, [1] * 2)
+        assert max_type_packing([], [], (1, [])) == []
         assert max_type_packing([], [3, 1], third, gains=[]) == []
         assert max_type_packing([], [3, 1], third, gains=[], target=1) is None
 
@@ -177,7 +183,7 @@ class TestTypePackingAgainstBruteForce:
         # Three gaining types share resource 0 of capacity 1, so their rooms
         # promise a gain of 3 while the LP prices it at 1: the root is cut
         # before it spends a node on a child.
-        types, caps, third = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7, [Fraction(1, 3)] * 7
+        types, caps, third = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7, (3, [1] * 7)
         assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=2, budget=_Budget(1)) is None
         assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=1) == [1, 0, 0]
 
@@ -334,8 +340,8 @@ class TestIncumbents:
             if not inc.triangles:
                 continue
             caps = [w for _, _, w in g.edges]
-            dual = [g.lp.transversal.edge_values.get(e, 0) for e in inc.edges]
-            third = [Fraction(1, 3)] * len(caps)
+            dual = (g.lp.yden, g.lp.y)
+            third = (3, [1] * len(caps))
             rounded = reference_lp_packing(g)
             for start in (None, [rounded.get(t, 0) for t in inc.triangles]):
                 plain, priced = _Budget(10**9), _Budget(10**9)
@@ -345,17 +351,25 @@ class TestIncumbents:
                 fewer[start is None] += priced.remaining > plain.remaining
         assert fewer[True] >= 20 and fewer[False] >= 5
 
-    @pytest.mark.parametrize("n, nu", [(18, 23), (20, 27)], ids=["S18w", "S20w"])
-    def test_dual_bound_closes_the_search(self, n, nu):
+    @pytest.mark.parametrize("n, nu, nodes", [(18, 23, 60_646), (20, 27, 87_359)], ids=["S18w", "S20w"])
+    def test_dual_bound_closes_the_search(self, n, nu, nodes, monkeypatch):
         # Bounded only by a third of the residual capacity, these took about
-        # 14 s and 72 s of CPU (Python 3.11, shared 2-core x86 machine).
+        # 14 s and 72 s of CPU (Python 3.11, shared 2-core x86 machine).  The
+        # search from the rounded x* spends exactly ``nodes``, the root and
+        # each child one; a dual over the wrong denominator prunes more or less.
         g = with_random_weights(gen_stacked(n, seed=1), (1, 2, 3), seed=1)
         g.lp
+        real, limit = tripack.exact.max_type_packing, nodes
+        monkeypatch.setattr(tripack.exact, "max_type_packing",
+                            lambda *a, **kw: real(*a, **kw, budget=_Budget(limit)))
         start = time.process_time()
         value, cert = nu_exact(g)
         assert time.process_time() - start < 2
         assert value == cert.value == nu < g.lp.value
         assert verify_packing(g, cert)
+        limit = nodes - 1
+        with pytest.raises(BudgetExceeded):
+            nu_exact(g)
 
     def test_reverse_delete_matches_full_rechecks(self):
         for g in [*atlas_0_to_3(), *random_corpus()]:
@@ -363,7 +377,7 @@ class TestIncumbents:
             assert set(_drop_redundant(g, cover)) == reference_drop_redundant(g, cover)
 
     def test_start_that_overdraws_a_resource_raises(self):
-        types, caps, third = [(0, 1, 2), (0, 3, 4)], [1, 1, 1, 1, 1], [Fraction(1, 3)] * 5
+        types, caps, third = [(0, 1, 2), (0, 3, 4)], [1, 1, 1, 1, 1], (3, [1] * 5)
         assert max_type_packing(types, caps, third, start=[1, 0]) == [1, 0]
         for start in ([1, 1], [2, 0], [-1, 0], [1]):
             with pytest.raises(InvariantViolation):
@@ -374,7 +388,7 @@ class TestIncumbents:
     def test_start_below_the_stop_gives_way_to_the_first_optimum(self):
         # One type overlaps two disjoint ones; from either single type the
         # search finds the pair, as it does from the empty packing.
-        types, caps, third = [(0, 1, 2), (3, 4, 5), (0, 3, 6)], [1] * 7, [Fraction(1, 3)] * 7
+        types, caps, third = [(0, 1, 2), (3, 4, 5), (0, 3, 6)], [1] * 7, (3, [1] * 7)
         assert max_type_packing(types, caps, third, start=[0, 0, 1]) == [1, 1, 0]
         assert max_type_packing(types, caps, third, start=[1, 0, 0]) == [1, 1, 0]
 

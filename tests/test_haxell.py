@@ -445,7 +445,7 @@ class TestBuildState:
         def both(types, caps, dual, *, budget, **kw):
             plain, priced = _Budget(10**9), _Budget(10**9)
             got = real(types, caps, dual, **kw, budget=priced)
-            assert got == real(types, caps, [Fraction(1, 3)] * len(caps), **kw, budget=plain)
+            assert got == real(types, caps, (3, [1] * len(caps)), **kw, budget=plain)
             assert priced.remaining >= plain.remaining
             fewer[priced.remaining > plain.remaining] += 1
             return got

@@ -11,12 +11,14 @@ from tripack import (
     lp_optimal,
     verify_transversal,
 )
+from tripack.cli import _cmd_kriv
 from tripack.core import _drop_redundant, enumerate_triangles
 from tripack.generators import (
     gen_apex,
     gen_complete,
     gen_cycle,
     gen_gk,
+    gen_petersen,
     gen_random,
     gen_stacked,
     gen_wheel,
@@ -98,8 +100,18 @@ class TestClassify:
 
 class TestTransversal2NuStar:
     def test_triangle_free_empty(self):
-        cert = transversal_2nustar(gen_cycle(5))
-        assert cert.edges == frozenset() and cert.weight == 0
+        # The LP is empty, so there is no half-value class and no cut: the
+        # general path gives the empty certificate and a passing report.
+        report = {
+            "nustar": "0/1",
+            "bounds": [{"name": "cover <= 2 nustar - sqrt(nustar)/4", "claimed": "2*(0/1) - sqrt(0/1)/4",
+                        "achieved": "0", "pass": True}],
+            "certificates": {"transversal": {"weight": 0, "edges": []}},
+        }
+        c4_free = Multigraph.from_edges(4, [(0, 1, 0), (1, 2, 3), (2, 3, 0), (0, 3, 2)])
+        for g in (gen_cycle(5), gen_petersen(), Multigraph(0, ()), c4_free):
+            assert transversal_2nustar(g) == TransversalCertificate(frozenset(), 0)
+            assert _cmd_kriv(g, None) == report
 
     def test_single_triangle(self):
         g = gen_complete(3)
