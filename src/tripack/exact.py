@@ -7,10 +7,11 @@ optimum ``g.lp`` for an incumbent and their bounds, and search only when
 the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 ``max_type_packing``, which also searches the Haxell families, up to
 ``floor(nustar)``, pruning on y*'s price of the residual capacities, y* as
-the simplex's integer pair ``(yden, y)`` (a family search with a gain
-target also prices the gain it can still reach by the LP dual of its
-gaining types); ``tau_exact`` covers greedily from y*, then prunes on x*'s
-mass over the uncovered triangles down to ``ceil(nustar)``.  Both bounds
+the simplex's integer pair ``(yden, y)`` (a family search with gaining
+types first searches them alone for its gain target, priced by their LP
+dual, which then prices the gain it can still reach); ``tau_exact``
+covers greedily from y*, then prunes on x*'s mass over the uncovered
+triangles down to ``ceil(nustar)``.  Both bounds
 are LP duality (each packing weighs at most any fractional cover, and each
 cover at least any fractional packing), so they cut only subtrees without a
 strictly better leaf and change no result, only the size of the tree.
@@ -485,16 +486,16 @@ def max_type_packing(
     dual: tuple[int, Sequence[int]],
     *,
     gains: Sequence[int] | None = None,
-    target: int = 0,
     budget: _Budget | None = None,
     start: Sequence[int] | None = None,
-) -> list[int] | None:
+) -> list[int]:
     """A multiplicity per type with the largest total within ``caps``.
 
     Every triangle of a type draws one unit from each of the type's three
-    distinct resources; resource ``o`` holds ``caps[o]`` units.  With
-    ``gains`` (nonnegative, per type) the total gain must reach ``target``;
-    returns None when it cannot.
+    distinct resources; resource ``o`` holds ``caps[o]`` units.  ``gains``
+    marks each type 0 or 1 (else ``InvariantViolation``); when some type
+    gains, the total gain must reach the target, the most gaining types
+    that fit together.
 
     Branch and bound on ``core.run_search``: types in order, largest
     multiplicity first, the incumbent replaced only by a strictly larger
@@ -509,40 +510,39 @@ def max_type_packing(
     caller without an LP passes the uniform third ``(3, [1] * len(caps))``,
     under which (c) is (b).  At the LP optimum y*, (c) at the root is the LP
     value: y* > 0 only where x* fills the capacity, and a resource no type
-    with room uses has load 0.  With ``target > 0`` the gain is priced the
-    same way: the dual z of the count LP of the gaining types (gain > 0),
-    solved on ``_simplex_packing`` and scaled by the largest gain, makes
-    every type's prices sum to at least its gain (else
-    ``InvariantViolation``), so the types not yet branched on gain at most
-    z's price of the residual capacity over those resources.  A subtree is
-    cut when the total plus any size bound cannot beat the incumbent, or the
-    gain plus the rooms weighted by gain, or plus z's price, misses
-    ``target``.  The search stops once the incumbent reaches the root's
-    bound, at y* the floor of the LP value.  The first incumbent is
-    ``start`` if given (it must fit ``caps`` and reach ``target``, else
-    ``InvariantViolation``), returned at once if it reaches that stop.  No
-    cut removes a strictly better leaf, and a gain cut only a subtree whose
-    every leaf misses ``target``, so the result is ``start`` if it is
-    optimal, else the first optimum in branch order under any dual, which
-    like z only shrinks the tree.  A draw updates only the later types
-    sharing a resource with it; the budget pays one node per search node.
+    with room uses has load 0.  The target comes from the LP of the gaining
+    types alone, solved once on ``_simplex_packing``: its dual z prices a
+    first search over just those types, whose total is the target, and
+    then the gain, since every gaining type costs at least 1 under z, so
+    the types not yet branched on gain at most z's price of the residual
+    capacity over those resources.  A subtree is cut when the total plus
+    any size bound cannot beat the incumbent, or the gain plus the gaining
+    rooms, or plus z's price, misses the target.  The search stops once the
+    incumbent reaches the root's bound, at y* the floor of the LP value.
+    The first incumbent is ``start`` if given (it must fit ``caps`` and
+    reach the target, else ``InvariantViolation``), returned at once if it
+    reaches that stop.  No cut removes a strictly better leaf, and a gain
+    cut only a subtree whose every leaf misses the target, so the result
+    is ``start`` if it is optimal, else the first optimum in branch order
+    under any dual, which like z only shrinks the tree.  A draw updates
+    only the later types sharing a resource with it; the budget pays one
+    node per search node, the first search's included.
     """
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
-    caps = list(caps)
     yden, price = dual
     if (yden < 1 or len(price) != len(caps) or min(price, default=0) < 0
             or any(sum(price[o] for o in t) < yden for t in types)):
         raise InvariantViolation("dual has yden < 1, a negative price, the wrong length or a type below 1")
-    # The gain bound by z: the gaining types' LP dual times the largest gain.
-    zden, zprice = 1, []
-    if target > 0:
-        top = max(gain_of, default=0)
-        _, _, zden, z = _simplex_packing([t for t, w in zip(types, gain_of) if w > 0], caps)
-        zprice = [top * v for v in z]
-        if min(zprice, default=0) < 0 or any(sum(zprice[o] for o in t) < w * zden
-                                              for t, w in zip(types, gain_of)):
-            raise InvariantViolation("gain prices are negative or fall below some type's gain")
+    if len(gain_of) != n or any(w not in (0, 1) for w in gain_of):
+        raise InvariantViolation("gains are not a 0/1 mark per type")
+    # The target and the gain bound by z, the gaining types' LP dual.
+    target, zden, zprice = 0, 1, []
+    gaining = [t for t, w in zip(types, gain_of) if w]
+    if gaining:
+        _, _, zden, zprice = _simplex_packing(gaining, caps)
+        target = sum(max_type_packing(gaining, caps, (zden, zprice), budget=budget))
+    caps = list(caps)
     users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource
     for j, t in enumerate(types):
         for o in t:
@@ -631,6 +631,8 @@ def max_type_packing(
         set_room(i, r)
 
     run_search(dfs(0, 0, 0), budget)
+    if best is None:
+        raise InvariantViolation("no family reaches the gain target")
     return best
 
 
@@ -655,10 +657,9 @@ def nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
         start[j] += m
         for o in types[j]:
             left[o] -= m
-    counts: list[int] | None = start
+    counts = start
     if sum(start) < sum(num) // den:
         counts = max_type_packing(types, wts, (lp.yden, lp.y), start=start)
-    assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     if cert.value != sum(counts) or not verify_packing(g, cert):
         raise InvariantViolation("packing certificate failed verification")

@@ -23,14 +23,14 @@ The five constructions (labels ``a`` .. ``e``) have sizes at most
     (3g + 3a - 2d0) nu,  (3 - d + 4h + d0) nu
 
 in the state's scalars, each the size of one family over nu (g = gamma
-from ``b1``, b = beta from ``b2``, a = alpha from ``b_prime``, d = delta
-from ``b1_prime``, h = eta from ``i_family``, d0 = delta0 from
-``k_family``), and a fixed convex combination of these bounds shows that
-the smallest is at most ``(3 - 2/25) nu``.  Sizes count copies.  A
-candidate's copies are a count per edge class, and its cover is the full
-edge classes plus the capacity-0 edges: it verifies exactly when the
-copies meet every triangle of copies, and weighs at most the copy count,
-which is at most the bound.
+from ``b1``, b = beta from ``b2``, the share-two part of ``b_prime``,
+a = alpha from ``b_prime``, d = delta from ``b1_prime``, h = eta from
+``i_family``, d0 = delta0 from ``k_family``), and a fixed convex
+combination of these bounds shows that the smallest is at most
+``(3 - 2/25) nu``.  Sizes count copies.  A candidate's copies are a count
+per edge class, and its cover is the full edge classes plus the
+capacity-0 edges: it verifies exactly when the copies meet every triangle
+of copies, and weighs at most the copy count, which is at most the bound.
 """
 
 from __future__ import annotations
@@ -241,25 +241,24 @@ def _ranked(family: Mapping[Type, int]) -> Iterator[tuple[Type, int, tuple[int, 
 
 
 def _search_max_family(
-    g: Multigraph, layout: Layout, gain: Callable[[tuple[int, ...]], int | None],
-    budget: _Budget, *, target: int = 0,
+    g: Multigraph, layout: Layout, gain: Callable[[tuple[int, ...]], int | None], budget: _Budget
 ) -> Counter[Type]:
     """Maximum family of independent triangles of the copies in ``layout``, per type.
 
     A triangle of copies is an item when its roles, one per side, have a
-    gain (``gain`` returns None to reject it); with ``target`` the family
-    must also reach that total gain.  Copies of one orbit are
-    interchangeable, and for the roles ``build_state`` uses no coarser
-    grouping exists.  The types, in order of triangle and then of each
-    side's orbits by lowest copy, go to ``max_type_packing`` with the
-    orbits as resources of their sizes, priced by the optimal dual y* of
-    the types' LP relaxation, solved on the simplex that solves the
-    triangle LP: it maximizes the number of triangles, and its integer
-    pair ``(yden, y)`` is the kernel's ``dual`` as it comes.  Priced by y*,
-    every type costs at least 1, so a subtree is cut once its family plus
-    y*'s price of the orbits left cannot beat the incumbent; the kernel
-    prices ``target`` itself.  The family found is the same under any
-    dual, which only shrinks the tree.
+    gain, 0 or 1 (``gain`` returns None to reject it); when some item
+    gains, the family must gain as much as the most gaining items that fit
+    together.  Copies of one orbit are interchangeable, and for the roles
+    ``build_state`` uses no coarser grouping exists.  The types, in order
+    of triangle and then of each side's orbits by lowest copy, go to
+    ``max_type_packing`` with the orbits as resources of their sizes,
+    priced by the optimal dual y* of the types' LP relaxation, solved on
+    the simplex that solves the triangle LP: it maximizes the number of
+    triangles, and its integer pair ``(yden, y)`` is the kernel's ``dual``
+    as it comes.  Priced by y*, every type costs at least 1, so a subtree is
+    cut once its family plus y*'s price of the orbits left cannot beat the
+    incumbent; the kernel finds and prices the gain target itself.  The
+    family found is the same under any dual, which only shrinks the tree.
     """
     sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
     roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}
@@ -273,15 +272,8 @@ def _search_max_family(
     cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
     caps = list(sizes.values())
     best = max_type_packing(
-        cols,
-        caps,
-        _simplex_packing(cols, caps)[2:],
-        gains=[gn for _, gn in types],
-        target=target,
-        budget=budget,
+        cols, caps, _simplex_packing(cols, caps)[2:], gains=[gn for _, gn in types], budget=budget
     )
-    if best is None:
-        raise InvariantViolation("no family reaches the required surplus")
     return Counter({ty: m for (ty, _), m in zip(types, best) if m})
 
 
@@ -391,13 +383,13 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
 
     The sequence: a maximum packing ``b``; a maximum family ``b1`` of
     triangles sharing exactly one edge with it; in the graph without
-    ``b1``'s copies, a maximum family ``b2`` of share-two triangles, then a
-    maximum family ``b_prime`` whose surplus of fresh edges matches
-    ``b2``; anchored families ``b1_prime``, ``i`` (with its two-rung
-    assignment), ``i_prime`` and ``k``.  Every structural guarantee the
-    size bounds rely on is asserted here, for the one ``b_prime`` kept;
-    with ``alpha + eta <= 1 - gamma`` the fixed combination of the five
-    bounds is at most ``(73/25) nu``.
+    ``b1``'s copies, a maximum family ``b_prime`` whose surplus of fresh
+    edges matches a maximum family of share-two triangles, so that its
+    share-two part is such a family, ``b2``; anchored families
+    ``b1_prime``, ``i`` (with its two-rung assignment), ``i_prime`` and
+    ``k``.  Every structural guarantee the size bounds rely on is asserted
+    here, for the one ``b_prime`` kept; with ``alpha + eta <= 1 - gamma``
+    the fixed combination of the five bounds is at most ``(73/25) nu``.
     """
     nu, cert = nu_exact(g)
     if nu == 0:
@@ -415,23 +407,21 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     anchors_b1 = _tally(((a,), k1 - k0) for *_, k0, k1, a in _anchors(b1, b, 1, g.weight_map))
 
     gp_layout = _cut(layout, b1, lambda r, took: None if took else r)
-    gp = _compress(g, Counter(g.weight_map) - _slots(b1))
-    nu_gp, _ = nu_exact(gp)
+    # Without b1, G' is G, whose LP and packing number are known.
+    gp = _compress(g, Counter(g.weight_map) - _slots(b1)) if b1 else g
+    nu_gp = nu_exact(gp)[0] if b1 else nu
     if nu_gp != nu - anchors_b1.total():
         raise InvariantViolation("reduced packing number is off")
-
-    b2 = _search_max_family(g, gp_layout, _share(2), bud.begin("b2"))
-    target = b2.total()
 
     def surplus(roles: tuple[int, ...]) -> int:  # fresh edges of a reduced triangle
         if sum(roles) < 2:
             raise InvariantViolation("reduced graph keeps a share-one triangle")
         return 3 - sum(roles)
 
-    bp = _search_max_family(g, gp_layout, surplus, bud.begin("b_prime"), target=target)
+    bp = _search_max_family(g, gp_layout, surplus, bud.begin("b_prime"))
     _require_packing(gp, _tris(bp))
-    if _slots(bp, 0).total() < target:
-        raise InvariantViolation("family misses its fresh-edge surplus")
+    # bp gains as much as a maximum share-two family, so its share-two part is one.
+    b2 = Counter({ty: m for ty, m in bp.items() if sum(ty.roles) == 2})
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
     bp_layout = _cut(gp_layout, bp, lambda r, took: r + 1 if took else 0)

@@ -149,7 +149,7 @@ def transversal_2nustar(g: Multigraph) -> TransversalCertificate:
     h = Multigraph.from_edges(len(b_classes), conflicts)
     if h.triangles:
         raise InvariantViolation("conflict graph on half-value edges has a triangle")
-    picked = independent_set_triangle_free(h, [wmap[e] for e in b_classes]) if b_classes else ()
+    picked = independent_set_triangle_free(h, [wmap[e] for e in b_classes])
     i_classes = {b_classes[i] for i in picked}
 
     # Induced graph on the below-1/2 edges plus the independent half edges,

@@ -838,16 +838,15 @@ def _search_max_family(
     role: Callable[[SlotEdge], int],
     gain: Callable[[tuple[int, ...]], int | None],
     budget: _Budget,
-    *,
-    target: int = 0,
 ) -> list[SlotTriangle]:
     """Maximum-cardinality slot-disjoint family of triangles over ``host``.
 
     The items are the slot triangles whose copies all lie in ``host`` and
-    whose roles, one per side in ``tri.edges`` order, have a gain; ``gain``
-    returns None to reject them.  With ``target`` the family must
-    additionally reach that total gain; gains are nonnegative and additive
-    because the family's slot edges are disjoint.
+    whose roles, one per side in ``tri.edges`` order, have a gain, 0 or 1;
+    ``gain`` returns None to reject them.  When some item gains, the family
+    must additionally gain as much as the most gaining items that fit
+    together; gains are additive because the family's slot edges are
+    disjoint.
 
     The search runs over classes of interchangeable copies, never over
     items.  An *orbit* is the host copies of one edge class with one role,
@@ -865,8 +864,8 @@ def _search_max_family(
 
     Every family maps to a multiplicity vector within the orbit
     capacities, and every such vector is realized by disjoint copies, so
-    the maximum size and whether ``target`` is reachable are exactly those
-    of the item-level problem.  The best vector is expanded lowest unused
+    the maximum size and the gain target are exactly those of the
+    item-level problem.  The best vector is expanded lowest unused
     copy first per orbit.
     """
     copies: dict[tuple[Edge, int], list[int]] = {}
@@ -887,11 +886,8 @@ def _search_max_family(
         [len(c) for c in copies.values()],
         (3, [1] * len(copies)),
         gains=[gn for _, _, gn in types],
-        target=target,
         budget=budget,
     )
-    if best is None:
-        raise InvariantViolation("no family reaches the required surplus")
     unused = [iter(c) for c in copies.values()]
     return sorted(
         SlotTriangle(tri, tuple(next(unused[o]) for o in orbits))  # type: ignore[arg-type]
@@ -1029,13 +1025,13 @@ def reference_build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> Ref
 
     The sequence: a maximum packing ``b``; a maximum family ``b1`` of
     triangles sharing exactly one edge with it; in the graph without
-    ``b1``'s edges, a maximum family ``b2`` of share-two triangles, then a
-    maximum family ``b_prime`` whose surplus of fresh edges matches
-    ``b2``; anchored families ``b1_prime``, ``i`` (with its two-rung
-    assignment), ``i_prime`` and ``k``.  Every structural guarantee the
-    size bounds rely on is asserted here, for the one ``b_prime`` kept;
-    with ``alpha + eta <= 1 - gamma`` the fixed combination of the five
-    bounds is at most ``(73/25) nu``.
+    ``b1``'s edges, a maximum family ``b_prime`` whose surplus of fresh
+    edges matches a maximum family of share-two triangles, so that its
+    share-two part is such a family, ``b2``; anchored families
+    ``b1_prime``, ``i`` (with its two-rung assignment), ``i_prime`` and
+    ``k``.  Every structural guarantee the size bounds rely on is asserted
+    here, for the one ``b_prime`` kept; with ``alpha + eta <= 1 - gamma``
+    the fixed combination of the five bounds is at most ``(73/25) nu``.
     """
     nu, cert = nu_exact(g)
     if nu == 0:
@@ -1059,18 +1055,14 @@ def reference_build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> Ref
     if nu_gp != nu - len(anchors_b1):
         raise InvariantViolation("reduced packing number is off")
 
-    b2 = tuple(_search_max_family(g, gp_slots, in_b, _share(2), bud))
-    target = len(b2)
-
     def surplus(roles: tuple[int, ...]) -> int:  # fresh edges of a reduced triangle
         if sum(roles) < 2:
             raise InvariantViolation("reduced graph keeps a share-one triangle")
         return 3 - sum(roles)
 
-    bp = _search_max_family(g, gp_slots, in_b, surplus, bud, target=target)
+    bp = _search_max_family(g, gp_slots, in_b, surplus, bud)
     ebp = _slot_edges(bp)
-    if len(ebp - eb) < target:
-        raise InvariantViolation("family misses its fresh-edge surplus")
+    b2 = tuple(m for m in bp if reference_btype(m, eb) == 2)
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
     def on_bp(e: SlotEdge) -> int:
@@ -1408,7 +1400,6 @@ def reference_nu_exact(g: Multigraph) -> tuple[int, PackingCertificate]:
         [w for _, _, w in g.edges],
         (g.lp.yden, g.lp.y),
     )
-    assert counts is not None
     cert = PackingCertificate.from_map(dict(zip(tris, counts)))
     return cert.value, cert
 

@@ -102,12 +102,12 @@ class TestTypePackingAgainstBruteForce:
             nres = rng.randint(3, 6)
             caps = [rng.randint(0, 3) for _ in range(nres)]
             types = [tuple(rng.sample(range(nres), 3)) for _ in range(rng.randint(1, 6))]
-            gains = [rng.randint(0, 2) for _ in types]
-            # Up to the largest conceivable gain plus one, so some are unreachable.
-            top = sum(g * min(caps[o] for o in t) for t, g in zip(types, gains))
-            target = rng.randint(0, top + 1)
-            expected = brute_type_packing(types, caps, gains, target)
-            got = max_type_packing(types, caps, (3, [1] * nres), gains=gains, target=target)
+            gains = [rng.randint(0, 1) for _ in types]
+            # The kernel's gain target: the most gaining types that fit together.
+            gaining = [t for t, w in zip(types, gains) if w]
+            top = sum(brute_type_packing(gaining, caps, [0] * len(gaining), 0))
+            expected = brute_type_packing(types, caps, gains, top)
+            got = max_type_packing(types, caps, (3, [1] * nres), gains=gains)
             # Every dual returns what the uniform third does: a random one
             # over 12, a/b with a in 0..4 and b in 1..4, raised until every
             # type costs at least 1, and the LP's own y*.
@@ -117,14 +117,11 @@ class TestTypePackingAgainstBruteForce:
                 if short > 0:
                     price[t[0]] += short
             for d in ((12, price), _simplex_packing(types, caps)[2:]):
-                assert max_type_packing(types, caps, d, gains=gains, target=target) == got, seed
-            if expected is None:
-                assert got is None, seed
-                continue
+                assert max_type_packing(types, caps, d, gains=gains) == got, seed
             assert got == expected, seed
             for o, c in enumerate(caps):
                 assert sum(m for t, m in zip(types, got) if o in t) <= c
-            assert sum(m * g for m, g in zip(got, gains)) >= target
+            assert sum(m * g for m, g in zip(got, gains)) >= top
 
     def test_lp_dual_stops_at_the_floor_of_the_lp_value(self):
         # Priced by the LP's own y*, the root bound is the LP value, so an
@@ -168,24 +165,35 @@ class TestTypePackingAgainstBruteForce:
                 max_type_packing(types, caps, dual=dual)
 
     def test_target_without_gaining_type(self):
+        # No type gains, so the target is 0 and the plain maximum comes back.
         types, caps, third = [(0, 1, 2), (2, 3, 4)], [2] * 5, (3, [1] * 5)
-        assert max_type_packing(types, caps, third, gains=[0, 0], target=1) is None
-        assert max_type_packing(types, caps, third, target=1) is None
         assert max_type_packing(types, caps, third, gains=[0, 0]) == [2, 0]
+        assert max_type_packing(types, caps, third) == [2, 0]
+
+    def test_gains_other_than_0_or_1_raise(self):
+        types, caps, third = [(0, 1, 2), (2, 3, 4)], [2] * 5, (3, [1] * 5)
+        assert max_type_packing(types, caps, third, gains=[1, 1]) == [2, 0]
+        for gains in ([2, 0], [-1, 1], [1], [0, 1, 0]):
+            with pytest.raises(InvariantViolation):
+                max_type_packing(types, caps, third, gains=gains)
 
     def test_empty_type_list(self):
         third = (3, [1] * 2)
         assert max_type_packing([], [], (1, [])) == []
         assert max_type_packing([], [3, 1], third, gains=[]) == []
-        assert max_type_packing([], [3, 1], third, gains=[], target=1) is None
 
-    def test_gain_prices_cut_at_the_root(self):
-        # Three gaining types share resource 0 of capacity 1, so their rooms
-        # promise a gain of 3 while the LP prices it at 1: the root is cut
-        # before it spends a node on a child.
-        types, caps, third = [(0, 1, 2), (0, 3, 4), (0, 5, 6)], [1] * 7, (3, [1] * 7)
-        assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=2, budget=_Budget(1)) is None
-        assert max_type_packing(types, caps, third, gains=[1, 1, 1], target=1) == [1, 0, 0]
+    def test_gain_prices_cut_a_subtree(self):
+        # The target is 2: type 3 and one of types 1 and 2, which share
+        # resource 0 of capacity 1.  Type 0 comes first and takes resource
+        # 5 from type 3; the rooms of types 1 and 2 still promise a gain of
+        # 2, but the gaining types' LP prices what is left at 1, so that
+        # subtree is cut.  The search, with its 3-node target search, takes
+        # 10 nodes; on the rooms alone it took 12.
+        types, caps, third = [(5, 8, 9), (0, 1, 2), (0, 3, 4), (5, 6, 7)], [1] * 10, (3, [1] * 10)
+        gains = [0, 1, 1, 1]
+        assert max_type_packing(types, caps, third, gains=gains, budget=_Budget(10)) == [0, 1, 0, 1]
+        with pytest.raises(BudgetExceeded):
+            max_type_packing(types, caps, third, gains=gains, budget=_Budget(9))
 
 
 class TestTauExact:
@@ -383,7 +391,8 @@ class TestIncumbents:
             with pytest.raises(InvariantViolation):
                 max_type_packing(types, caps, third, start=start)
         with pytest.raises(InvariantViolation):
-            max_type_packing(types, caps, third, gains=[0, 1], target=1, start=[1, 0])
+            # Type 1 gains and fits, so the target is 1, which the start misses.
+            max_type_packing(types, caps, third, gains=[0, 1], start=[1, 0])
 
     def test_start_below_the_stop_gives_way_to_the_first_optimum(self):
         # One type overlaps two disjoint ones; from either single type the
