@@ -302,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         g = _read_graph(args.input)
         report = {"command": args.command, "instance": _instance_json(g)}
         report.update(_COMMANDS[args.command](g, args))
+        del g  # the last reference: the graph, incidence and LP go before encoding
         print(json.dumps(report))
         failed = any(b["pass"] is False for b in report.get("bounds", []))
         return 1 if failed else 0

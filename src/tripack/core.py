@@ -157,15 +157,16 @@ class Multigraph:
         Capacity is irrelevant here: an edge of capacity 0 still supports
         triangles.
         """
-        # Keyed by the vertices on an edge: n may far exceed them.
-        adj: dict[int, set[int]] = {}
+        # The edges are sorted, so each vertex's higher neighbors form one
+        # run; keyed by the vertices on an edge, as n may far exceed them.
+        wmap = self.weight_map
+        higher: dict[int, list[int]] = {}
         for u, v, _ in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            higher.setdefault(u, []).append(v)
         out: list[Triangle] = []
         for u, v, _ in self.edges:
-            for c in sorted(adj[u] & adj[v]):
-                if c > v:
+            for c in higher.get(v, ()):
+                if (u, c) in wmap:
                     out.append(Triangle(u, v, c))
         return tuple(out)
 

@@ -152,6 +152,8 @@ def _outside(adj: _Adj, x: int, want_odd_component: bool) -> list[int]:
     """``[x]`` if the rest stays connected without ``x``.  Otherwise the
     vertices of the rest outside one component: the first component, or
     the first joined to ``x`` by an odd number of edges."""
+    if len(adj[x]) == 1:
+        return [x]  # removing a leaf never disconnects a connected graph
     rest = sorted(y for y in adj if y != x)
     comps = _components(rest, adj)
     if len(comps) == 1:

@@ -39,7 +39,9 @@ the same rational values, so they make the same pivots.  All three read the
 graph's cached ``g.incidence``: ``lp_optimal`` passes its columns to the
 simplex, ``nu_exact`` and ``tau_exact`` use its triangles through each
 edge, and ``tau_exact`` counts the chosen edges of each triangle.  The
-optimum stays in the simplex's integer vectors, which every reader uses.
+optimum is the simplex's ``LPSolution``, its integer vectors and nothing
+else, which every reader uses; it holds no reference to its graph, so the
+graph caching it as ``g.lp`` is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -47,13 +49,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Edge,
-    FractionalAssignment,
     InvariantViolation,
     Multigraph,
     PackingCertificate,
@@ -71,35 +71,23 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    """An optimal primal/dual pair for the fractional relaxation of ``g``.
+class LPSolution(NamedTuple):
+    """An optimal primal/dual pair from ``_simplex_packing``, exactly.
 
-    x* is ``x[j] / xden`` on triangle ``j`` of ``g.incidence`` and y* is
-    ``y[i] / yden`` on its edge ``i``, each over the least common
-    denominator.  ``value`` is the objective of both (strong duality).
-    ``packing`` and ``transversal`` key the pair by triangle and by edge.
+    x* is ``x[j] / xden`` on column ``j`` and y* is ``y[o] / yden`` on
+    resource ``o``, each over the least common denominator; ``lp_optimal``'s
+    columns are the triangles of ``g.incidence`` and its resources the
+    edges.  ``value`` is the objective of both (strong duality).
     """
 
-    g: Multigraph
     xden: int
     x: list[int]
     yden: int
     y: list[int]
 
-    @cached_property
+    @property
     def value(self) -> Rational:
         return Fraction(sum(self.x), self.xden)
-
-    @cached_property
-    def packing(self) -> FractionalAssignment:
-        xs = (Fraction(v, self.xden) for v in self.x)
-        return FractionalAssignment.on_triangles(self.g, dict(zip(self.g.incidence.triangles, xs)))
-
-    @cached_property
-    def transversal(self) -> FractionalAssignment:
-        ys = (Fraction(v, self.yden) for v in self.y)
-        return FractionalAssignment.on_edges(self.g, dict(zip(self.g.incidence.edges, ys)))
 
 
 @dataclass(frozen=True)
@@ -121,16 +109,16 @@ DEGENERATE_RUN = 20
 
 def _simplex_packing(
     columns: Sequence[tuple[int, int, int]], caps: Sequence[int]
-) -> tuple[int, list[int], int, list[int]]:
+) -> LPSolution:
     """Maximize ``sum x`` with ``x >= 0`` and each resource's load within its capacity.
 
     Column ``j`` draws one unit from each of the three distinct resources
     ``columns[j]``, and resource ``o`` holds ``caps[o]`` units; the pivot
     loop runs once per component that ``core._components`` finds, columns
-    linked by shared resources.  Returns ``(xden, x, yden, y)`` exactly:
-    x* is ``x[j] / xden`` on column ``j`` and the dual y* is ``y[o] / yden``
-    on resource ``o`` (0 on a resource of no column), each denominator the
-    lcm of its entries' lowest-terms denominators.
+    linked by shared resources.  Returns the ``LPSolution`` ``(xden, x,
+    yden, y)``: x* is ``x[j] / xden`` on column ``j`` and the dual y* is
+    ``y[o] / yden`` on resource ``o`` (0 on a resource of no column), each
+    denominator the lcm of its entries' lowest-terms denominators.
 
     Revised simplex on one of two kernels per component, each taking the
     component's columns ranked and its resources renumbered ``0 .. m-1``.
@@ -201,7 +189,8 @@ def _simplex_packing(
             k = gcd(v, d)
             yn[used[e]], yd[used[e]] = v // k, d // k
     xden, yden = lcm(*xd), lcm(*yd)
-    return xden, [v * (xden // d) for v, d in zip(xn, xd)], yden, [v * (yden // d) for v, d in zip(yn, yd)]
+    return LPSolution(xden, [v * (xden // d) for v, d in zip(xn, xd)],
+                      yden, [v * (yden // d) for v, d in zip(yn, yd)])
 
 
 def _sparse_component(
@@ -434,21 +423,22 @@ def lp_optimal(g: Multigraph) -> LPSolution:
     """Exact rational optimum of the fractional packing/transversal pair.
 
     ``_simplex_packing`` with the triangles as columns and the edges as
-    resources.  The LP is always feasible and bounded (the zero packing and
-    the all-1 transversal are feasible), so this never fails; its checks
-    run on the integer vectors.  The result is deterministic for a given
-    graph.  Each call solves afresh; solvers read the cached
-    ``Multigraph.lp`` instead.
+    resources, whose ``LPSolution`` it returns once the integer vectors
+    pass three checks: strong duality, x* a fractional packing and y* a
+    fractional transversal.  The LP is always feasible and bounded (the
+    zero packing and the all-1 transversal are feasible), so this never
+    fails.  The result is deterministic for a given graph.  Each call
+    solves afresh; solvers read the cached ``Multigraph.lp`` instead.
     """
     caps = [w for _, _, w in g.edges]
-    xden, x, yden, y = _simplex_packing(g.incidence.columns, caps)
+    xden, x, yden, y = sol = _simplex_packing(g.incidence.columns, caps)
     if sum(x) * yden != sum(v * w for v, w in zip(y, caps)) * xden:
         raise InvariantViolation("strong duality violated by solver output")
     if not _fits(g, xden, x):
         raise InvariantViolation("simplex produced an infeasible packing")
     if not _covers(g, yden, y):
         raise InvariantViolation("simplex produced an infeasible transversal")
-    return LPSolution(g, xden, x, yden, y)
+    return sol
 
 
 def tight_sets(g: Multigraph, s: LPSolution) -> TightSets:

@@ -96,22 +96,27 @@ class Anchor(NamedTuple):
 class HaxellState:
     """The nested families driving the five constructions.
 
-    Only families are stored: ``b``, ``b2`` and ``b_prime`` as a
-    multiplicity per type, the anchored families ``b1`` and ``b1_prime`` as
-    a count per anchor, and of those the copies that take two private rungs
-    (``i_family``) or lose a side to one (``i_prime``).  ``k_family`` is
-    derived through ``e0``; each scalar is a family size over nu, or 0.
+    Only the families the searches found are stored: ``b`` and ``b_prime``
+    as a multiplicity per type, the anchored families ``b1`` and ``b1_prime``
+    as a count per anchor, and of those the copies that take two private
+    rungs (``i_family``) or lose a side to one (``i_prime``).  ``b2`` and
+    ``k_family`` are derived; each scalar is a family size over nu, or 0.
     """
 
     graph: Multigraph
     nu: int
     b: Counter[Type]
-    b2: Counter[Type]
     b_prime: Counter[Type]
     anchors_b1: Counter[Anchor]
     anchors_b1_prime: Counter[Anchor]
     i_family: Counter[Anchor]
     i_prime: Counter[Anchor]
+
+    @cached_property
+    def b2(self) -> Counter[Type]:
+        """The share-two part of ``b_prime``, in its order: ``b_prime`` gains
+        as much as a maximum share-two family of G', so the part is one."""
+        return Counter({ty: m for ty, m in self.b_prime.items() if sum(ty.roles) == 2})
 
     @cached_property
     def e0(self) -> Counter[Edge]:
@@ -394,7 +399,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     nu, cert = nu_exact(g)
     if nu == 0:
         # Every triangle has a capacity-0 edge, so no triangle of copies exists.
-        return HaxellState(g, 0, *(Counter() for _ in range(7)))
+        return HaxellState(g, 0, *(Counter() for _ in range(6)))
     bud = _Budget(budget)
 
     b = Counter({Type(t, (1, 1, 1)): m for t, m in cert.multiplicities.items()})
@@ -420,8 +425,6 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
 
     bp = _search_max_family(g, gp_layout, surplus, bud.begin("b_prime"))
     _require_packing(gp, _tris(bp))
-    # bp gains as much as a maximum share-two family, so its share-two part is one.
-    b2 = Counter({ty: m for ty, m in bp.items() if sum(ty.roles) == 2})
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
     bp_layout = _cut(gp_layout, bp, lambda r, took: r + 1 if took else 0)
@@ -449,7 +452,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     if i_prime.total() > 2 * i_family.total():
         raise InvariantViolation("crowding family exceeds twice the rung family")
 
-    return HaxellState(g, nu, b, b2, bp, anchors_b1, b1p, i_family, i_prime)
+    return HaxellState(g, nu, b, bp, anchors_b1, b1p, i_family, i_prime)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from tripack import (
     Edge,
+    FractionalAssignment,
     InvariantViolation,
     Multigraph,
     PackingCertificate,
@@ -1411,14 +1412,23 @@ def lp_solution(g: Multigraph, x: dict[Triangle, Fraction], y: dict[Edge, Fracti
     xs = [Fraction(x.get(t, 0)) for t in inc.triangles]
     ys = [Fraction(y.get(e, 0)) for e in inc.edges]
     xden, yden = lcm(*(v.denominator for v in xs)), lcm(*(v.denominator for v in ys))
-    return LPSolution(g, xden, [int(v * xden) for v in xs], yden, [int(v * yden) for v in ys])
+    return LPSolution(xden, [int(v * xden) for v in xs], yden, [int(v * yden) for v in ys])
+
+
+def lp_assignments(g: Multigraph, sol: LPSolution) -> tuple[FractionalAssignment, FractionalAssignment]:
+    """``sol``'s x* keyed by triangle and y* keyed by edge of ``g.incidence``, as ``Fraction``s."""
+    inc = g.incidence
+    xs = (Fraction(v, sol.xden) for v in sol.x)
+    ys = (Fraction(v, sol.yden) for v in sol.y)
+    return (FractionalAssignment.on_triangles(g, dict(zip(inc.triangles, xs))),
+            FractionalAssignment.on_edges(g, dict(zip(inc.edges, ys))))
 
 
 def reference_lp_packing(g: Multigraph) -> dict[Triangle, int]:
     """The ν incumbent, on ``Fraction``s: floor(x*), then every triangle by
     descending fractional part of x* (ties by canonical order) takes the
     room its edges have left."""
-    x = g.lp.packing.triangle_values
+    x = lp_assignments(g, g.lp)[0].triangle_values
     start = {t: x.get(t, 0) // 1 for t in g.triangles}
     left = dict(g.weight_map)
     for t, m in start.items():
@@ -1446,7 +1456,7 @@ def reference_lp_cover(g: Multigraph) -> frozenset[Edge]:
     """The τ incumbent, on ``Fraction``s: the free edges, then each edge on a
     triangle by y* (largest first), weight, edge, kept when it covers a
     triangle not yet covered; then ``reference_drop_redundant``."""
-    ys = g.lp.transversal.edge_values
+    ys = lp_assignments(g, g.lp)[1].edge_values
     edges = sorted({e for t in g.triangles for e in t.edges}, key=lambda e: (-ys.get(e, 0), g.weight_map[e], e))
     cover = set(g.free_edges)
     for e in edges:

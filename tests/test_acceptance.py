@@ -43,6 +43,7 @@ from oracles import (
     atlas_with_triangle,
     brute_max_cut,
     brute_max_independent_set,
+    lp_assignments,
     rand_connected_multigraph,
     rand_triangle_free,
 )
@@ -204,7 +205,8 @@ def test_criterion_10_inequality_chain():
         nu, _ = nu_exact(g)
         tau, _ = tau_exact(g)
         sol = lp_optimal(g)
-        assert sol.packing.value == sol.transversal.value
+        packing, transversal = lp_assignments(g, sol)
+        assert packing.value == transversal.value
         star = sol.value
         assert Fraction(tau) >= star >= Fraction(nu)
         assert 2 * nu >= star

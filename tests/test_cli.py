@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from tripack.generators import (
 )
 from tripack.graphio import ParseError
 
-from oracles import rand_connected_multigraph, triangle_union
+from oracles import lp_assignments, rand_connected_multigraph, triangle_union
 
 
 class TestParse:
@@ -231,6 +233,32 @@ class TestCommands:
         assert solved.count(lp) <= 1
         assert indexed.count(g) <= 1
 
+    @pytest.mark.parametrize("command", ["lp", "solve"])
+    def test_graph_is_freed_before_the_report_is_encoded(self, capsys, monkeypatch, tmp_path, command):
+        # With the cyclic collector off, only reference counting can free
+        # the graph, its incidence and its LP before the report's text is built.
+        path = tmp_path / "g.graph"
+        path.write_text(emit_graph(rand_connected_multigraph(7, 8, 3, 1)))
+        refs, read, dumps = [], tripack.cli._read_graph, tripack.cli.json.dumps
+
+        def reading(path):
+            g = read(path)
+            refs.append(weakref.ref(g))
+            return g
+
+        def encoding(report):
+            assert len(refs) == 1 and refs[0]() is None
+            return dumps(report)
+
+        monkeypatch.setattr(tripack.cli, "_read_graph", reading)
+        monkeypatch.setattr(tripack.cli.json, "dumps", encoding)
+        gc.disable()
+        try:
+            code, out, _ = run_cli(capsys, [command, "--input", str(path)])
+        finally:
+            gc.enable()
+        assert code == 0 and json.loads(out)["command"] == command
+
     def test_lp_report_round_trips(self, capsys, monkeypatch):
         # One line of JSON whose "p/q" values, in lowest terms and canonical
         # order, read back to the optimum's Fractions.
@@ -240,13 +268,14 @@ class TestCommands:
             certs = json.loads(out)["certificates"]
             rows = certs["fractional_packing"]["triangles"]
             x = {Triangle(*r["vertices"]): Fraction(r["value"]) for r in rows}
-            assert x == g.lp.packing.triangle_values and list(x) == sorted(x)
+            packing, transversal = lp_assignments(g, g.lp)
+            assert x == packing.triangle_values and list(x) == sorted(x)
             assert [r["value"] for r in rows] == [f"{v.numerator}/{v.denominator}" for v in x.values()]
             rows = certs["fractional_transversal"]["edges"]
             y = {tuple(r["edge"]): Fraction(r["value"]) for r in rows}
-            assert y == g.lp.transversal.edge_values and list(y) == sorted(y)
+            assert y == transversal.edge_values and list(y) == sorted(y)
             assert [r["value"] for r in rows] == [f"{v.numerator}/{v.denominator}" for v in y.values()]
-            assert Fraction(certs["fractional_packing"]["value"]) == g.lp.packing.value == g.lp.value
+            assert Fraction(certs["fractional_packing"]["value"]) == packing.value == g.lp.value
 
     def test_generate_random_deterministic(self, capsys):
         args = ["generate", "--family", "random", "--n", "6", "--m", "9",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from tripack import (
     weight,
 )
 from tripack.core import _components, enumerate_triangles, incidence, norm_edge
-from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_wheel
+from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_random, gen_wheel, with_random_weights
 
 from oracles import (
     atlas_with_triangle,
@@ -74,6 +75,18 @@ class TestEnumerateTriangles:
     def test_sorted_canonically(self):
         ts = enumerate_triangles(gen_complete(5))
         assert ts == sorted(ts)
+
+    def test_matches_a_scan_of_every_triple(self):
+        # Capacities 0-3: a capacity-0 edge supports triangles like any other.
+        rng = random.Random(5)
+        corpus = [Multigraph(g.n, tuple((u, v, rng.randrange(4)) for u, v, _ in g.edges))
+                  for g in atlas_with_triangle()]
+        corpus += [with_random_weights(gen_random(n, m, 1, seed), (0, 1, 2, 3), seed)
+                   for seed in range(40) for n in (6, 9, 12) for m in (n, 2 * n, n * (n - 1) // 3)]
+        for g in corpus:
+            expected = tuple(Triangle(a, b, c) for a, b, c in itertools.combinations(range(g.n), 3)
+                             if {(a, b), (a, c), (b, c)} <= g.weight_map.keys())
+            assert g.triangles == expected
 
     def test_relabeling_invariance(self):
         rng = random.Random(7)

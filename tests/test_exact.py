@@ -1,6 +1,8 @@
+import gc
 import random
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -33,6 +35,7 @@ from tripack.generators import (
     gk_optimum,
     with_random_weights,
 )
+from tripack.haxell import transversal_292
 from tripack.krivelevich import transversal_2nustar
 
 from oracles import (
@@ -40,6 +43,7 @@ from oracles import (
     brute_nu,
     brute_type_packing,
     brute_tau,
+    lp_assignments,
     lp_solution,
     rand_connected_multigraph,
     rand_triangle_free,
@@ -431,16 +435,17 @@ class TestLPOptimal:
         items, packing, cover, value, offset = [], {}, {}, Fraction(0), 0
         for h in pieces:
             sol = lp_optimal(h)
+            hx, hy = lp_assignments(h, sol)
             items += [(u + offset, v + offset, w) for u, v, w in h.edges]
-            packing.update(
-                {Triangle.of(*(v + offset for v in t)): x for t, x in sol.packing.triangle_values.items()}
-            )
-            cover.update({(u + offset, v + offset): y for (u, v), y in sol.transversal.edge_values.items()})
+            packing.update({Triangle.of(*(v + offset for v in t)): x for t, x in hx.triangle_values.items()})
+            cover.update({(u + offset, v + offset): y for (u, v), y in hy.edge_values.items()})
             value += sol.value
             offset += h.n
-        sol = lp_optimal(Multigraph.from_edges(offset, items))
-        assert sol.packing.triangle_values == packing
-        assert sol.transversal.edge_values == cover
+        g = Multigraph.from_edges(offset, items)
+        sol = lp_optimal(g)
+        x, y = lp_assignments(g, sol)
+        assert x.triangle_values == packing
+        assert y.edge_values == cover
         assert sol.value == value
 
     def test_5000_disjoint_triangles(self):
@@ -450,7 +455,7 @@ class TestLPOptimal:
         start = time.process_time()
         sol = lp_optimal(g)
         assert time.process_time() - start < 1
-        assert sol.value == 5000 and len(sol.packing.triangle_values) == 5000
+        assert sol.value == 5000 and all(sol.x)
         # One bitmask of covered triangles per edge made tau_exact's traced
         # peak 12.7 MiB here; counts per triangle over g.incidence take 1.8 MiB.
         g.lp
@@ -522,13 +527,13 @@ class TestLPOptimal:
         for seed in range(15):
             g = rand_connected_multigraph(6, 6, 3, seed)
             sol = lp_optimal(g)
-            assert sol.packing.value == sol.transversal.value == sol.value
+            packing, transversal = lp_assignments(g, sol)
+            assert packing.value == transversal.value == sol.value
 
     def test_deterministic(self):
         g = rand_connected_multigraph(7, 8, 3, 11)
         a, b = lp_optimal(g), lp_optimal(g)
-        assert a.packing.triangle_values == b.packing.triangle_values
-        assert a.transversal.edge_values == b.transversal.edge_values
+        assert a == b
 
     def test_solvers_read_the_cached_optimum(self, monkeypatch):
         g = gen_wheel(5)
@@ -548,6 +553,21 @@ class TestLPOptimal:
         assert solved == [] and indexed == []
         assert lp_optimal(g) == sol and len(solved) == 1 and solved[0][0] is g.incidence.columns
         assert g.lp is sol
+
+    def test_graph_is_freed_by_reference_counting(self):
+        # g.lp caches the optimum on its graph; were the optimum to hold the
+        # graph, the two would form a cycle that only the cyclic collector
+        # frees.
+        g = rand_connected_multigraph(7, 8, 3, 1)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            results = [g.lp, nu_exact(g), tau_exact(g), transversal_2nustar(g), transversal_292(g)]
+            assert results[1][0] > 0
+            del g, results
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSimplexAgainstReference:
@@ -795,7 +815,7 @@ class TestTightSets:
             with pytest.raises(ValueError):
                 tight_sets(g, lp_solution(g, {t: x}, {(0, 1): y}))
         with pytest.raises(ValueError):
-            tight_sets(g, LPSolution(g, 1, [], 1, [0, 0, 0]))
+            tight_sets(g, LPSolution(1, [], 1, [0, 0, 0]))
 
 
 class TestOracleEquivalence:
