@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .exact import LPSolution
@@ -59,24 +59,29 @@ class _Budget:
                                  f" nodes after spending {self.start} of them")
 
 
-def run_search(root: Iterator[Iterator], budget: _Budget | None = None) -> None:
-    """Depth-first search over generator nodes, on an explicit stack.
+def run_search(node: Callable[..., Generator], args: tuple = (), budget: _Budget | None = None) -> Any:
+    """Depth-first search from ``node(*args)``, on an explicit stack.
 
-    A node yields each child's generator where it would call itself, and
-    resumes once that child is exhausted; depth is bounded only by memory.
-    A budget pays one node for the root and one for each child.
+    Depth is bounded only by memory.  A node yields its child's arguments
+    where it would call itself and gets the child's return value back from
+    that ``yield``; the root's is returned.  No node names itself, so
+    reference counting frees a search's state when it returns.  A budget
+    pays one node for the root and one for each child.
     """
-    if budget is not None:
-        budget.spend()
-    stack = [root]
-    while stack:
-        for child in stack[-1]:
-            if budget is not None:
-                budget.spend()
-            stack.append(child)
-            break
-        else:
-            stack.pop()
+    stack: list[Generator] = []
+    while True:
+        if budget is not None:
+            budget.spend()
+        top, value = node(*args), None
+        while True:
+            try:
+                args = top.send(value)
+                break
+            except StopIteration as done:
+                if not stack:
+                    return done.value
+                top, value = stack.pop(), done.value
+        stack.append(top)
 
 
 def norm_edge(u: int, v: int) -> Edge:

@@ -174,31 +174,29 @@ def _cut_connected_shore(adj: _Adj) -> set[int]:
     ``e/2 + v/4``; both guarantees are verified for every subproblem.
     Every subproblem runs on ``adj`` itself, holding just its vertices: a
     level hides what its child must not see, or halves every multiplicity,
-    and undoes that when the child returns, so ``adj`` ends unchanged.
+    and undoes that when the child returns its shore to that level's
+    ``yield`` on ``core.run_search``, so ``adj`` ends unchanged.
     """
-    results: list[set[int]] = []  # each subproblem's shore, popped by its parent
 
     def solve() -> Iterator:
         v = len(adj)
         e = sum(sum(x_adj.values()) for x_adj in adj.values()) // 2
         if v <= 2:
-            results.append({min(adj)} if v == 2 else set())
-            return
+            return {min(adj)} if v == 2 else set()
 
         def solve_without(x: int, want_odd_component: bool) -> Iterator:
             hidden = _hide(adj, _outside(adj, x, want_odd_component))
-            yield solve()
+            shore_a = yield ()
             if x not in adj:  # the rest stayed connected
                 _restore(adj, hidden)
-                return _place_apart(x, adj[x], results.pop())
+                return _place_apart(x, adj[x], shore_a)
             # The child saw x and one component; now x and all the others.
             pick = [y for y in adj if y != x]
             _restore(adj, hidden)
             hidden = _hide(adj, pick)
-            yield solve()
+            shore_b = yield ()
             side_b = set(adj)
             _restore(adj, hidden)
-            shore_a, shore_b = results.pop(-2), results.pop()
             if (x in shore_a) != (x in shore_b):
                 shore_b = side_b - shore_b
             return shore_a | shore_b
@@ -214,18 +212,16 @@ def _cut_connected_shore(adj: _Adj) -> set[int]:
             )
             if odd_pair is None:
                 adj.update({x: {y: m // 2 for y, m in x_adj.items()} for x, x_adj in adj.items()})
-                yield solve()
+                shore = yield ()
                 adj.update({x: {y: 2 * m for y, m in x_adj.items()} for x, x_adj in adj.items()})
-                shore = results.pop()
             else:
                 shore = yield from solve_without(odd_pair[0], want_odd_component=False)
             bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
         if 4 * _cut_size(shore, adj) < bound_num:
             raise InvariantViolation("recursive cut missed its guaranteed size")
-        results.append(shore)
+        return shore
 
-    run_search(solve())
-    return results.pop()
+    return run_search(solve)
 
 
 def cut_connected(g: Multigraph) -> EdgeCut:
@@ -242,8 +238,7 @@ def cut_connected(g: Multigraph) -> EdgeCut:
     e = sum(w for _, _, w in g.edges)
     if e < 1:
         raise ValueError("input multigraph has no edges")
-    shore = _cut_connected_shore(adj)
-    cut = EdgeCut.from_shore(g, frozenset(shore))
+    cut = EdgeCut.from_shore(g, frozenset(_cut_connected_shore(adj)))
     if Fraction(cut.size) < Fraction(e, 2) + Fraction(g.n - 1, 4):
         raise InvariantViolation("cut below the connected-graph guarantee")
     return cut

@@ -1,8 +1,8 @@
 """Exact optimizers for triangle packing and covering.
 
 ``nu_exact`` and ``tau_exact`` compute the integer optima by deterministic
-branch and bound on ``core.run_search``, whose explicit stack bounds the
-depth only by memory; they take no node budget.  Both read the cached LP
+branch and bound on ``core.run_search`` (depth bounded only by memory,
+state freed on return); they take no node budget.  Both read the cached LP
 optimum ``g.lp`` for an incumbent and their bounds, and search only when
 the incumbent misses the bound: ``nu_exact`` rounds x* and runs on
 ``max_type_packing``, which also searches the Haxell families, up to
@@ -514,9 +514,9 @@ def max_type_packing(
     reaches that stop.  No cut removes a strictly better leaf, and a gain
     cut only a subtree whose every leaf misses the target, so the result
     is ``start`` if it is optimal, else the first optimum in branch order
-    under any dual, which like z only shrinks the tree.  A draw updates
-    only the later types sharing a resource with it; the budget pays one
-    node per search node, the first search's included.
+    under any dual, which like z only shrinks the tree.  A draw walks its
+    resources' users down to it, so no index outgrows the types; the budget
+    pays one node per search node, the first search's included.
     """
     n = len(types)
     gain_of = gains if gains is not None else [0] * n
@@ -533,11 +533,10 @@ def max_type_packing(
         _, _, zden, zprice = _simplex_packing(gaining, caps)
         target = sum(max_type_packing(gaining, caps, (zden, zprice), budget=budget))
     caps = list(caps)
-    users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource
-    for j, t in enumerate(types):
-        for o in t:
+    users: list[list[int]] = [[] for _ in caps]  # the types drawing on each resource, descending
+    for j in range(n - 1, -1, -1):
+        for o in types[j]:
             users[o].append(j)
-    later = [sorted({k for o in t for k in users[o] if k > j}) for j, t in enumerate(types)]
     # Over the types not yet branched on: rooms, bound (a) and its gain-weighted
     # twin, the residual capacity of (b), its y-priced twin (c) and its z-priced
     # twin, and how many with room use each resource.
@@ -576,11 +575,13 @@ def max_type_packing(
                 yres -= m * price[o]
                 if zprice:
                     zres -= m * zprice[o]
-        for k in later[j]:
-            a, b, c = types[k]
-            r = min(caps[a], caps[b], caps[c])
-            if r != room[k]:
-                set_room(k, r)
+            for k in users[o]:  # the types after j come first
+                if k <= j:
+                    break
+                a, b, c = types[k]
+                r = min(caps[a], caps[b], caps[c])
+                if r != room[k]:
+                    set_room(k, r)
 
     for k, (a, b, c) in enumerate(types):
         set_room(k, min(caps[a], caps[b], caps[c]))
@@ -605,22 +606,21 @@ def max_type_packing(
         while i < n and room[i] == 0:
             i += 1
         if i == n:
-            best_size = size
-            best = list(counts)
+            best_size, best = size, list(counts)
             return
         r, g = room[i], gain_of[i]
         set_room(i, 0)
         for m in range(r, -1, -1):
             draw(i, m)
             counts[i] = m
-            yield dfs(i + 1, size + m, gain + m * g)
+            yield i + 1, size + m, gain + m * g
             counts[i] = 0
             draw(i, -m)
             if best_size >= stop:
                 break
         set_room(i, r)
 
-    run_search(dfs(0, 0, 0), budget)
+    run_search(dfs, (0, 0, 0), budget)
     if best is None:
         raise InvariantViolation("no family reaches the gain target")
     return best
@@ -698,22 +698,21 @@ def tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
         while j < len(tris) and hits[j]:
             j += 1
         if j == len(tris):
-            best_w = wsum
-            best_set = list(chosen)
+            best_w, best_set = wsum, list(chosen)
             return
         for i in cols[j]:
             mass = sum(num[k] for k in on[i] if not hits[k])
             chosen.append(edges[i])
             for k in on[i]:
                 hits[k] += 1
-            yield dfs(wsum + wts[i], rest - mass, j)
+            yield wsum + wts[i], rest - mass, j
             for k in on[i]:
                 hits[k] -= 1
             chosen.pop()
             if best_w == stop:
                 return
 
-    run_search(dfs(0, sum(num), 0))
+    run_search(dfs, (0, sum(num), 0))
     cert = TransversalCertificate.from_edges(g, best_set + list(g.free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):
         raise InvariantViolation("transversal certificate failed verification")

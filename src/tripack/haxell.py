@@ -372,14 +372,14 @@ def _max_i_family(
                 chosen.append(i)
                 if len(chosen) > len(best):
                     best, crowd = list(chosen), [holder[x] for x in taken]
-                yield dfs(i + 1)
+                yield (i + 1,)
                 chosen.pop()
                 free_taken[r] -= 2 - len(pick)
                 blocked.difference_update(own)
                 taken.difference_update(pick)
-        yield dfs(i + 1)
+        yield (i + 1,)
 
-    run_search(dfs(0), budget)
+    run_search(dfs, (0,), budget)
     return Counter(copies[i][3] for i in best), Counter(copies[i][3] for i in crowd)
 
 
@@ -484,7 +484,7 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     """
     g, nu = st.graph, st.nu
     eb1 = _tally((a.tri.edges, m) for a, m in st.anchors_b1.items())
-    gp = _compress(g, Counter(g.weight_map) - eb1)
+    gp = _compress(g, Counter(g.weight_map) - eb1) if eb1 else g  # without b1, G' is G
     families = (st.b, st.anchors_b1, st.b2, st.b_prime, st.anchors_b1_prime)
     for h, family in zip((g, g, gp, gp, gp), families):
         _require_packing(h, _tris(family))

@@ -68,6 +68,7 @@ that faster or leaner code replaced and must agree with exactly:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import Counter, defaultdict
@@ -241,6 +242,21 @@ def triangle_union(count: int) -> Multigraph:
         3 * count,
         ((3 * i + u, 3 * i + v, 1) for i in range(count) for u, v in ((0, 1), (0, 2), (1, 2))),
     )
+
+
+def cyclic_garbage(call: Callable[[], object]) -> int:
+    """How many unreachable objects the cyclic collector finds after ``call()``.
+
+    Collection is off during the call, so 0 means reference counting alone
+    freed everything the call left behind.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def atlas_with_triangle() -> list[Multigraph]:
@@ -429,14 +445,11 @@ def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, 
     and holds the copy until its children finish, so a path on v vertices
     takes O(v^2) time and memory.
     """
-    results: list[set[int]] = []  # each subproblem's shore, popped by its parent
-
     def solve(vertices: list[int], adj: dict[int, dict[int, int]]) -> Iterator:
         v = len(vertices)
         e = sum(sum(adj[x].values()) for x in vertices) // 2
         if v <= 2:
-            results.append({vertices[0]} if v == 2 else set())
-            return
+            return {vertices[0]} if v == 2 else set()
 
         degrees = {x: sum(adj[x].values()) for x in vertices}
         odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
@@ -446,8 +459,8 @@ def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, 
             rest_adj = _reference_sub_adj(rest, adj)
             comps = _components(rest, rest_adj)
             if len(comps) == 1:
-                yield solve(rest, rest_adj)
-                return _place_apart(x, adj[x], results.pop())
+                shore = yield rest, rest_adj
+                return _place_apart(x, adj[x], shore)
             pick = None
             if want_odd_component:
                 for comp in comps:
@@ -460,9 +473,8 @@ def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, 
                 pick = comps[0]
             side_a = sorted(pick + [x])
             side_b = sorted(y for y in vertices if y not in pick)
-            yield solve(side_a, _reference_sub_adj(side_a, adj))
-            yield solve(side_b, _reference_sub_adj(side_b, adj))
-            shore_a, shore_b = results.pop(-2), results.pop()
+            shore_a = yield side_a, _reference_sub_adj(side_a, adj)
+            shore_b = yield side_b, _reference_sub_adj(side_b, adj)
             if (x in shore_a) != (x in shore_b):
                 shore_b = set(side_b) - shore_b
             return shore_a | shore_b
@@ -483,17 +495,15 @@ def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, 
                 halved = {
                     x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
                 }
-                yield solve(vertices, halved)
-                shore = results.pop()
+                shore = yield vertices, halved
             else:
                 shore = yield from solve_without(odd_pair[0], want_odd_component=False)
             bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
         if 4 * _cut_size(shore, adj) < bound_num:
             raise InvariantViolation("recursive cut missed its guaranteed size")
-        results.append(shore)
+        return shore
 
-    run_search(solve(vertices, adj))
-    return results.pop()
+    return run_search(solve, (vertices, adj))
 
 
 def reference_balanced_shore(vertices: list[int], adj: dict[int, dict[int, int]]) -> set[int]:
@@ -1000,14 +1010,14 @@ def _max_i_family(
                 if len(chosen) > len(best):
                     best = list(chosen)
                     best_f = dict(fmap)
-                yield dfs(i + 1)
+                yield (i + 1,)
                 del fmap[a.t]
                 chosen.pop()
                 member_edges.difference_update(own)
                 taken_f.difference_update((f1, f2))
-        yield dfs(i + 1)
+        yield (i + 1,)
 
-    run_search(dfs(0), budget)
+    run_search(dfs, (0,), budget)
     return tuple(members[i] for i in best), best_f
 
 
@@ -1276,13 +1286,13 @@ def reference_max_family(
             chosen_gain += gains[i] if gains is not None else 0
             if gains is None:
                 leaf()
-            yield dfs(i + 1)
+            yield (i + 1,)
             chosen_gain -= gains[i] if gains is not None else 0
             chosen.pop()
             used.difference_update(es)
-        yield dfs(i + 1)
+        yield (i + 1,)
 
-    run_search(dfs(0))
+    run_search(dfs, (0,))
     if target > 0 and best_size < 0:
         raise InvariantViolation("no family reaches the required surplus")
     return best
@@ -1373,12 +1383,12 @@ def reference_tau_exact(g: Multigraph) -> tuple[int, TransversalCertificate]:
             j += 1
         for e in tri_edges[j]:
             chosen.append(e)
-            yield dfs(mask | cover_mask[e], wsum + wmap[e], j)
+            yield mask | cover_mask[e], wsum + wmap[e], j
             chosen.pop()
             if best_w == root_lb:
                 return
 
-    run_search(dfs(0, 0, 0))
+    run_search(dfs, (0, 0, 0))
     assert best_set is not None
     cert = TransversalCertificate.from_edges(g, best_set + list(free_edges))
     if cert.weight != best_w or not verify_transversal(g, cert):

@@ -19,7 +19,7 @@ from tripack import (
     verify_transversal,
     weight,
 )
-from tripack.core import _components, enumerate_triangles, incidence, norm_edge
+from tripack.core import BudgetExceeded, _Budget, _components, enumerate_triangles, incidence, norm_edge, run_search
 from tripack.generators import gen_complete, gen_cycle, gen_gk, gen_random, gen_wheel, with_random_weights
 
 from oracles import (
@@ -100,6 +100,37 @@ class TestEnumerateTriangles:
                 for t in enumerate_triangles(g)
             )
             assert enumerate_triangles(h) == expected
+
+
+def subtree_size(depth):
+    """A node of a complete binary tree: returns the size of its subtree."""
+    if depth == 0:
+        return 1
+    left = yield (depth - 1,)
+    right = yield (depth - 1,)
+    return left + right + 1
+
+
+class TestRunSearch:
+    def test_children_return_their_values_to_the_parent(self):
+        assert run_search(subtree_size, (4,)) == 31
+
+    def test_root_without_children_returns_its_value(self):
+        assert run_search(subtree_size, (0,)) == 1
+
+    def test_budget_pays_for_the_root_and_each_child(self):
+        budget = _Budget(31)
+        assert run_search(subtree_size, (4,), budget) == 31 and budget.remaining == 0
+        with pytest.raises(BudgetExceeded):
+            run_search(subtree_size, (4,), _Budget(30))
+        with pytest.raises(BudgetExceeded):
+            run_search(subtree_size, (0,), _Budget(0))
+
+    def test_depth_far_beyond_the_recursion_limit(self):
+        def chain(i):
+            return i if i == 100_000 else (yield (i + 1,))
+
+        assert run_search(chain, (0,)) == 100_000
 
 
 class TestDerivedCache:

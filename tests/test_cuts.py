@@ -25,6 +25,7 @@ from tripack.generators import gen_complete, gen_cycle, gen_petersen, with_rando
 from oracles import (
     brute_max_cut,
     brute_max_independent_set,
+    cyclic_garbage,
     rand_connected_multigraph,
     rand_triangle_free,
     reference_balanced_shore,
@@ -222,6 +223,12 @@ class TestCutLarge:
         e = n - 1
         assert dominates_sqrt(Fraction(cut.size) - Fraction(e, 2), Fraction(e, 16))
         assert peak < 8_000_000
+
+    def test_path_leaves_no_cyclic_garbage(self):
+        # Search levels that named themselves left 7 objects to the cyclic
+        # collector here.
+        g = Multigraph.from_edges(1100, ((i, i + 1, 1) for i in range(1099)))
+        assert cyclic_garbage(lambda: cut_large(g)) == 0
 
     def test_balanced_shore_equals_summing_reference(self):
         # Whole graphs, isolated vertices and several components included.

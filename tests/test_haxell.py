@@ -44,6 +44,7 @@ from oracles import (
     _all_slot_edges,
     _expand_packing,
     atlas_with_triangle,
+    cyclic_garbage,
     reference_btype,
     reference_build_state,
     reference_max_family,
@@ -618,3 +619,10 @@ class TestTransversal292:
             assert c.certificate.weight <= c.slot_size <= c.size_bound
         assert best.certificate.weight == min(c.certificate.weight for c in cands)
         assert tau_exact(g)[0] <= best.certificate.weight <= limit
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Search nodes that named themselves, in the nu search and the
+        # family searches, left 210 objects to the cyclic collector here.
+        g = gen_random(10, 25, 2, 0)
+        g.lp
+        assert cyclic_garbage(lambda: transversal_292(g)) == 0
