@@ -24,13 +24,13 @@ with ``core._components``, on one of two kernels chosen from the
 component's sizes.  Where B^-1 is sparse, one sparse integer row of B^-1
 per resource and one row of duals y, each over one positive denominator
 kept divided by its gcd; a pivot reprices only the columns on the pivot
-row's support.  Where it is dense anyway (more columns than resources,
-and at most 79 of them), the adjugate D B^-1 with D = det B, each column
-one int of 64-bit lanes that a pivot rewrites with one fraction-free
-update, whose division by the old D is exact (Bareiss 1968).  Hadamard's
-inequality keeps every entry within a lane.  Either is built for the
-component and dropped after it, and a column is built from B^-1 only
-when it enters.  Columns are ranked by degree, fewest neighbors first,
+row's support.  Where it is dense anyway (more columns than resources),
+the adjugate D B^-1 with D = det B, each column one int of lanes that a
+pivot rewrites with one fraction-free update, whose division by the old D
+is exact (Bareiss 1968).  Hadamard's inequality sizes the lanes to hold
+every entry.  Either is built for the component and dropped after it,
+and a column is built from B^-1 only when it enters.  Columns are
+ranked by degree, fewest neighbors first,
 so that B^-1 fills slowly.  The most negative reduced cost enters,
 ratio-test ties go to the sparsest row of B^-1, and Bland's rule takes
 over during a long run of degenerate pivots, so the loop terminates; y is
@@ -126,15 +126,11 @@ def _simplex_packing(
     denominator.  ``_dense_component`` keeps A = D B^-1 with D = det B, the
     adjugate, so A stays integral and a pivot's update divides exactly by
     the old D (fraction-free, Bareiss 1968); each column of A is one int
-    with a 64-bit lane per row.  Every column of B has at most three ones,
-    so by Hadamard's inequality det B, each entry of A and each entry of an
-    entering column A a_j (a Cramer numerator) is at most 3^(m/2) in
-    absolute value, which is below 2^63 for m <= 79.  A component with more
-    columns than resources, and at most 79 resources, takes the dense
-    kernel: its B^-1 fills anyway, as on complete graphs, and packed
-    columns cost one big-int operation each per pivot.  Every other
-    component takes the sparse kernel.  Both compare the same rational
-    values at every choice, so they make the same pivots.
+    with a lane per row.  A component with more columns than resources
+    takes the dense kernel: its B^-1 fills anyway, as on complete graphs,
+    and packed columns cost one big-int operation each per pivot.  Every
+    other component takes the sparse kernel.  Both compare the same
+    rational values at every choice, so they make the same pivots.
 
     Order.  A component's columns are ranked by their degree, the number of
     the component's columns drawing on each of their resources, summed
@@ -174,13 +170,11 @@ def _simplex_packing(
         used = sorted(deg)
         row_of = dict(zip(used, range(len(used))))
         cols = [(row_of[a], row_of[b], row_of[c]) for a, b, c in map(columns.__getitem__, tids)]
-        # Hadamard: each column of B has at most three ones, so det B and
-        # every cofactor and Cramer numerator is at most 3^(m/2) < 2^63 for
-        # m <= 79, and the dense kernel's lanes cannot overflow.  Over one
-        # pass of the benchmark's LPs, the dense kernel took about 40% of the
-        # sparse one's time on components with more columns than resources,
-        # about the same at equal counts, and 2.3x with fewer columns.
-        kernel = _dense_component if len(used) < len(tids) and len(used) <= 79 else _sparse_component
+        # Over one pass of the benchmark's LPs, the dense kernel took about
+        # 40% of the sparse one's time on components with more columns than
+        # resources, about the same at equal counts, and 2.3x with fewer
+        # columns.
+        kernel = _dense_component if len(used) < len(tids) else _sparse_component
         x, y = kernel(cols, [caps[e] for e in used])
         for p, v, d in x:
             k = gcd(v, d)
@@ -338,6 +332,11 @@ def _sparse_component(
             [(e, v, den[obj]) for e, v in rows[obj].items()])
 
 
+def _lane_width(m: int) -> int:
+    """The least ``w`` with 3^(m/2) < 2^(w-1): the width of ``_dense_component``'s lanes on ``m`` rows."""
+    return ((3 ** m).bit_length() + 3) // 2
+
+
 def _dense_component(
     cols: list[tuple[int, int, int]], caps: list[int]
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
@@ -348,20 +347,20 @@ def _dense_component(
     ``piv`` of the entering column a' = A a_j in row ``r`` makes ``piv`` the
     new D, keeps row ``r`` and sets every other row to ``(piv*row - a'_i*row_r)
     / D``, an exact division (Edmonds 1967, Bareiss 1968).  Column ``e`` of A
-    is one int with row ``i``'s entry, plus a bias of 2^63, in the 64-bit
-    lane at bit ``at[i]``; ``_simplex_packing`` bounds every entry below
-    2^63.  So a pivot updates a whole column in one expression, and the
+    is one int with row ``i``'s entry, plus a bias of 2^(w-1), in the
+    ``w``-bit lane at bit ``at[i] = w*i``.  Every column of B has at most
+    three ones, so by Hadamard's inequality det B, each entry of A and each
+    entry of an entering column A a_j (a Cramer numerator) is at most
+    3^(m/2) in absolute value, and ``w`` is the least width with 3^(m/2) <
+    2^(w-1).  So a pivot updates a whole column in one expression, and the
     entering column is the sum of three columns, unpacked once.  All
     entries share D, so every comparison is the sparse kernel's.
     """
-    from sys import byteorder
-
     m, nt = len(caps), len(cols)
-    at = [64 * i for i in range(m)]
-    if byteorder == "big":
-        at.reverse()  # so that int.to_bytes lists row 0 first, as memoryview.cast reads it
-    mask, zero = (1 << 64) - 1, 1 << 63
-    bias = ((1 << 64 * m) - 1) // mask << 63  # 2^63 in every lane
+    w = _lane_width(m)
+    at = [w * i for i in range(m)]
+    mask, zero = (1 << w) - 1, 1 << (w - 1)
+    bias = ((1 << w * m) - 1) // mask << (w - 1)  # 2^(w-1) in every lane
     cs = [bias + (1 << s) for s in at]  # the columns of A = I
     rhs, y, dn = caps, [0] * m, [-1] * nt  # D B^-1 b, D y and D times each reduced cost
     basis = list(range(nt, nt + m))
@@ -383,7 +382,7 @@ def _dense_component(
             f, s = dn[enter], cs[a] + cs[b] + cs[c] - 2 * bias
         else:
             break
-        col = memoryview((s ^ bias).to_bytes(8 * m, byteorder)).cast("q").tolist()
+        col = [((s >> a) & mask) - zero for a in at]
         # D cancels in every ratio rhs_i / col_i and pivot entry col_i / D.
         rows = [i for i, v in enumerate(col) if v > 0]
         if not rows:

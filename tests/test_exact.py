@@ -1,5 +1,6 @@
 import gc
 import random
+import signal
 import time
 import tracemalloc
 import weakref
@@ -24,7 +25,7 @@ from tripack import (
     verify_transversal,
 )
 from tripack.core import _Budget, _drop_redundant, enumerate_triangles, weight
-from tripack.exact import LPSolution, _simplex_packing, max_type_packing
+from tripack.exact import LPSolution, _lane_width, _simplex_packing, max_type_packing
 from tripack.generators import (
     gen_complete,
     gen_cycle,
@@ -699,14 +700,10 @@ SPARSE, DENSE = tripack.exact._sparse_component, tripack.exact._dense_component
 
 
 def on_kernel(kernel, columns, caps):
-    """``_simplex_packing`` with each component of at most 79 resources on ``kernel``, the rest
-    on the sparse kernel, which has no lanes to overflow."""
-    def pick(cols, caps):
-        return (kernel if len(caps) <= 79 else SPARSE)(cols, caps)
-
+    """``_simplex_packing`` with every component on ``kernel``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tripack.exact, "_dense_component", pick)
-        mp.setattr(tripack.exact, "_sparse_component", pick)
+        mp.setattr(tripack.exact, "_dense_component", kernel)
+        mp.setattr(tripack.exact, "_sparse_component", kernel)
         return _simplex_packing(columns, caps)
 
 
@@ -716,6 +713,13 @@ def type_system(seed, m=None):
     m = m or rng.randint(4, 40)
     columns = [tuple(rng.sample(range(m), 3)) for _ in range(rng.randint(m + 1, 4 * m))]
     return columns, [rng.randint(0, rng.choice((3, 10, 10**6, 10**12))) for _ in range(m)]
+
+
+def linked_system(seed, m, count=None):
+    """A cycle of columns linking all ``m`` resources into one component, then the first ``count``
+    columns (all if None) of ``type_system(seed, m)``, on its capacities."""
+    columns, caps = type_system(seed, m=m)
+    return [(i, (i + 1) % m, (i + 2) % m) for i in range(m)] + columns[:count], caps
 
 
 def assert_lp_optimal(columns, caps, xden, x, yden, y):
@@ -761,6 +765,19 @@ class TestKernels:
             assert got == on_kernel(SPARSE, columns, caps)
             assert_lp_optimal(columns, caps, *got)
 
+    @pytest.mark.parametrize("run", [2, 20])
+    def test_k14_and_k16(self, monkeypatch, run):
+        # Past the 64-bit lanes.  Bland's rule throughout (run 0) takes 5 s
+        # on K14w and 24 s on K16w on a 2-core x86 VM, so it is left to the
+        # smaller graphs.
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
+        for n in (14, 16):
+            g = with_random_weights(gen_complete(n), (1, 2, 3), seed=n)
+            columns, caps = g.incidence.columns, [w for *_, w in g.edges]
+            got = on_kernel(DENSE, columns, caps)
+            assert got == on_kernel(SPARSE, columns, caps)
+            assert_lp_optimal(columns, caps, *got)
+
     @pytest.mark.parametrize("run", [0, 2, 20])
     def test_seeded_type_systems(self, monkeypatch, run):
         monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
@@ -770,9 +787,52 @@ class TestKernels:
             assert got == on_kernel(SPARSE, columns, caps), seed
             assert_lp_optimal(columns, caps, *got)
 
+    @pytest.mark.parametrize("run", [0, 2, 20])
+    @pytest.mark.parametrize("m", [79, 80, 128])
+    def test_wide_type_systems(self, monkeypatch, run, m):
+        # One component of m resources: the last 64-bit lanes, the first
+        # lanes past them, and wider ones.
+        monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
+        for seed in range(5):
+            columns, caps = linked_system(seed, m)
+            got = on_kernel(DENSE, columns, caps)
+            assert got == on_kernel(SPARSE, columns, caps), seed
+            assert_lp_optimal(columns, caps, *got)
+
+    @pytest.mark.parametrize("m, bits", [(79, 44), (80, 45), (128, 71)])
+    def test_circulant_systems(self, m, bits):
+        # Columns {i, i+1, i+3} mod m on 3 units each: the optimum has every
+        # column basic at x = 1 and y = 1/3, and det B has ``bits`` bits, 71
+        # past a 64-bit lane.  Lanes too narrow for the entries of D B^-1
+        # made the dense kernel pivot without end here, so an alarm stops it.
+        columns = [(i, (i + 1) % m, (i + 3) % m) for i in range(m)]
+
+        def stop(signum, frame):
+            raise AssertionError("the dense kernel ran for 10 s")
+
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(10)
+        try:
+            x, y = DENSE(columns, [3] * m)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        d = x[0][2]
+        assert abs(d).bit_length() == bits
+        assert sorted(x) == [(p, d, d) for p in range(m)]
+        assert y == [(e, d // 3, d) for e in range(m)]
+
+    def test_lane_width(self):
+        # Hadamard bounds every entry by 3^(m/2), so a lane of w bits with
+        # a bias of 2^(w-1) needs 3^m < 4^(w-1), and no narrower lane does.
+        for m in range(3, 201):
+            w = _lane_width(m)
+            assert 3 ** m < 4 ** (w - 1) and not 3 ** m < 4 ** (w - 2), m
+        assert [_lane_width(m) for m in (79, 80, 128)] == [64, 65, 103]
+
 
 class TestKernelSelection:
-    """More columns than resources, and at most 79 resources, select the dense kernel."""
+    """More columns than resources select the dense kernel at any size."""
 
     def only(self, monkeypatch, kernel, columns, caps):
         other = "_sparse_component" if kernel == "_dense_component" else "_dense_component"
@@ -783,25 +843,24 @@ class TestKernelSelection:
         monkeypatch.setattr(tripack.exact, other, refuse)
         return _simplex_packing(columns, caps)
 
-    def test_dense_up_to_79_resources(self, monkeypatch):
-        # Hadamard: |det| <= 3^(m/2) < 2^63 for a matrix whose m columns
-        # hold at most three ones each, exactly when m <= 79.
-        assert 3 ** 79 < 2 ** 126 < 3 ** 80
-        g = with_random_weights(gen_complete(13), (1, 2, 3), seed=13)
-        assert len(g.edges) == 78
-        self.only(monkeypatch, "_dense_component", g.incidence.columns, [w for *_, w in g.edges])
-        # 79 resources: a cycle of columns links them all, and 79 more columns follow.
-        columns, caps = type_system(79, m=79)
-        columns = [(i, (i + 1) % 79, (i + 2) % 79) for i in range(79)] + columns[:79]
+    @pytest.mark.parametrize("system", [
+        *((g.incidence.columns, [w for *_, w in g.edges]) for g in (
+            with_random_weights(gen_complete(13), (1, 2, 3), seed=13),  # 78 resources
+            with_random_weights(gen_complete(14), (1, 2, 3), seed=14),  # 91 resources
+        )),
+        linked_system(79, 79, count=79),
+        linked_system(128, 128),
+    ], ids=["K13w", "K14w", "cycle79", "cycle128"])
+    def test_dense_at_any_size(self, monkeypatch, system):
+        columns, caps = system
         got = self.only(monkeypatch, "_dense_component", columns, caps)
         assert got == on_kernel(SPARSE, columns, caps)
         assert_lp_optimal(columns, caps, *got)
 
     @pytest.mark.parametrize("g", [
-        with_random_weights(gen_complete(14), (1, 2, 3), seed=14),  # 91 resources
         with_random_weights(gen_complete(5), (1, 2, 3), seed=5),  # 10 columns, 10 resources
         gen_stacked(20, seed=1),  # 52 columns, 54 resources
-    ], ids=["K14w", "K5w", "S20"])
+    ], ids=["K5w", "S20"])
     def test_sparse_otherwise(self, monkeypatch, g):
         columns, caps = g.incidence.columns, [w for *_, w in g.edges]
         assert_lp_optimal(columns, caps, *self.only(monkeypatch, "_sparse_component", columns, caps))
