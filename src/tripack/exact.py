@@ -29,19 +29,17 @@ the adjugate D B^-1 with D = det B, each column one int of lanes that a
 pivot rewrites with one fraction-free update, whose division by the old D
 is exact (Bareiss 1968).  Hadamard's inequality sizes the lanes to hold
 every entry.  Either is built for the component and dropped after it,
-and a column is built from B^-1 only when it enters.  Columns are
-ranked by degree, fewest neighbors first,
-so that B^-1 fills slowly.  The most negative reduced cost enters,
-ratio-test ties go to the sparsest row of B^-1, and Bland's rule takes
-over during a long run of degenerate pivots, so the loop terminates; y is
-the dual optimum, so primal and dual values agree.  Both kernels compare
-the same rational values, so they make the same pivots.  All three read the
-graph's cached ``g.incidence``: ``lp_optimal`` passes its columns to the
-simplex, ``nu_exact`` and ``tau_exact`` use its triangles through each
-edge, and ``tau_exact`` counts the chosen edges of each triangle.  The
-optimum is the simplex's ``LPSolution``, its integer vectors and nothing
-else, which every reader uses; it holds no reference to its graph, so the
-graph caching it as ``g.lp`` is freed by reference counting.
+and a column is built from B^-1 only when it enters.  Both kernels make
+every choice with ``_entering`` and ``_leaving``, so they make the same
+pivots; ``_simplex_packing``'s docstring states the rule, which
+terminates, and y is the dual optimum, so primal and dual values agree.
+All three read the graph's cached ``g.incidence``: ``lp_optimal`` passes
+its columns to the simplex, ``nu_exact`` and ``tau_exact`` use its
+triangles through each edge, and ``tau_exact`` counts the chosen edges
+of each triangle.  The optimum is the simplex's ``LPSolution``, its
+integer vectors and nothing else, which every reader uses; it holds no
+reference to its graph, so the graph caching it as ``g.lp`` is freed by
+reference counting.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Edge,
@@ -129,8 +127,9 @@ def _simplex_packing(
     with a lane per row.  A component with more columns than resources
     takes the dense kernel: its B^-1 fills anyway, as on complete graphs,
     and packed columns cost one big-int operation each per pivot.  Every
-    other component takes the sparse kernel.  Both compare the same
-    rational values at every choice, so they make the same pivots.
+    other component takes the sparse kernel.  Both make every choice with
+    ``_entering`` (pricing) and ``_leaving`` (the ratio test), so they make
+    the same pivots, under the rule below.
 
     Order.  A component's columns are ranked by their degree, the number of
     the component's columns drawing on each of their resources, summed
@@ -187,6 +186,52 @@ def _simplex_packing(
                       yden, [v * (yden // d) for v, d in zip(yn, yd)])
 
 
+def _entering(dn: list[int], y: Iterable[int], pairs: Iterable[tuple[int, int]],
+              streak: int) -> tuple[int, bool]:
+    """The entering variable after ``streak`` degenerate pivots in a row, and whether Bland's rule chose it.
+
+    ``dn[p]`` is column ``p``'s reduced cost, ``y`` holds the slacks' (the
+    duals), and ``pairs`` the same as ``(e, y[e])`` (a slack in neither
+    prices 0), all over one positive denominator.  The variable is a basis
+    index, ``len(dn) + e`` for slack ``e``, or -1 at an optimum.
+    """
+    nt = len(dn)
+    if streak >= DEGENERATE_RUN:
+        enter = next((p for p, v in enumerate(dn) if v < 0), -1)
+        return (enter if enter >= 0 else min((nt + e for e, v in pairs if v < 0), default=-1)), True
+    low = min(min(dn), 0)
+    if min(y, default=0) < low:  # a check in C before the scan in Python
+        return nt + min((v, e) for e, v in pairs if v < low)[1], False
+    return (dn.index(low) if low < 0 else -1), False
+
+
+def _leaving(col: Iterable[tuple[int, int]], rhs: Sequence[int], den: Sequence[int], basis: Sequence[int],
+             nnz: Callable[[int], int], bland: bool) -> int:
+    """The leaving row for an entering column of entries ``(i, a)``, where its ratio is ``rhs[i] / a``.
+
+    Row ``i``'s entry is ``a / den[i]``, its basic variable ``basis[i]``
+    and its count of nonzeros in B^-1 ``nnz(i)``, read once on a tie;
+    ``bland`` is ``_entering``'s second value.
+    """
+    leave, piv, ties = -1, 0, []
+    for i, a in col:
+        if a > 0:
+            # Ratios, and pivot entries below, compare cross-multiplied.
+            d = rhs[i] * piv - rhs[leave] * a if ties else -1
+            if d < 0:
+                leave, piv, ties = i, a, [(i, a)]
+            elif d == 0:
+                ties.append((i, a))
+    if not ties:
+        raise InvariantViolation("packing LP is unbounded")
+    count = {i: nnz(i) for i, _ in ties} if len(ties) > 1 and not bland else {}
+    for i, a in ties[1:]:
+        if (basis[i] < basis[leave] if bland else
+                (count[i], piv * den[i], basis[i]) < (count[leave], a * den[leave], basis[leave])):
+            leave, piv = i, a
+    return leave
+
+
 def _sparse_component(
     cols: list[tuple[int, int, int]], caps: list[int]
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
@@ -230,23 +275,13 @@ def _sparse_component(
     streak = 0  # degenerate pivots in a row
 
     while True:
-        y = rows[obj]
-        bland = streak >= DEGENERATE_RUN
-        if not bland:
-            # The most negative reduced cost; a slack must beat the
-            # columns strictly, as they come first.
-            low = min(dn)
-            enter = dn.index(low) if low < 0 else -1
-            low = min(low, 0)
-            e = min((v, e) for e, v in y.items() if v < low)[1] if min(y.values(), default=0) < low else -1
-        else:
-            # Bland: the first negative reduced cost.
-            enter = next((p for p, d in enumerate(dn) if d < 0), -1)
-            e = -1 if enter >= 0 else min((e for e, v in y.items() if v < 0), default=-1)
-        if e >= 0:
-            enter = nt + e
+        enter, bland = _entering(dn, rows[obj].values(), rows[obj].items(), streak)
+        if enter < 0:
+            break
+        if enter >= nt:
+            e = enter - nt
             col = {i: rows[i][e] for i in col_rows[e]}
-        elif enter >= 0:
+        else:
             a, b, c = cols[enter]
             col = {}
             for i in col_rows[a] | col_rows[b] | col_rows[c]:
@@ -255,29 +290,8 @@ def _sparse_component(
                 if v:
                     col[i] = v
             col[obj] = dn[enter]
-        else:
-            break
-        # Row denominators cancel in b_i / a_i, so ratios compare as cross-
-        # multiplied numerators, and so do the pivot entries a_i / den_i.
-        # The objective row's entry is negative: it never leaves.
-        leave = -1
-        piv = 0
-        for i, a in col.items():
-            if a > 0:
-                if leave < 0:
-                    leave, piv = i, a
-                    continue
-                lhs = rhs[i] * piv
-                cur = rhs[leave] * a
-                if lhs == cur and not bland:
-                    # Markowitz: the sparser row, then the larger pivot.
-                    lhs, cur = (len(rows[i]), piv * den[i]), (len(rows[leave]), a * den[leave])
-                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
-                    leave, piv = i, a
-        if leave < 0:
-            raise InvariantViolation("packing LP is unbounded")
-        prow = rows[leave]
-        prhs = rhs[leave]
+        leave = _leaving(col.items(), rhs, den, basis, lambda i: len(rows[i]), bland)
+        piv, prow, prhs = col[leave], rows[leave], rhs[leave]
         streak = 0 if prhs else streak + 1
 
         # row <- (row * s - prow * t) / k, with s/t = piv/f in lowest
@@ -340,7 +354,7 @@ def _lane_width(m: int) -> int:
 def _dense_component(
     cols: list[tuple[int, int, int]], caps: list[int]
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """``_sparse_component``'s pivots on A = D B^-1, D = det B, one packed int per column of A.
+    """``_sparse_component`` on A = D B^-1, D = det B, one packed int per column of A.
 
     A stays integral (it is the adjugate of B), and so do the right-hand
     side D B^-1 b and the duals D y, kept as plain lists.  A pivot on entry
@@ -354,7 +368,7 @@ def _dense_component(
     3^(m/2) in absolute value, and ``w`` is the least width with 3^(m/2) <
     2^(w-1).  So a pivot updates a whole column in one expression, and the
     entering column is the sum of three columns, unpacked once.  All
-    entries share D, so every comparison is the sparse kernel's.
+    entries share D, so ``_leaving`` takes D as every row's denominator.
     """
     m, nt = len(caps), len(cols)
     w = _lane_width(m)
@@ -367,37 +381,18 @@ def _dense_component(
     d = 1
     streak = 0  # degenerate pivots in a row
     while True:
-        if streak < DEGENERATE_RUN:
-            low = min(dn)
-            enter = dn.index(low) if low < 0 else -1
-            v = min(y)
-            e = y.index(v) if v < min(low, 0) else -1
+        enter, bland = _entering(dn, y, enumerate(y), streak)
+        if enter < 0:
+            break
+        if enter >= nt:
+            f, s = y[enter - nt], cs[enter - nt]
         else:
-            enter = next((p for p, v in enumerate(dn) if v < 0), -1)
-            e = -1 if enter >= 0 else next((e for e, v in enumerate(y) if v < 0), -1)
-        if e >= 0:
-            enter, f, s = nt + e, y[e], cs[e]
-        elif enter >= 0:
             a, b, c = cols[enter]
             f, s = dn[enter], cs[a] + cs[b] + cs[c] - 2 * bias
-        else:
-            break
         col = [((s >> a) & mask) - zero for a in at]
-        # D cancels in every ratio rhs_i / col_i and pivot entry col_i / D.
-        rows = [i for i, v in enumerate(col) if v > 0]
-        if not rows:
-            raise InvariantViolation("packing LP is unbounded")
-        r = rows[0]
-        for i in rows:
-            if rhs[i] * col[r] < rhs[r] * col[i]:
-                r = i
-        ties = [i for i in rows if rhs[i] * col[r] == rhs[r] * col[i]]
-        if len(ties) > 1:
-            if streak >= DEGENERATE_RUN:
-                r = min(ties, key=basis.__getitem__)
-            else:
-                # Most zero lanes first: the fewest nonzeros.
-                r = min(ties, key=lambda i: (-[(v >> at[i]) & mask for v in cs].count(zero), -col[i], basis[i]))
+        # A row's nonzeros are its lanes off the bias.
+        r = _leaving([(i, v) for i, v in enumerate(col) if v > 0], rhs, [d] * m, basis,
+                     lambda i: m - [(v >> at[i]) & mask for v in cs].count(zero), bland)
         piv, prhs = col[r], rhs[r]
         streak = 0 if prhs else streak + 1
         prow = [((v >> at[r]) & mask) - zero for v in cs]

@@ -13,6 +13,7 @@ from tripack import (
     Rational,
     TransversalCertificate,
     Triangle,
+    dominates_sqrt,
     is_fractional_packing,
     is_fractional_transversal,
     verify_packing,
@@ -51,6 +52,15 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             Multigraph.from_edges(2, [(0, 1, -1)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (-1, (), "vertex count must be nonnegative"),
+        (3, ((0, 2, 1), (0, 1, 1)), "sorted and pairwise distinct"),
+        (3, ((0, 1, 1), (0, 1, 2)), "sorted and pairwise distinct"),
+    ], ids=["negative-n", "unsorted", "duplicate"])
+    def test_constructor_rejects(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Multigraph(n, edges)
+
     def test_normalizes_pair_order(self):
         g = Multigraph.from_edges(3, [(2, 0, 5)])
         assert g.edges == ((0, 2, 5),)
@@ -87,6 +97,11 @@ class TestEnumerateTriangles:
             expected = tuple(Triangle(a, b, c) for a, b, c in itertools.combinations(range(g.n), 3)
                              if {(a, b), (a, c), (b, c)} <= g.weight_map.keys())
             assert g.triangles == expected
+
+    @pytest.mark.parametrize("triple", [(1, 1, 2), (0, 3, 3), (2, 2, 2)])
+    def test_degenerate_triple_raises(self, triple):
+        with pytest.raises(ValueError, match="degenerate triangle"):
+            Triangle.of(*triple)
 
     def test_relabeling_invariance(self):
         rng = random.Random(7)
@@ -242,6 +257,14 @@ class TestVerifyPacking:
         with pytest.raises(ValueError):
             verify_packing(gen_cycle(4), PackingCertificate.from_map({tri(0, 1, 2): 1}))
 
+    @pytest.mark.parametrize("check", [
+        lambda: PackingCertificate.from_map({tri(0, 1, 2): -1}),
+        lambda: verify_packing(gen_complete(3), PackingCertificate({tri(0, 1, 2): -1}, -1)),
+    ], ids=["from_map", "built-directly"])
+    def test_negative_multiplicity_raises(self, check):
+        with pytest.raises(ValueError, match="negative triangle multiplicity"):
+            check()
+
     def test_matches_counting_oracle(self):
         rng = random.Random(3)
         for seed in range(30):
@@ -321,6 +344,19 @@ class TestFractionalAssignment:
         with pytest.raises(ValueError):
             FractionalAssignment.on_edges(g, {(0, 1): Fraction(-1, 2)})
 
+    @pytest.mark.parametrize("check, message", [
+        (lambda g: FractionalAssignment.on_triangles(g, {tri(0, 1, 2): Fraction(-1, 2)}), "negative value"),
+        (lambda g: FractionalAssignment.on_triangles(g, {tri(0, 1, 3): Fraction(1, 2)}), "unknown triangle"),
+        (lambda g: FractionalAssignment.on_edges(g, {(0, 3): Fraction(1, 2)}), "unknown edge"),
+        (lambda g: is_fractional_packing(g, FractionalAssignment.on_edges(g, {(0, 1): 1})), "not on triangles"),
+        (lambda g: is_fractional_transversal(g, FractionalAssignment.on_triangles(g, {tri(0, 1, 2): 1})),
+         "not on edges"),
+    ], ids=["negative-on-triangle", "unknown-triangle", "unknown-edge", "packing-on-edges",
+            "transversal-on-triangles"])
+    def test_rejects_bad_input(self, check, message):
+        with pytest.raises(ValueError, match=message):
+            check(Multigraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)]))
+
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=64
@@ -337,6 +373,11 @@ class TestRationalArithmetic:
         assert x + y == y + x and x * y == y * x
         if y != 0:
             assert (x / y) * y == x
+
+    @pytest.mark.parametrize("x, y", [(Fraction(1), Fraction(-1, 4)), (Fraction(-2), Fraction(-4))])
+    def test_sqrt_of_a_negative_raises(self, x, y):
+        with pytest.raises(ValueError, match="radicand must be nonnegative"):
+            dominates_sqrt(x, y)
 
     @given(st.integers(-10**9, 10**9), st.integers(1, 10**9))
     @settings(max_examples=200, deadline=None)

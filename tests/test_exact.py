@@ -735,15 +735,19 @@ def assert_lp_optimal(columns, caps, xden, x, yden, y):
 
 
 class TestKernels:
-    """The dense and the sparse kernel make the same pivots on every component, under each run
-    of degenerate pivots before Bland's rule (0: Bland's rule throughout)."""
+    """The dense and the sparse kernel, which choose every pivot with ``_entering`` and
+    ``_leaving``, agree on every component under each run of degenerate pivots before Bland's
+    rule (0: Bland's rule throughout)."""
 
     @pytest.mark.parametrize("run", [0, 2, 20])
     def test_graphs_against_the_reference(self, monkeypatch, run):
         weighted = [with_random_weights(gen_complete(n), (0, 1, 2, 3), seed=10 * n + s)
                     for n in range(5, 11) for s in range(2 if n < 10 else 1)]
         monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
-        for g in [*weighted, *atlas_0_to_3(), gen_gk(1).graph, gen_gk(2).graph]:
+        # On the random multigraph, Bland's rule throughout brings a slack
+        # back while two duals are negative; the first of them must enter.
+        for g in [*weighted, *atlas_0_to_3(), gen_gk(1).graph, gen_gk(2).graph,
+                  rand_connected_multigraph(8, 12, 3, 64)]:
             inc, caps = g.incidence, [w for *_, w in g.edges]
             got = on_kernel(DENSE, inc.columns, caps)
             assert got == on_kernel(SPARSE, inc.columns, caps)
@@ -754,9 +758,8 @@ class TestKernels:
 
     @pytest.mark.parametrize("run", [0, 2, 20])
     def test_k11_to_k13(self, monkeypatch, run):
-        # K13 has 78 resources, the most of any complete graph within the
-        # dense kernel's lanes.  The reference takes seconds here, so the
-        # optimum is checked by duality instead.
+        # The reference takes seconds here, so the optimum is checked by
+        # duality instead.
         monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)
         for n in (11, 12, 13):
             g = with_random_weights(gen_complete(n), (1, 2, 3), seed=n)
@@ -767,7 +770,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("run", [2, 20])
     def test_k14_and_k16(self, monkeypatch, run):
-        # Past the 64-bit lanes.  Bland's rule throughout (run 0) takes 5 s
+        # Lanes of 74 and 97 bits.  Bland's rule throughout (run 0) takes 5 s
         # on K14w and 24 s on K16w on a 2-core x86 VM, so it is left to the
         # smaller graphs.
         monkeypatch.setattr(tripack.exact, "DEGENERATE_RUN", run)

@@ -75,6 +75,10 @@ class TestGenGk:
         with pytest.raises(ValueError):
             gen_gk(9)
 
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            gen_gk(-1)
+
     def test_deterministic(self):
         assert gen_gk(2).graph == gen_gk(2).graph
 
@@ -208,6 +212,20 @@ class TestNamedAndRandom:
         b = gen_random(6, 10, 3, seed=1)
         assert a == b
         assert a != gen_random(6, 10, 3, seed=2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: gen_complete(0), "at least one vertex"),
+        (lambda: gen_cycle(2), "at least 3 vertices"),
+        (lambda: gen_wheel(2), "rim of at least 3"),
+        (lambda: gen_stacked(3), "at least 4 vertices"),
+        (lambda: gen_random(1, 0, 1, seed=0), "bad parameters"),
+        (lambda: gen_random(4, -1, 1, seed=0), "bad parameters"),
+        (lambda: gen_random(4, 2, 0, seed=0), "bad parameters"),
+    ], ids=["complete-0", "cycle-2", "wheel-2", "stacked-3", "random-n-1", "random-m-negative",
+            "random-max-mult-0"])
+    def test_rejects_bad_parameters(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_random_rejects_too_many_edges(self):
         with pytest.raises(ValueError):

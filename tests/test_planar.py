@@ -314,6 +314,15 @@ class TestReduceAndCertify:
         assert result == reduce_and_certify(small)
         assert _engine_steps(huge) == reference_reduction_steps(small)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: no rule applies to S48w-0's residual K4")
+    def test_weighted_stacked_48_is_complete(self):
+        # A planar graph, yet it stops incomplete with packing 68 and cover
+        # 83: the rule that item 6 adds has to flip this test.
+        g = with_random_weights(gen_stacked(48, seed=0), (1, 2, 3), seed=0)
+        p, c, status = reduce_and_certify(g)
+        assert verify_packing(g, p) and verify_transversal(g, c)
+        assert status == COMPLETE
+
     def test_deterministic(self):
         g = with_random_weights(gen_stacked(9, 4), (1, 2, 3), 7)
         assert reduce_and_certify(g) == reduce_and_certify(g)
