@@ -18,7 +18,7 @@ strictly better leaf and change no result, only the size of the tree.
 ``lp_optimal`` solves the fractional relaxation on ``_simplex_packing``, an
 exact revised simplex on the resource model of ``max_type_packing``: each
 column draws one unit from three resources of given capacities, here a
-triangle from its edges (``haxell`` solves its type systems on it too).
+triangle from its edges.
 It runs once per component of columns sharing resources, which it finds
 with ``core._components``, on one of two kernels chosen from the
 component's sizes.  Where B^-1 is sparse, one sparse integer row of B^-1

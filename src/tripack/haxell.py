@@ -57,11 +57,11 @@ from .core import (
     verify_transversal,
 )
 from .cuts import cut_large
-from .exact import _simplex_packing, max_type_packing, nu_exact
+from .exact import max_type_packing, nu_exact
 
 #: Search-node allowance for one state build, for about 50 triangles of
-#: capacity at most 2.  ``build_state`` spends 139 and 176 nodes on
-#: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 7,205 on
+#: capacity at most 2.  ``build_state`` spends 143 and 176 nodes on
+#: ``gen_random(14, 46, 2, s)`` for s = 0, 1, 7,208 on
 #: ``gen_random(15, 52, 2, 0)``, 5,042 on ``gen_random(15, 52, 2, 3)`` and
 #: 49,203 on 13 disjoint copies of the K4 ``gen_random(4, 6, 2, 13)``.
 DEFAULT_BUDGET = 20_000_000
@@ -94,7 +94,7 @@ class Anchor(NamedTuple):
 
 @dataclass(frozen=True)
 class HaxellState:
-    """The nested families driving the five constructions.
+    """The nested families driving the five constructions, and G' as ``reduced``.
 
     Only the families the searches found are stored: ``b`` and ``b_prime``
     as a multiplicity per type, the anchored families ``b1`` and ``b1_prime``
@@ -104,6 +104,7 @@ class HaxellState:
     """
 
     graph: Multigraph
+    reduced: Multigraph
     nu: int
     b: Counter[Type]
     b_prime: Counter[Type]
@@ -246,7 +247,7 @@ def _ranked(family: Mapping[Type, int]) -> Iterator[tuple[Type, int, tuple[int, 
 
 
 def _search_max_family(
-    g: Multigraph, layout: Layout, gain: Callable[[tuple[int, ...]], int | None], budget: _Budget
+    h: Multigraph, layout: Layout, gain: Callable[[tuple[int, ...]], int | None], budget: _Budget
 ) -> Counter[Type]:
     """Maximum family of independent triangles of the copies in ``layout``, per type.
 
@@ -255,30 +256,29 @@ def _search_max_family(
     gains, the family must gain as much as the most gaining items that fit
     together.  Copies of one orbit are interchangeable, and for the roles
     ``build_state`` uses no coarser grouping exists.  The types, in order
-    of triangle and then of each side's orbits by lowest copy, go to
-    ``max_type_packing`` with the orbits as resources of their sizes,
-    priced by the optimal dual y* of the types' LP relaxation, solved on
-    the simplex that solves the triangle LP: it maximizes the number of
-    triangles, and its integer pair ``(yden, y)`` is the kernel's ``dual``
-    as it comes.  Priced by y*, every type costs at least 1, so a subtree is
-    cut once its family plus y*'s price of the orbits left cannot beat the
-    incumbent; the kernel finds and prices the gain target itself.  The
-    family found is the same under any dual, which only shrinks the tree.
+    of triangle of ``h`` and then of each side's orbits by lowest copy, go
+    to ``max_type_packing`` with the orbits as resources of their sizes,
+    each priced at its edge class's value in the cached LP optimum
+    ``h.lp``: the pair ``(yden, y)`` with y* lifted to the orbits.  A type
+    is a triangle of ``h`` and y* a fractional transversal of ``h``, so
+    every type costs at least 1, and a subtree is cut once its family plus
+    y*'s price of the orbits left cannot beat the incumbent; the kernel
+    finds and prices the gain target itself.  The family found is the same
+    under any dual, which only shrinks the tree.
     """
     sizes = _tally(([(e, r)], n) for e, runs in layout.items() for r, n in runs)
     roles_of = {e: list(dict.fromkeys(r for r, _ in runs)) for e, runs in layout.items()}
     index = {k: o for o, k in enumerate(sizes)}
     types = []
-    for t in g.triangles:
+    for t in h.triangles:
         for roles in itertools.product(*(roles_of.get(e, ()) for e in t.edges)):
             gn = gain(roles)
             if gn is not None:
                 types.append((Type(t, roles), gn))
     cols = [tuple(index[k] for k in zip(ty.tri.edges, ty.roles)) for ty, _ in types]
-    caps = list(sizes.values())
-    best = max_type_packing(
-        cols, caps, _simplex_packing(cols, caps)[2:], gains=[gn for _, gn in types], budget=budget
-    )
+    y = dict(zip(h.incidence.edges, h.lp.y))
+    best = max_type_packing(cols, list(sizes.values()), (h.lp.yden, [y[e] for e, _ in sizes]),
+                            gains=[gn for _, gn in types], budget=budget)
     return Counter({ty: m for (ty, _), m in zip(types, best) if m})
 
 
@@ -399,7 +399,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     nu, cert = nu_exact(g)
     if nu == 0:
         # Every triangle has a capacity-0 edge, so no triangle of copies exists.
-        return HaxellState(g, 0, *(Counter() for _ in range(6)))
+        return HaxellState(g, g, 0, *(Counter() for _ in range(6)))
     bud = _Budget(budget)
 
     b = Counter({Type(t, (1, 1, 1)): m for t, m in cert.multiplicities.items()})
@@ -423,12 +423,12 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
             raise InvariantViolation("reduced graph keeps a share-one triangle")
         return 3 - sum(roles)
 
-    bp = _search_max_family(g, gp_layout, surplus, bud.begin("b_prime"))
+    bp = _search_max_family(gp, gp_layout, surplus, bud.begin("b_prime"))
     _require_packing(gp, _tris(bp))
 
     # The b1_prime search reads 0 off b_prime, 1 on it but off b, and 2 on both.
     bp_layout = _cut(gp_layout, bp, lambda r, took: r + 1 if took else 0)
-    runs = _anchors(_search_max_family(g, bp_layout, _share(1), bud.begin("b1_prime")), bp, 0, gp.weight_map)
+    runs = _anchors(_search_max_family(gp, bp_layout, _share(1), bud.begin("b1_prime")), bp, 0, gp.weight_map)
     b1p = _tally(((a,), k1 - k0) for *_, k0, k1, a in runs)
     i_family, i_prime = (_max_i_family(runs, bp_layout, bud.begin("rung family")) if runs
                          else (Counter(), Counter()))
@@ -452,7 +452,7 @@ def build_state(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellState:
     if i_prime.total() > 2 * i_family.total():
         raise InvariantViolation("crowding family exceeds twice the rung family")
 
-    return HaxellState(g, nu, b, bp, anchors_b1, b1p, i_family, i_prime)
+    return HaxellState(g, gp, nu, b, bp, anchors_b1, b1p, i_family, i_prime)
 
 
 @dataclass(frozen=True)
@@ -482,9 +482,8 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
     Each cover's copies are counted per class, summed over parts that share
     no copy by construction.
     """
-    g, nu = st.graph, st.nu
+    g, gp, nu = st.graph, st.reduced, st.nu
     eb1 = _tally((a.tri.edges, m) for a, m in st.anchors_b1.items())
-    gp = _compress(g, Counter(g.weight_map) - eb1) if eb1 else g  # without b1, G' is G
     families = (st.b, st.anchors_b1, st.b2, st.b_prime, st.anchors_b1_prime)
     for h, family in zip((g, g, gp, gp, gp), families):
         _require_packing(h, _tris(family))

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -16,6 +17,7 @@ from tripack import (
     verify_transversal,
 )
 from tripack.core import _Budget
+from tripack.exact import _simplex_packing
 from tripack.generators import (
     gen_complete,
     gen_cycle,
@@ -28,6 +30,8 @@ from tripack.haxell import (
     Type,
     _cover,
     _max_i_family,
+    _position,
+    _require_packing,
     _search_max_family,
     _share,
     build_state,
@@ -367,9 +371,9 @@ class TestBuildState:
             build_state(gen_complete(6), budget=10)
 
     @pytest.mark.parametrize("g, nodes", [
-        (gen_complete(4), 4),
+        (gen_complete(4), 5),
         (gen_random(9, 18, 2, 0), 15),
-        (gen_random(8, 14, 2, 2), 18),
+        (gen_random(8, 14, 2, 2), 19),
         (K4_RUNGS, 1_567),
     ])
     def test_budget_counts_every_search_node(self, g, nodes):
@@ -396,32 +400,35 @@ class TestBuildState:
         assert build_state(triangle_union(1100)).nu == 1100
 
     def test_no_state_solves_the_same_lp_twice(self, monkeypatch):
-        # An LP is the simplex's columns and capacities.  A state solves the
-        # LPs of G and, when b1 is not empty, of G' (without b1, G' is G),
-        # one per family search, and the b_prime search's gain LP, the only
-        # one of the share-two types.  Where every edge class of G' is one
-        # orbit, as on D13 and HEAVY_K4, the b_prime search's types are the
-        # triangles of G', so its LP is G''s own; no other LP may repeat.
-        # An LP without columns takes no pivot and is not counted: on R7,12-s
-        # at seed 2 the b1 and b1_prime searches find no type over orbits of
-        # equal sizes.
-        calls, graphs = Counter(), []
-        for module in (tripack.exact, tripack.haxell):
-            def record(columns, caps, real=module._simplex_packing):
-                if columns:
-                    calls[tuple(columns), tuple(caps)] += 1
-                return real(columns, caps)
+        # An LP is the simplex's caller, columns and capacities.  A state
+        # solves the LP of G, that of G' when b1 is not empty (without b1,
+        # G' is G), and at most one gain LP, of the b_prime search's
+        # share-two types; the family searches read their host's cached LP.
+        # No LP may repeat.  An LP without columns takes no pivot and is
+        # not counted.  Every LP is solved through ``tripack.exact``.
+        assert not hasattr(tripack.haxell, "_simplex_packing")
+        calls, graphs, seen = Counter(), [], Counter()
 
-            monkeypatch.setattr(module, "_simplex_packing", record)
+        def record(columns, caps, real=tripack.exact._simplex_packing):
+            if columns:
+                calls[sys._getframe(1).f_code.co_name, tuple(columns), tuple(caps)] += 1
+            return real(columns, caps)
+
+        monkeypatch.setattr(tripack.exact, "_simplex_packing", record)
         real_lp = tripack.exact.lp_optimal
         monkeypatch.setattr(tripack.exact, "lp_optimal", lambda h: graphs.append(h) or real_lp(h))
         for g in [*bb_search_haxell_graphs((0, 1, 2)), disjoint_copies(gen_random(4, 6, 2, 13), 13), HEAVY_K4]:
             calls.clear()
             graphs.clear()
-            build_state(g)
-            own = {(h.incidence.columns, tuple(w for *_, w in h.edges)) for h in graphs}
-            assert len(own) == len(graphs) and calls.total() >= 3
-            assert all(n <= 1 or (n == 2 and lp in own) for lp, n in calls.items())
+            g = Multigraph(g.n, g.edges)  # a graph whose LP is not cached yet
+            st = build_state(g)
+            assert graphs == ([g, st.reduced] if st.anchors_b1 else [g]) and graphs[-1] is st.reduced
+            assert set(calls.values()) == {1}
+            callers = Counter(caller for caller, *_ in calls)
+            assert callers["lp_optimal"] == len(graphs) and callers["max_type_packing"] <= 1
+            assert callers.total() == len(graphs) + callers["max_type_packing"]
+            seen.update(callers)
+        assert seen["max_type_packing"] >= 10 and seen["lp_optimal"] >= 20
 
     def test_residual_bound_prunes_the_surplus_search(self):
         # Without the residual-capacity bound the b_prime search spent more
@@ -430,7 +437,7 @@ class TestBuildState:
 
     def test_gain_prices_close_the_surplus_search(self):
         # Priced by the LP dual of the gaining types, the b_prime search
-        # takes 5,028 nodes here; the summed rooms alone took 97,659.
+        # takes 5,038 nodes here; the summed rooms alone took 97,659.
         assert build_state(gen_random(15, 52, 2, 3), budget=10_000).nu == 22
 
     def test_thirteen_disjoint_k4s_fit_the_budget(self):
@@ -494,15 +501,18 @@ class TestBuildState:
 
     def test_dual_keeps_every_family(self, monkeypatch):
         # Each family search runs again priced by the uniform third instead
-        # of y*: it returns the same multiplicities, so the same Counter, and
-        # spends at least as many nodes.  The corpus has 143 states with
-        # triangles, each with three kernel searches: b1, b_prime, b1_prime.
+        # of its host's y*: it returns the same multiplicities, so the same
+        # Counter, and spends at least as many nodes.  Priced by the LP dual
+        # of its own type system, it returns them too.  The corpus has 143
+        # states with triangles, each with three kernel searches: b1,
+        # b_prime, b1_prime.
         real, fewer = tripack.haxell.max_type_packing, Counter()
 
         def both(types, caps, dual, *, budget, **kw):
             plain, priced = _Budget(10**9), _Budget(10**9)
             got = real(types, caps, dual, **kw, budget=priced)
             assert got == real(types, caps, (3, [1] * len(caps)), **kw, budget=plain)
+            assert got == real(types, caps, _simplex_packing(types, caps)[2:], **kw, budget=_Budget(10**9))
             assert priced.remaining >= plain.remaining
             fewer[priced.remaining > plain.remaining] += 1
             return got
@@ -516,6 +526,18 @@ class TestBuildState:
                     build_state(gen_random(n, m, mult, seed))
         build_state(HEAVY_K4)
         assert fewer[True] >= 50 and fewer.total() >= 400
+
+    @pytest.mark.parametrize("guard, message", [
+        (lambda: _require_packing(gen_complete(4), {Triangle(0, 1, 4): 1}), "family is not independent"),
+        (lambda: _require_packing(gen_complete(4), {Triangle(0, 1, 2): 2}), "family is not independent"),
+        (lambda: _cover(gen_complete(4), Counter({(0, 1): 2})), "a copy count exceeds its edge class"),
+        (lambda: _position({(0, 1): [(0, 1), (1, 2), (0, 1)]}, (0, 1), 1, 2), "rank beyond its orbit"),
+    ], ids=["missing triangle", "overdrawn class", "cover past its class", "rank past its orbit"])
+    def test_guards_reject_what_no_state_builds(self, guard, message):
+        # No state reaches these: a family off the host, copies beyond
+        # their class, or a rank beyond its orbit.
+        with pytest.raises(InvariantViolation, match=message):
+            guard()
 
     def test_heavy_k4(self):
         st = build_state(HEAVY_K4)
