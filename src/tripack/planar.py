@@ -52,17 +52,16 @@ rule does not apply, and a popped witness can apply again only after it is
 pushed again.  So the first applicable top, over the heaps in rule order,
 is the step that a full rescan of the graph would pick.
 
-Unwinding.  The steps are undone in reverse, extending a packing and a
-transversal level by level.  When the residual graph is triangle-free,
-the final transversal weighs at most twice the packing size.  Rules 2 and
-3 first make the cover minimal at their level: edges are dropped in
-lexicographic order while every triangle stays covered.  Dropping an edge
-can uncover only the triangles through it, so only those still alive at
-that level are checked.  And only edges of the residual cover are tried,
-once: an edge that the unwinding adds always keeps a triangle that it
-alone covers (see ``_Unwinding``).  So a triangle-free residual needs no
-minimality pass at all, and the cover is the one that trying every edge
-against every triangle at every such step would give.
+Unwinding.  ``_unwind`` undoes the steps in reverse, extending a packing
+and a transversal level by level.  When the residual graph is
+triangle-free, the final transversal weighs at most twice the packing size.
+The first rule 2 or 3 level it meets makes the cover minimal: edges are
+dropped in lexicographic order while every triangle alive at that level
+stays covered.  Dropping an edge can uncover only the triangles through it,
+which ``g.incidence`` lists.  No later level needs the pass: an edge that
+the unwinding adds always keeps a triangle that it alone covers (see
+``_unwind``).  So the cover is the one that trying every edge against every
+triangle at every such step would give.
 
 On inputs where no rule applies while triangles remain, such as K5 and
 some planar graphs, the engine reports an incomplete status with
@@ -116,7 +115,6 @@ class _Reducer:
     """The mutable working state of one reduction run."""
 
     def __init__(self, g: Multigraph):
-        self.n = g.n
         self.cap: dict[Edge, int] = dict(g.weight_map)
         # Only vertices on an edge: the declared vertex count may be huge.
         self.adj: dict[int, set[int]] = {}
@@ -136,9 +134,6 @@ class _Reducer:
             [e for e, ts in self.tris.items() if len(ts) == 2],
             sorted(self.adj),
         )
-
-    def graph(self) -> Multigraph:
-        return Multigraph(self.n, tuple((u, v, w) for (u, v), w in sorted(self.cap.items())))
 
     def _zero_edge(self, e: Edge) -> ReductionStep | None:
         if self.cap.get(e) != 0:
@@ -269,8 +264,6 @@ class _Reducer:
         self.steps += 1
 
     def _delete_edge(self, e: Edge) -> None:
-        if e not in self.cap:
-            return
         u, v = e
         self.measure -= 1 + self.cap.pop(e)
         self.adj[u].discard(v)
@@ -305,7 +298,8 @@ def apply_step(g: Multigraph, step: ReductionStep) -> Multigraph:
     """
     r = _Reducer(g)
     r.apply(step)
-    return r.graph()
+    # Deletions keep the remaining edges in sorted order.
+    return Multigraph(g.n, tuple((u, v, w) for (u, v), w in r.cap.items()))
 
 
 def _path_cover_spokes(
@@ -330,96 +324,69 @@ def _path_cover_spokes(
     return chosen
 
 
-class _Unwinding:
-    """Certificates grown from the residual back to the input graph, in place.
+def _unwind(
+    g: Multigraph, steps: list[ReductionStep], died: Mapping[Triangle, int], cover: set[Edge]
+) -> dict[Triangle, int]:
+    """Undo ``steps`` in reverse, growing ``cover`` in place; return the packing.
 
-    Only edges of the residual cover can ever be dropped to keep the cover
-    minimal, and only by the first minimality pass.  Every edge the
-    unwinding adds covers a triangle that no other cover edge meets: rule
-    1 adds its edge only for such a triangle, and each spoke that rule 4
-    adds covers a rim triangle alone.  The step deletes the added edge and
-    kills that triangle, but the triangle's other edges outlive the step,
-    while every edge added later is deleted by an earlier step.  So no later
-    edge lands on that triangle, and the added edge can never be dropped.
-    A pass leaves each kept edge with such a triangle in the same way.
+    ``died`` maps each triangle of ``g`` to the step that killed it, and
+    ``cover`` starts as the residual's cover.  Each kind re-establishes the
+    weight accounting of its rule and raises on violation instead of
+    emitting an unsound certificate.
+
+    The first rule 2 or 3 level met makes the cover minimal, and no later
+    level needs to: every edge the unwinding adds covers a triangle that no
+    other cover edge meets.  Rule 1 adds its edge only for such a triangle,
+    and each spoke that rule 4 adds covers a rim triangle alone.  The step
+    deletes the added edge and kills that triangle, but the triangle's
+    other edges outlive the step, while every edge added later is deleted
+    by an earlier step.  So no later edge lands on that triangle, and the
+    added edge can never be dropped.  The pass leaves each kept edge with
+    such a triangle in the same way.
     """
-
-    def __init__(
-        self, on_edge: Mapping[Edge, tuple[Triangle, ...]], died: Mapping[Triangle, int], cover: set[Edge]
-    ):
-        self.on_edge = on_edge  # the input graph's triangles through each edge
-        self.died = died
-        self.packing: dict[Triangle, int] = {}
-        self.cover = cover
-        self.droppable = sorted(cover)
-
-    def _minimalize(self, level: int) -> None:
-        """Drop edges (lexicographic order) while every triangle alive
-        before step ``level`` stays covered; dropping an edge can uncover
-        only the triangles through it."""
-        cover = self.cover
-        for e in self.droppable:
-            cover.discard(e)
-            for t in self.on_edge[e]:
-                if self.died.get(t, level) >= level and not any(x in cover for x in t.edges):
-                    cover.add(e)
-                    break
-        self.droppable = []
-
-    def _pack(self, step: ReductionStep) -> None:
-        for t in step.triangles:
-            self.packing[t] = self.packing.get(t, 0) + step.times
-
-    def extend(self, step: ReductionStep, level: int) -> None:
-        """Lift both certificates through step ``level``.
-
-        Each branch re-establishes the weight accounting of its rule and
-        raises on violation instead of emitting an unsound certificate.
-        """
-        cover = self.cover
+    inc = g.incidence
+    packing: dict[Triangle, int] = {}
+    minimal = False
+    for level in reversed(range(len(steps))):
+        step = steps[level]
         if step.kind == ZERO_EDGE:
-            e = step.witness_edge
-            assert e is not None
-            if any(not any(x in cover for x in t.edges) for t in step.triangles):
-                cover.add(e)
-
-        elif step.kind == SINGLE_TRIANGLE_EDGE:
+            if any(cover.isdisjoint(t.edges) for t in step.triangles):
+                cover.add(step.witness_edge)
+            continue
+        if step.kind in (SINGLE_TRIANGLE_EDGE, DOUBLE_TRIANGLE_HEAVY_EDGE) and not minimal:
+            # Drop edges in lexicographic order while every triangle alive
+            # before this step stays covered; dropping an edge can uncover
+            # only the triangles through it.
+            for e, on in zip(inc.edges, inc.on_edge):
+                if e in cover:
+                    cover.discard(e)
+                    for j in on:
+                        t = inc.triangles[j]
+                        if died.get(t, level) >= level and cover.isdisjoint(t.edges):
+                            cover.add(e)
+                            break
+            minimal = True
+        if step.kind == SINGLE_TRIANGLE_EDGE:
             (t,) = step.triangles
-            self._minimalize(level)
             if sum(e in cover for e in t.edges) > 2:
                 raise InvariantViolation("minimal cover keeps all three triangle edges")
-            self._pack(step)
-
         elif step.kind == DOUBLE_TRIANGLE_HEAVY_EDGE:
             e = step.witness_edge
-            assert e is not None
-            self._minimalize(level)
-            delta = 2 * (e in cover) + sum(
-                x in cover for x in step.weight_deltas if x != e
-            )
+            delta = 2 * (e in cover) + sum(x in cover for x in step.weight_deltas if x != e)
             if delta > 4:
                 raise InvariantViolation("heavy-edge accounting exceeds 4")
-            self._pack(step)
-
         elif step.kind == CYCLE_NEIGHBORHOOD:
-            v = step.witness_vertex
-            assert v is not None
-            cycle = step.cycle
-            k = len(cycle)
-            uncovered = {
-                i
-                for i in range(k)
-                if norm_edge(cycle[i], cycle[(i + 1) % k]) not in cover
-            }
-            spokes = {norm_edge(v, u) for u in _path_cover_spokes(cycle, uncovered)}
-            rim_hits = sum(e in cover for e in step.weight_deltas)
-            if rim_hits + len(spokes) > 2 * (k // 2):
+            cycle, k = step.cycle, len(step.cycle)
+            uncovered = {i for i in range(k) if norm_edge(cycle[i], cycle[(i + 1) % k]) not in cover}
+            spokes = {norm_edge(step.witness_vertex, u) for u in _path_cover_spokes(cycle, uncovered)}
+            if sum(e in cover for e in step.weight_deltas) + len(spokes) > 2 * (k // 2):
                 raise InvariantViolation("wheel accounting exceeds twice the matching")
-            self._pack(step)
             cover |= spokes
-
         else:
             raise InvariantViolation(f"unknown step kind {step.kind}")
+        for t in step.triangles:
+            packing[t] = packing.get(t, 0) + step.times
+    return packing
 
 
 def reduce_and_certify(
@@ -434,7 +401,6 @@ def reduce_and_certify(
     triangles are covered by all their edges) but no ratio is claimed.
     """
     r = _Reducer(g)
-    on_edge = {e: tuple(ts) for e, ts in r.tris.items()}
     steps: list[ReductionStep] = []
     while (step := r.next_step()) is not None:
         r.apply(step)
@@ -442,12 +408,9 @@ def reduce_and_certify(
 
     residual_tris = [t for t in g.triangles if t not in r.died]
     complete = not residual_tris
-    unwinding = _Unwinding(on_edge, r.died, {e for t in residual_tris for e in t.edges})
-    for level in reversed(range(len(steps))):
-        unwinding.extend(steps[level], level)
-
-    pc = PackingCertificate.from_map(unwinding.packing)
-    tc = TransversalCertificate.from_edges(g, unwinding.cover)
+    cover = {e for t in residual_tris for e in t.edges}
+    pc = PackingCertificate.from_map(_unwind(g, steps, r.died, cover))
+    tc = TransversalCertificate.from_edges(g, cover)
     if not verify_packing(g, pc):
         raise InvariantViolation("unwound packing violates capacities")
     if not verify_transversal(g, tc):
