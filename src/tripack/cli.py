@@ -153,7 +153,7 @@ def _cmd_kriv(g: Multigraph, args: argparse.Namespace) -> dict:
 def _cmd_haxell(g: Multigraph, args: argparse.Namespace) -> dict:
     st, cands, best, limit = transversal_292(g, budget=args.budget)
     rows = [(f"candidate {c.label} size <= bound", c.size_bound, c.certificate.weight) for c in cands]
-    rows.append(("min candidate <= (3 - 2/25) nu", limit, best.certificate.weight))
+    rows.append(("best cover <= (3 - 2/25) nu", limit, best.certificate.weight))
     return {
         "nu": st.nu,
         "scalars": {name: _rat(getattr(st, name)) for name in SCALARS},

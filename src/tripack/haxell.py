@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     _Budget,
+    _drop_redundant,
     Edge,
     InvariantViolation,
     Multigraph,
@@ -545,7 +546,7 @@ def candidate_transversals(st: HaxellState) -> list[CandidateTransversal]:
 
 
 class HaxellCovers(NamedTuple):
-    """The state, its five candidate covers, the lightest, and the limit it meets."""
+    """The state, its five candidate covers, the lightest trimmed, and the limit it meets."""
 
     state: HaxellState
     candidates: list[CandidateTransversal]
@@ -560,7 +561,10 @@ def transversal_292(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellCov
     bound.  The fixed convex combination 1/5, 4/75, 8/75, 8/25, 8/25 of the
     five size bounds collapses to ``(73/25) nu`` once ``alpha + eta <= 1 -
     gamma`` holds, so the lightest, ties going to the earlier label, is
-    checked against that limit exactly.
+    checked against that limit exactly.  ``best`` is that candidate with its
+    redundant edges dropped (``core._drop_redundant``), which can only make
+    it lighter; the candidates stay as built, because each size-bound row
+    reads its own candidate's weight.
     """
     st = build_state(g, budget=budget)
     cands = candidate_transversals(st)
@@ -568,4 +572,5 @@ def transversal_292(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> HaxellCov
     limit = Fraction(73, 25) * st.nu
     if best.certificate.weight > limit:
         raise InvariantViolation("lightest candidate exceeds (3 - 2/25) nu")
-    return HaxellCovers(st, cands, best, limit)
+    trimmed = TransversalCertificate.from_edges(g, _drop_redundant(g, best.certificate.edges))
+    return HaxellCovers(st, cands, replace(best, certificate=trimmed), limit)

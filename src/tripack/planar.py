@@ -3,7 +3,7 @@
 Four local rewrite rules, each strictly decreasing the measure
 ``|E| + w(E)``:
 
-1. drop an edge of capacity 0;
+1. drop an edge of capacity 0, or one on no live triangle;
 2. an edge in exactly one triangle: decrement all three triangle edges;
 3. an edge of capacity >= 2 in exactly two triangles: decrement it twice
    and its four flank edges once;
@@ -13,8 +13,9 @@ Four local rewrite rules, each strictly decreasing the measure
 
 Each step applies the first rule, in this order, that has a witness, with
 its lexicographically first witness (edges as sorted pairs, vertices by id).
-So rules 2-4 are examined only when no edge has capacity 0, and each of
-their decrements finds a capacity of at least 1.
+So rules 2-4 are examined only when every edge has capacity at least 1
+and lies on a live triangle, and each of their decrements finds a capacity
+of at least 1.
 
 Steps of rules 2 and 3 come in runs.  Their decrements delete nothing, so
 the witness stays first until an edge reaches 0 and rule 1 applies: rule 2
@@ -36,7 +37,7 @@ rule's heap.  At the start every candidate is pushed.  Afterwards,
 capacities and triangle counts only decrease and edges are only deleted,
 so a witness can newly satisfy its rule only when
 
-- rule 1: its capacity reaches 0;
+- rule 1: its capacity reaches 0, or the last live triangle on it dies;
 - rules 2 and 3: its triangle count drops;
 - rule 4: an edge at the vertex is deleted, or an edge between two of its
   neighbors (the vertex is then a common neighbor of that edge's ends).
@@ -63,12 +64,18 @@ the unwinding adds always keeps a triangle that it alone covers (see
 ``_unwind``).  So the cover is the one that trying every edge against every
 triangle at every such step would give.
 
-On inputs where no rule applies while triangles remain, such as K5 and
-some planar graphs, the engine reports an incomplete status with
-still-valid certificates but no weight guarantee.  The planar
-``with_random_weights(gen_stacked(48, seed=0), (1, 2, 3), seed=0)`` stops
-at a unit K4 whose vertices keep edges on no triangle, so rule 4 never
-applies.
+Rule 1 deletes an edge on no live triangle, whatever its capacity, because
+such an edge at a vertex keeps its neighborhood from being a chordless
+cycle.  Kept, such edges stopped the planar ``with_random_weights(gen_stacked(48,
+seed=0), (1, 2, 3), seed=0)`` at a unit K4 to which rule 4 never applied.
+The unwinding adds nothing for such a step: the edge covers no triangle
+alive at its level.
+
+On inputs where no rule applies while triangles remain, such as K5, the
+engine reports an incomplete status with still-valid certificates but no
+weight guarantee.  The seeded planar sweeps in the tests and in CI
+(stacked and edge-flipped triangulations, subgraphs of them, capacities
+up to 100) end complete on every input.
 """
 
 from __future__ import annotations
@@ -129,14 +136,14 @@ class _Reducer:
         self.measure = len(self.cap) + sum(self.cap.values())
         # The edges come in sorted order, so every list is already a heap.
         self.heaps = (
-            [e for e, w in self.cap.items() if w == 0],
+            [e for e, w in self.cap.items() if w == 0 or not self.tris[e]],
             [e for e, ts in self.tris.items() if len(ts) == 1],
             [e for e, ts in self.tris.items() if len(ts) == 2],
             sorted(self.adj),
         )
 
     def _zero_edge(self, e: Edge) -> ReductionStep | None:
-        if self.cap.get(e) != 0:
+        if e not in self.cap or (self.cap[e] and self.tris[e]):
             return None
         return ReductionStep(
             kind=ZERO_EDGE, witness_edge=e, triangles=tuple(sorted(self.tris[e]))
@@ -268,7 +275,7 @@ class _Reducer:
         self.measure -= 1 + self.cap.pop(e)
         self.adj[u].discard(v)
         self.adj[v].discard(u)
-        _, single, double, cyc = self.heaps
+        dead, single, double, cyc = self.heaps
         heappush(cyc, u)
         heappush(cyc, v)
         for t in self.tris.pop(e):
@@ -278,7 +285,9 @@ class _Reducer:
                 if x != e:
                     ts = self.tris[x]
                     ts.discard(t)
-                    if len(ts) == 1:
+                    if not ts:
+                        heappush(dead, x)
+                    elif len(ts) == 1:
                         heappush(single, x)
                     elif len(ts) == 2:
                         heappush(double, x)

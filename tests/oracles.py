@@ -72,7 +72,7 @@ import gc
 import itertools
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -619,7 +619,7 @@ def _reference_find_reduction(g: Multigraph) -> ReductionStep | None:
     per = _reference_triangles_per_edge(g)
     wmap = g.weight_map
     for u, v, w in g.edges:
-        if w == 0:
+        if w == 0 or not per[(u, v)]:
             return ReductionStep(kind=ZERO_EDGE, witness_edge=(u, v), triangles=tuple(per[(u, v)]))
     for u, v, w in g.edges:
         tris = per[(u, v)]
@@ -1207,7 +1207,8 @@ def reference_transversal_292(g: Multigraph, *, budget: int = DEFAULT_BUDGET) ->
     bound.  The fixed convex combination 1/5, 4/75, 8/75, 8/25, 8/25 of the
     five size bounds collapses to ``(73/25) nu`` once ``alpha + eta <= 1 -
     gamma`` holds, so the lightest, ties going to the earlier label, is
-    checked against that limit exactly.
+    checked against that limit exactly.  ``best`` is that candidate cut
+    down by ``reference_drop_redundant``.
     """
     st = reference_build_state(g, budget=budget)
     cands = reference_candidate_transversals(st)
@@ -1215,7 +1216,8 @@ def reference_transversal_292(g: Multigraph, *, budget: int = DEFAULT_BUDGET) ->
     limit = Fraction(73, 25) * st.nu
     if best.certificate.weight > limit:
         raise InvariantViolation("lightest candidate exceeds (3 - 2/25) nu")
-    return HaxellCovers(st, cands, best, limit)
+    trimmed = TransversalCertificate.from_edges(g, reference_drop_redundant(g, best.certificate.edges))
+    return HaxellCovers(st, cands, replace(best, certificate=trimmed), limit)
 
 
 def reference_slot_triangles(g: Multigraph, available: frozenset[SlotEdge]) -> list[SlotTriangle]:

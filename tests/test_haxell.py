@@ -632,15 +632,18 @@ class TestTransversal292:
         # On the first graph, taking every class with a copy in the slot set
         # gave a best cover of weight 23, against (73/25) nu = 438/25.  On
         # the second, the fewest slots (c, 12) are not the lightest cover
-        # (a, weight 9).
+        # (a, weight 9), and dropping a's redundant edges leaves weight 6.
         g = gen_random(*args)
         st, cands, best, limit = transversal_292(g)
         assert st.nu == nu and limit == Fraction(73, 25) * nu
         for c in cands:
             assert verify_transversal(g, c.certificate)
             assert c.certificate.weight <= c.slot_size <= c.size_bound
-        assert best.certificate.weight == min(c.certificate.weight for c in cands)
-        assert tau_exact(g)[0] <= best.certificate.weight <= limit
+        lightest = min(cands, key=lambda c: (c.certificate.weight, c.label))
+        assert best.label == lightest.label
+        assert best.certificate.edges <= lightest.certificate.edges
+        assert verify_transversal(g, best.certificate)
+        assert tau_exact(g)[0] <= best.certificate.weight <= lightest.certificate.weight <= limit
 
     def test_leaves_no_cyclic_garbage(self):
         # Search nodes that named themselves, in the nu search and the

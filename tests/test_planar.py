@@ -9,6 +9,7 @@ import pytest
 from tripack import (
     InvariantViolation,
     Multigraph,
+    Triangle,
     nu_exact,
     tau_exact,
     verify_packing,
@@ -23,9 +24,11 @@ from tripack.generators import (
     gen_wheel,
     with_random_weights,
 )
+from tripack.core import norm_edge
 from tripack.planar import (
     COMPLETE,
     CYCLE_NEIGHBORHOOD,
+    DOUBLE_TRIANGLE_HEAVY_EDGE,
     INCOMPLETE,
     SINGLE_TRIANGLE_EDGE,
     ZERO_EDGE,
@@ -34,6 +37,7 @@ from tripack.planar import (
     find_reduction,
     _path_cover_spokes,
     _Reducer,
+    _unwind,
     reduce_and_certify,
 )
 
@@ -70,6 +74,37 @@ def _oracle_corpus() -> list[Multigraph]:
     # Capacities up to 20, so that rules 2 and 3 run many times in a row.
     corpus += [with_random_weights(gen_stacked(n, n), (1, 5, 20), n) for n in (8, 12)]
     return corpus
+
+
+def _flipped(g: Multigraph, flips: int, seed: int) -> Multigraph:
+    """The triangulation ``g`` after ``flips`` seeded edge flips, unit capacities.
+
+    A flip replaces the edge uv, between the faces uva and uvb, by ab unless
+    ab is an edge already.  The faces come from a networkx embedding of ``g``
+    and are kept as the two apexes of each edge.
+    """
+    import networkx as nx
+
+    _, emb = nx.check_planarity(nx.Graph((u, v) for u, v, _ in g.edges))
+    apexes: dict[tuple[int, int], set[int]] = {}
+    for u, v in emb.edges:  # each half-edge bounds one face
+        (a,) = set(emb.traverse_face(u, v)) - {u, v}
+        apexes.setdefault(norm_edge(u, v), set()).add(a)
+    rng = random.Random(seed)
+    for _ in range(flips):
+        e = rng.choice(sorted(apexes))
+        a, b = sorted(apexes[e])
+        if norm_edge(a, b) in apexes:
+            continue
+        u, v = e
+        del apexes[e]
+        apexes[norm_edge(a, b)] = {u, v}
+        for x, other in ((u, v), (v, u)):
+            for y, z in ((a, b), (b, a)):
+                side = apexes[norm_edge(x, y)]
+                side.remove(other)
+                side.add(z)
+    return Multigraph.from_edges(g.n, [(u, v, 1) for u, v in apexes])
 
 
 def _unit_steps(steps: list[ReductionStep]) -> list[ReductionStep]:
@@ -117,8 +152,13 @@ class TestFindReduction:
         assert (p, c, status) == reference_reduce_and_certify(g)
         assert (status, p.value, c.weight) == (COMPLETE, 8, 9)
 
-    def test_triangle_free_positive_none(self):
-        assert find_reduction(gen_cycle(5)) is None
+    def test_triangle_free_edges_go_by_rule_one(self):
+        # An edge on no live triangle keeps a vertex's neighbourhood from
+        # being a chordless cycle, so rule 1 deletes it whatever its capacity.
+        g = gen_cycle(5)
+        assert find_reduction(g) == ReductionStep(kind=ZERO_EDGE, witness_edge=(0, 1))
+        assert [s.witness_edge for s in _engine_steps(g)] == [e for e, _ in g.weight_map.items()]
+        assert find_reduction(Multigraph(5, ())) is None
 
     def test_zero_edge_first(self):
         g = Multigraph.from_edges(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])
@@ -235,6 +275,17 @@ class TestApplyStep:
         with pytest.raises(InvariantViolation, match="below 0"):
             apply_step(g, step)
 
+    def test_step_that_keeps_the_measure_raises(self):
+        g = gen_complete(3)
+        step = ReductionStep(
+            kind=SINGLE_TRIANGLE_EDGE,
+            witness_edge=(0, 1),
+            triangles=tuple(g.triangles),
+            weight_deltas={(0, 1): 0},
+        )
+        with pytest.raises(InvariantViolation, match="failed to shrink the measure"):
+            apply_step(g, step)
+
 
 class TestReduceAndCertify:
     def test_single_triangle(self):
@@ -314,14 +365,77 @@ class TestReduceAndCertify:
         assert result == reduce_and_certify(small)
         assert _engine_steps(huge) == reference_reduction_steps(small)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: no rule applies to S48w-0's residual K4")
     def test_weighted_stacked_48_is_complete(self):
-        # A planar graph, yet it stops incomplete with packing 68 and cover
-        # 83: the rule that item 6 adds has to flip this test.
+        # While rule 1 kept edges on no live triangle, this planar graph
+        # stopped at a unit K4 with packing 68 and cover 83.
         g = with_random_weights(gen_stacked(48, seed=0), (1, 2, 3), seed=0)
         p, c, status = reduce_and_certify(g)
         assert verify_packing(g, p) and verify_transversal(g, c)
-        assert status == COMPLETE
+        assert (status, p.value, c.weight) == (COMPLETE, 69, 80)
+
+    def test_planar_sweep_is_complete(self):
+        # Stacked triangulations, unit and weighted; edge-flipped ones; and
+        # stacked graphs with about 15% of their edges dropped, capacities
+        # up to 100.  S90w-3 and the unit gen_stacked(130, 4) stopped
+        # incomplete while rule 1 kept edges on no live triangle.
+        import networkx as nx
+
+        graphs = []
+        for n in range(4, 60):
+            for s in range(5):
+                g = gen_stacked(n, s)
+                graphs += [(f"S{n}-{s}", g), (f"S{n}w-{s}", with_random_weights(g, (1, 2, 3), s))]
+        for n in range(6, 42, 4):
+            for s in range(5):
+                flipped = _flipped(gen_stacked(n, s), n, s)
+                rng = random.Random(s)
+                dropped = Multigraph(n, tuple(e for e in gen_stacked(n, s).edges if rng.random() >= 0.15))
+                graphs += [
+                    (f"F{n}-{s}", flipped),
+                    (f"F{n}w-{s}", with_random_weights(flipped, (1, 2, 3), s)),
+                    (f"D{n}w-{s}", with_random_weights(dropped, (1, 2, 3, 100), s)),
+                    (f"D{n}c-{s}", with_random_weights(dropped, tuple(range(101)), s)),
+                ]
+        graphs += [("S90w-3", with_random_weights(gen_stacked(90, 3), (1, 2, 3), 3)),
+                   ("S130-4", gen_stacked(130, 4))]
+        for name, g in graphs:
+            assert nx.check_planarity(nx.Graph((u, v) for u, v, _ in g.edges))[0], name
+            p, c, status = reduce_and_certify(g)
+            assert status == COMPLETE, name
+            assert verify_packing(g, p) and verify_transversal(g, c), name
+            assert c.weight <= 2 * p.value, name
+
+    @pytest.mark.parametrize("step, cover, message", [
+        (ReductionStep(kind=SINGLE_TRIANGLE_EDGE, witness_edge=(0, 1), triangles=(Triangle.of(0, 1, 2),)),
+         {(0, 1), (0, 2), (1, 2)}, "keeps all three triangle edges"),
+        (ReductionStep(kind=DOUBLE_TRIANGLE_HEAVY_EDGE, witness_edge=(0, 1),
+                       triangles=(Triangle.of(0, 1, 2), Triangle.of(0, 1, 3)),
+                       weight_deltas={(0, 1): 2, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 3): 1}),
+         {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}, "heavy-edge accounting exceeds 4"),
+        (ReductionStep(kind=CYCLE_NEIGHBORHOOD, witness_vertex=0, triangles=(Triangle.of(0, 1, 2),),
+                       weight_deltas={(1, 2): 1, (2, 3): 1, (1, 3): 1}, cycle=(1, 2, 3)),
+         {(1, 2), (2, 3), (1, 3)}, "wheel accounting exceeds twice the matching"),
+        (ReductionStep(kind="bogus"), set(), "unknown step kind bogus"),
+    ], ids=["single", "heavy", "wheel", "unknown"])
+    def test_unwinding_checks_each_rule(self, step, cover, message):
+        # The cover's edges are not in the empty graph, so the minimality
+        # pass cannot drop them before the accounting reads them.
+        with pytest.raises(InvariantViolation, match=message):
+            _unwind(Multigraph(4, ()), [step], {}, set(cover))
+
+    @pytest.mark.parametrize("packing, added, message", [
+        ({Triangle.of(0, 1, 2): 2}, (), "packing violates capacities"),
+        ({}, (), "transversal misses a triangle"),
+        ({}, ((0, 1), (0, 2), (1, 2)), "exceeds twice the packing size"),
+    ], ids=["packing", "transversal", "ratio"])
+    def test_final_checks_catch_a_bad_unwinding(self, monkeypatch, packing, added, message):
+        def unwind(g, steps, died, cover):
+            cover.update(added)
+            return packing
+
+        monkeypatch.setattr("tripack.planar._unwind", unwind)
+        with pytest.raises(InvariantViolation, match=message):
+            reduce_and_certify(gen_complete(3))
 
     def test_deterministic(self):
         g = with_random_weights(gen_stacked(9, 4), (1, 2, 3), 7)
