@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .exact import LPSolution
@@ -59,29 +59,26 @@ class _Budget:
                                  f" nodes after spending {self.start} of them")
 
 
-def run_search(node: Callable[..., Generator], args: tuple = (), budget: _Budget | None = None) -> Any:
+def run_search(node: Callable[..., Iterator[tuple]], args: tuple = (), budget: _Budget | None = None) -> None:
     """Depth-first search from ``node(*args)``, on an explicit stack.
 
     Depth is bounded only by memory.  A node yields its child's arguments
-    where it would call itself and gets the child's return value back from
-    that ``yield``; the root's is returned.  No node names itself, so
-    reference counting frees a search's state when it returns.  A budget
-    pays one node for the root and one for each child.
+    where it would call itself and reads nothing back: it shares its
+    results with its parent through state both can see.  No node names
+    itself, so reference counting frees a search's state when it returns.
+    A budget pays one node for the root and one for each child.
     """
-    stack: list[Generator] = []
-    while True:
-        if budget is not None:
-            budget.spend()
-        top, value = node(*args), None
-        while True:
-            try:
-                args = top.send(value)
-                break
-            except StopIteration as done:
-                if not stack:
-                    return done.value
-                top, value = stack.pop(), done.value
-        stack.append(top)
+    if budget is not None:
+        budget.spend()
+    stack = [node(*args)]
+    while stack:
+        for args in stack[-1]:
+            if budget is not None:
+                budget.spend()
+            stack.append(node(*args))
+            break
+        else:
+            stack.pop()
 
 
 def norm_edge(u: int, v: int) -> Edge:

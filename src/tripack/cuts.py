@@ -123,13 +123,10 @@ def _cut_size(shore: set[int], adj: _Adj) -> int:
     return sum(m for x in shore for y, m in adj[x].items() if y not in shore)
 
 
-def _place_apart(x: int, x_adj: dict[int, int], shore: set[int]) -> set[int]:
-    """Put ``x`` on the shore opposite most of its edges (ties keep x out)."""
-    into = sum(m for y, m in x_adj.items() if y in shore)
-    total = sum(x_adj.values())
-    if into >= total - into:
-        return shore
-    return shore | {x}
+def _goes_in(x_adj: dict[int, int], side: dict[int, bool]) -> bool:
+    """Whether ``x`` goes on the shore, opposite most of its edges (ties keep x out)."""
+    into = sum(m for y, m in x_adj.items() if side[y])
+    return 2 * into < sum(x_adj.values())
 
 
 def _hide(adj: _Adj, xs: list[int]) -> list[tuple[int, dict[int, int]]]:
@@ -174,36 +171,39 @@ def _cut_connected_shore(adj: _Adj) -> set[int]:
     ``e/2 + v/4``; both guarantees are verified for every subproblem.
     Every subproblem runs on ``adj`` itself, holding just its vertices: a
     level hides what its child must not see, or halves every multiplicity,
-    and undoes that when the child returns its shore to that level's
-    ``yield`` on ``core.run_search``, so ``adj`` ends unchanged.
+    and undoes that when its child on ``core.run_search`` is done, so
+    ``adj`` ends unchanged.  Each subproblem records its vertices' sides in
+    ``side`` (True on the shore), which its level reads and may flip.
     """
+    side: dict[int, bool] = {}
 
-    def solve() -> Iterator:
+    def solve() -> Iterator[tuple]:
         v = len(adj)
         e = sum(sum(x_adj.values()) for x_adj in adj.values()) // 2
         if v <= 2:
-            return {min(adj)} if v == 2 else set()
+            side.update((x, v == 2 and x == min(adj)) for x in adj)
+            return
 
-        def solve_without(x: int, want_odd_component: bool) -> Iterator:
+        def solve_without(x: int, want_odd_component: bool) -> Iterator[tuple]:
             hidden = _hide(adj, _outside(adj, x, want_odd_component))
-            shore_a = yield ()
+            yield ()
             if x not in adj:  # the rest stayed connected
                 _restore(adj, hidden)
-                return _place_apart(x, adj[x], shore_a)
+                side[x] = _goes_in(adj[x], side)
+                return
             # The child saw x and one component; now x and all the others.
+            x_side = side[x]
             pick = [y for y in adj if y != x]
             _restore(adj, hidden)
             hidden = _hide(adj, pick)
-            shore_b = yield ()
-            side_b = set(adj)
+            yield ()
+            if side[x] != x_side:
+                side.update((y, not side[y]) for y in adj)
             _restore(adj, hidden)
-            if (x in shore_a) != (x in shore_b):
-                shore_b = side_b - shore_b
-            return shore_a | shore_b
 
         odd = min((x for x, x_adj in adj.items() if sum(x_adj.values()) % 2), default=None)
         if odd is not None:
-            shore = yield from solve_without(odd, want_odd_component=True)
+            yield from solve_without(odd, want_odd_component=True)
             bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
         else:
             odd_pair = min(
@@ -212,16 +212,16 @@ def _cut_connected_shore(adj: _Adj) -> set[int]:
             )
             if odd_pair is None:
                 adj.update({x: {y: m // 2 for y, m in x_adj.items()} for x, x_adj in adj.items()})
-                shore = yield ()
+                yield ()
                 adj.update({x: {y: 2 * m for y, m in x_adj.items()} for x, x_adj in adj.items()})
             else:
-                shore = yield from solve_without(odd_pair[0], want_odd_component=False)
+                yield from solve_without(odd_pair[0], want_odd_component=False)
             bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
-        if 4 * _cut_size(shore, adj) < bound_num:
+        if 4 * _cut_size({x for x in adj if side[x]}, adj) < bound_num:
             raise InvariantViolation("recursive cut missed its guaranteed size")
-        return shore
 
-    return run_search(solve)
+    run_search(solve)
+    return {x for x, s in side.items() if s}
 
 
 def cut_connected(g: Multigraph) -> EdgeCut:
