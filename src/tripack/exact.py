@@ -380,6 +380,11 @@ def _dense_component(
     basis = list(range(nt, nt + m))
     d = 1
     streak = 0  # degenerate pivots in a row
+
+    def row(i: int) -> list[int]:
+        """Row ``i`` of A, unpacked from every column."""
+        return [((v >> at[i]) & mask) - zero for v in cs]
+
     while True:
         enter, bland = _entering(dn, y, enumerate(y), streak)
         if enter < 0:
@@ -390,12 +395,12 @@ def _dense_component(
             a, b, c = cols[enter]
             f, s = dn[enter], cs[a] + cs[b] + cs[c] - 2 * bias
         col = [((s >> a) & mask) - zero for a in at]
-        # A row's nonzeros are its lanes off the bias.
+        tied: dict[int, list[int]] = {}  # the rows unpacked to count their nonzeros on a tie
         r = _leaving([(i, v) for i, v in enumerate(col) if v > 0], rhs, [d] * m, basis,
-                     lambda i: m - [(v >> at[i]) & mask for v in cs].count(zero), bland)
+                     lambda i: m - tied.setdefault(i, row(i)).count(0), bland)
         piv, prhs = col[r], rhs[r]
         streak = 0 if prhs else streak + 1
-        prow = [((v >> at[r]) & mask) - zero for v in cs]
+        prow = tied[r] if r in tied else row(r)
         # Row r's entry of the entering column as piv - D, so that the
         # update keeps row r.
         col[r] -= d

@@ -14,9 +14,12 @@ that faster or leaner code replaced and must agree with exactly:
   pairs of triangles, which ``core._components`` must equal on the
   incidence's columns.
 - ``reference_cut_connected_shore``, the connected-cut recursion that
-  copied the remaining adjacency at every level.  ``tripack.cuts`` now
-  hides and restores vertices of one shared adjacency and must return the
-  same shore.
+  copied the remaining adjacency at every level and got each child's
+  shore back as its return value, on plain recursion (its corpus stays
+  far below the recursion limit).  ``tripack.cuts`` now hides and
+  restores vertices of one shared adjacency on ``core.run_search``, keeps
+  every vertex's side in one map that its levels read and flip, and must
+  return the same shore.
 - ``reference_balanced_shore``, the derandomized balanced cut that summed
   the conditional expectation over every edge for each candidate
   placement.  ``tripack.cuts`` keeps four running totals instead and must
@@ -100,7 +103,6 @@ from tripack.core import (
 from tripack.cuts import (
     _components,
     _cut_size,
-    _place_apart,
     cut_large,
     independent_set_triangle_free,
 )
@@ -438,72 +440,79 @@ def _reference_sub_adj(vertices: list[int], adj: dict[int, dict[int, int]]) -> d
     return {x: {y: m for y, m in adj[x].items() if y in vset} for x in vertices}
 
 
+def _reference_place_apart(x: int, x_adj: dict[int, int], shore: set[int]) -> set[int]:
+    """Put ``x`` on the shore opposite most of its edges (ties keep x out)."""
+    into = sum(m for y, m in x_adj.items() if y in shore)
+    total = sum(x_adj.values())
+    if into >= total - into:
+        return shore
+    return shore | {x}
+
+
 def reference_cut_connected_shore(vertices: list[int], adj: dict[int, dict[int, int]]) -> set[int]:
     """Shore of a cut of size >= e/2 + (v-1)/4 in a connected multigraph.
 
-    Reference: every level copies the remaining adjacency (and its degrees)
-    and holds the copy until its children finish, so a path on v vertices
-    takes O(v^2) time and memory.
+    Reference: plain recursion in which every level copies the remaining
+    adjacency (and its degrees), holds the copy until its children finish
+    and builds its shore from the shores they return, so a path on v
+    vertices takes O(v^2) time and memory and its depth is bounded by
+    Python's recursion limit.
     """
-    def solve(vertices: list[int], adj: dict[int, dict[int, int]]) -> Iterator:
-        v = len(vertices)
-        e = sum(sum(adj[x].values()) for x in vertices) // 2
-        if v <= 2:
-            return {vertices[0]} if v == 2 else set()
+    v = len(vertices)
+    e = sum(sum(adj[x].values()) for x in vertices) // 2
+    if v <= 2:
+        return {vertices[0]} if v == 2 else set()
 
-        degrees = {x: sum(adj[x].values()) for x in vertices}
-        odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
+    degrees = {x: sum(adj[x].values()) for x in vertices}
+    odd = sorted(x for x in vertices if degrees[x] % 2 == 1)
 
-        def solve_without(x: int, want_odd_component: bool) -> Iterator:
-            rest = [y for y in vertices if y != x]
-            rest_adj = _reference_sub_adj(rest, adj)
-            comps = _components(rest, rest_adj)
-            if len(comps) == 1:
-                shore = yield rest, rest_adj
-                return _place_apart(x, adj[x], shore)
-            pick = None
-            if want_odd_component:
-                for comp in comps:
-                    if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
-                        pick = comp
-                        break
-                if pick is None:
-                    raise InvariantViolation("odd-degree vertex with no odd component")
-            else:
-                pick = comps[0]
-            side_a = sorted(pick + [x])
-            side_b = sorted(y for y in vertices if y not in pick)
-            shore_a = yield side_a, _reference_sub_adj(side_a, adj)
-            shore_b = yield side_b, _reference_sub_adj(side_b, adj)
-            if (x in shore_a) != (x in shore_b):
-                shore_b = set(side_b) - shore_b
-            return shore_a | shore_b
-
-        if odd:
-            shore = yield from solve_without(odd[0], want_odd_component=True)
-            bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
-        else:
-            odd_pair = None
-            for x in vertices:
-                for y in sorted(adj[x]):
-                    if y > x and adj[x][y] % 2 == 1:
-                        odd_pair = (x, y)
-                        break
-                if odd_pair:
+    def solve_without(x: int, want_odd_component: bool) -> set[int]:
+        rest = [y for y in vertices if y != x]
+        rest_adj = _reference_sub_adj(rest, adj)
+        comps = _components(rest, rest_adj)
+        if len(comps) == 1:
+            return _reference_place_apart(x, adj[x], reference_cut_connected_shore(rest, rest_adj))
+        pick = None
+        if want_odd_component:
+            for comp in comps:
+                if sum(adj[x].get(y, 0) for y in comp) % 2 == 1:
+                    pick = comp
                     break
-            if odd_pair is None:
-                halved = {
-                    x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
-                }
-                shore = yield vertices, halved
-            else:
-                shore = yield from solve_without(odd_pair[0], want_odd_component=False)
-            bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
-        if 4 * _cut_size(shore, adj) < bound_num:
-            raise InvariantViolation("recursive cut missed its guaranteed size")
-        return shore
+            if pick is None:
+                raise InvariantViolation("odd-degree vertex with no odd component")
+        else:
+            pick = comps[0]
+        side_a = sorted(pick + [x])
+        side_b = sorted(y for y in vertices if y not in pick)
+        shore_a = reference_cut_connected_shore(side_a, _reference_sub_adj(side_a, adj))
+        shore_b = reference_cut_connected_shore(side_b, _reference_sub_adj(side_b, adj))
+        if (x in shore_a) != (x in shore_b):
+            shore_b = set(side_b) - shore_b
+        return shore_a | shore_b
 
-    return run_search(solve, (vertices, adj))
+    if odd:
+        shore = solve_without(odd[0], want_odd_component=True)
+        bound_num = 2 * e + v  # cut >= e/2 + v/4, scaled by 4
+    else:
+        odd_pair = None
+        for x in vertices:
+            for y in sorted(adj[x]):
+                if y > x and adj[x][y] % 2 == 1:
+                    odd_pair = (x, y)
+                    break
+            if odd_pair:
+                break
+        if odd_pair is None:
+            halved = {
+                x: {y: m // 2 for y, m in adj[x].items()} for x in vertices
+            }
+            shore = reference_cut_connected_shore(vertices, halved)
+        else:
+            shore = solve_without(odd_pair[0], want_odd_component=False)
+        bound_num = 2 * e + v - 1  # cut >= e/2 + (v-1)/4, scaled by 4
+    if 4 * _cut_size(shore, adj) < bound_num:
+        raise InvariantViolation("recursive cut missed its guaranteed size")
+    return shore
 
 
 def reference_balanced_shore(vertices: list[int], adj: dict[int, dict[int, int]]) -> set[int]:

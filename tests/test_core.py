@@ -117,35 +117,59 @@ class TestEnumerateTriangles:
             assert enumerate_triangles(h) == expected
 
 
-def subtree_size(depth):
-    """A node of a complete binary tree: returns the size of its subtree."""
-    if depth == 0:
-        return 1
-    left = yield (depth - 1,)
-    right = yield (depth - 1,)
-    return left + right + 1
+def binary_tree(seen, path, depth):
+    """A node of a complete binary tree: records its path from the root, then visits its subtrees."""
+    seen.append(path)
+    if depth:
+        yield seen, path + "L", depth - 1
+        yield seen, path + "R", depth - 1
 
 
 class TestRunSearch:
-    def test_children_return_their_values_to_the_parent(self):
-        assert run_search(subtree_size, (4,)) == 31
+    def test_nodes_run_depth_first_first_child_first(self):
+        def preorder(path, depth):
+            return [path] + (preorder(path + "L", depth - 1) + preorder(path + "R", depth - 1) if depth else [])
 
-    def test_root_without_children_returns_its_value(self):
-        assert run_search(subtree_size, (0,)) == 1
+        seen = []
+        assert run_search(binary_tree, (seen, "", 4)) is None
+        assert seen == preorder("", 4) and len(seen) == 31
+
+    def test_root_without_children_runs_once(self):
+        seen = []
+        assert run_search(binary_tree, (seen, "", 0)) is None
+        assert seen == [""]
 
     def test_budget_pays_for_the_root_and_each_child(self):
-        budget = _Budget(31)
-        assert run_search(subtree_size, (4,), budget) == 31 and budget.remaining == 0
+        budget, seen = _Budget(31), []
+        run_search(binary_tree, (seen, "", 4), budget)
+        assert budget.remaining == 0 and len(seen) == 31
+        seen = []
         with pytest.raises(BudgetExceeded):
-            run_search(subtree_size, (4,), _Budget(30))
+            run_search(binary_tree, (seen, "", 4), _Budget(30))
+        assert len(seen) == 30  # the budget pays before a node runs
+        seen = []
         with pytest.raises(BudgetExceeded):
-            run_search(subtree_size, (0,), _Budget(0))
+            run_search(binary_tree, (seen, "", 0), _Budget(0))
+        assert seen == []
 
     def test_depth_far_beyond_the_recursion_limit(self):
-        def chain(i):
-            return i if i == 100_000 else (yield (i + 1,))
+        def chain(depths, i):
+            depths.append(i)
+            if i < 100_000:
+                yield depths, i + 1
 
-        assert run_search(chain, (0,)) == 100_000
+        depths = []
+        run_search(chain, (depths, 0))
+        assert depths == list(range(100_001))
+
+    def test_exception_in_a_node_propagates(self):
+        def failing(i):
+            if i == 3:
+                raise ValueError("node at depth 3")
+            yield (i + 1,)
+
+        with pytest.raises(ValueError, match="node at depth 3"):
+            run_search(failing, (0,))
 
 
 class TestDerivedCache:

@@ -168,6 +168,36 @@ class TestCutConnected:
                 assert sub == before
 
 
+    def test_second_child_flips_to_put_x_on_one_side(self):
+        # A triangle 012 with the pendant edge 03.  Vertex 0 is the lowest
+        # of odd degree and a cut vertex; {3} is its odd component.  The
+        # first child puts 0 on the shore of {0, 3}, the second leaves it
+        # off the shore of {0, 1, 2}, so the second child's sides flip.
+        g = Multigraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1)])
+        adj = _positive_adj(g, range(4))
+
+        def sub(side):
+            return {x: {y: m for y, m in adj[x].items() if y in side} for x in side}
+
+        assert 0 in reference_cut_connected_shore([0, 3], sub([0, 3]))
+        assert 0 not in reference_cut_connected_shore([0, 1, 2], sub([0, 1, 2]))
+        before = copy.deepcopy(adj)
+        assert _cut_connected_shore(adj) == reference_cut_connected_shore([0, 1, 2, 3], before) == {0, 2}
+        assert adj == before
+
+    def test_halving_branch(self):
+        # K4 with every multiplicity 2: all degrees and multiplicities are
+        # even, so the top level halves them all for its one child.
+        g = Multigraph.from_edges(4, [(u, v, 2) for u, v in itertools.combinations(range(4), 2)])
+        adj = _positive_adj(g, range(4))
+        assert all(m % 2 == 0 for x_adj in adj.values() for m in x_adj.values())
+        before = copy.deepcopy(adj)
+        shore = _cut_connected_shore(adj)
+        assert shore == reference_cut_connected_shore([0, 1, 2, 3], before)
+        assert adj == before
+        assert EdgeCut.from_shore(g, frozenset(shore)).size == 8
+
+
 class TestCutLarge:
     def test_single_edge(self):
         g = Multigraph.from_edges(2, [(0, 1, 1)])
