@@ -167,7 +167,6 @@ class TestCutConnected:
                 assert _cut_connected_shore(sub) == reference_cut_connected_shore(comp, before)
                 assert sub == before
 
-
     def test_second_child_flips_to_put_x_on_one_side(self):
         # A triangle 012 with the pendant edge 03.  Vertex 0 is the lowest
         # of odd degree and a cut vertex; {3} is its odd component.  The
